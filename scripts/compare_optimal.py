@@ -12,6 +12,7 @@ import argparse
 from math import gcd
 
 from modmult.circuit import circuit_cost
+from modmult.cli import parse_bits
 from modmult.numtheory import enumerate_semiprimes
 from modmult.optimal import OptimalSearch
 from modmult.synth import SynthesisConfig, synthesize
@@ -22,14 +23,9 @@ def main() -> None:
     ap.add_argument("--bits", default="7..9")
     ap.add_argument("--lookahead", type=int, default=3)
     args = ap.parse_args()
-    if ".." in args.bits:
-        lo, hi = args.bits.split("..", 1)
-        widths = range(int(lo), int(hi) + 1)
-    else:
-        widths = [int(tok) for tok in args.bits.split(",")]
 
     cfg = SynthesisConfig(lookahead_depth=args.lookahead)
-    for n in widths:
+    for n in parse_bits(args.bits):
         violations = pairs = h_sum = o_sum = 0
         for sp in enumerate_semiprimes(n):
             m = sp.value

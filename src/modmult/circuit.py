@@ -4,7 +4,8 @@ bit-exact text serialization.
 A circuit is an ordered list of reversible blocks acting on a two-register
 modular datapath (R1, R2). Costs are measured in Toffoli gates via affine
 per-opcode formulas; CNOT-only bookkeeping (FANOUT, CSWAP fan-out wiring)
-is tracked separately.
+is tracked separately. Each opcode's semantics and inverse are defined
+once, in `_BLOCKS`, and applied through `apply_block`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "R1",
@@ -26,7 +29,10 @@ __all__ = [
     "UnknownOpcode",
     "ParseError",
     "InvariantViolation",
+    "FanoutOnNonzero",
     "DEFAULT_COST_MODEL",
+    "apply_block",
+    "inverse_op",
     "op_cost",
     "op_cnots",
     "circuit_cost",
@@ -68,6 +74,10 @@ class ParseError(ValueError):
 
 class InvariantViolation(ValueError):
     pass
+
+
+class FanoutOnNonzero(RuntimeError):
+    """FANOUT hit a non-zero second register -- a synthesis bug upstream."""
 
 
 @dataclass(frozen=True)
@@ -120,11 +130,61 @@ class BlockCircuit:
     result_register: str = R1
 
     def __post_init__(self) -> None:
+        m = self.modulus
+        if m < 3 or m % 2 == 0:
+            raise InvariantViolation(f"modulus must be odd and >= 3, got {m}")
+        if not 0 < self.multiplier < m:
+            raise InvariantViolation(f"multiplier {self.multiplier} outside [1, {m - 1}]")
+        if self.width != m.bit_length():
+            raise InvariantViolation(f"width {self.width} != bit length {m.bit_length()} of {m}")
         if self.result_register not in _REGISTERS:
             raise InvariantViolation(f"bad result register {self.result_register!r}")
         for i, op in enumerate(self.ops):
             if op.opcode == FANOUT and i != 0:
                 raise InvariantViolation("FANOUT may only appear as the first op")
+
+
+# Block semantics: opcode -> (rule, inverse opcode). A rule maps the target
+# register's value t and the other register's value s to the new t in plain
+# `% m` arithmetic, so one definition serves Python ints and numpy arrays
+# (int64 stays exact while m < 2^31; pass object arrays beyond). inv2 is
+# 2^-1 mod m, which is (m + 1) // 2 for the odd moduli BlockCircuit admits.
+_BLOCKS = {
+    ADD: (lambda t, s, m, inv2: (t + s) % m, SUB),
+    SUB: (lambda t, s, m, inv2: (t - s) % m, ADD),
+    DBL: (lambda t, s, m, inv2: (2 * t) % m, HLV),
+    HLV: (lambda t, s, m, inv2: (t * inv2) % m, DBL),
+    NEG: (lambda t, s, m, inv2: (m - t) % m, NEG),
+}
+
+
+def apply_block(op: BlockOp, r1, r2, m: int, inv2: int):
+    """Apply one block to register values mod m; returns the new (r1, r2).
+
+    r1 and r2 are Python ints or numpy arrays of one shape. FANOUT copies
+    R1 into R2 and demands R2 be zero (every element, for arrays).
+    """
+    code = op.opcode
+    if code == FANOUT:
+        if np.any(r2 != 0):
+            raise FanoutOnNonzero("FANOUT with non-zero second register")
+        return r1, r1
+    if code == CSWAP_LAYER:
+        return r2, r1
+    rule = _BLOCKS[code][0]
+    if op.target == R1:
+        return rule(r1, r2, m, inv2), r2
+    return r1, rule(r2, r1, m, inv2)
+
+
+def inverse_op(op: BlockOp) -> BlockOp:
+    """Inverse block (ADD<->SUB, DBL<->HLV, NEG and CSWAP self-inverse)."""
+    if op.opcode == CSWAP_LAYER:
+        return op
+    try:
+        return BlockOp(_BLOCKS[op.opcode][1], op.target, op.source)
+    except KeyError:
+        raise ValueError(f"{op.opcode} has no block inverse") from None
 
 
 def _coeff(model_coeffs: Mapping[str, tuple[int, int]], opcode: Opcode) -> tuple[int, int]:

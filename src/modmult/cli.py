@@ -91,12 +91,19 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Exit 0 on a pass, 1 on a mismatch, 2 for a circuit file with an
+    invalid header or one too large for exhaustive verification."""
     with open(args.circuit, encoding="utf-8") as fh:
-        circ = parse(fh.read())
-    if args.samples is not None:
-        report = verify(circ, exhaustive=False, samples=args.samples, seed=args.seed)
-    else:
-        report = verify(circ, exhaustive=True)
+        text = fh.read()
+    try:
+        circ = parse(text)
+        if args.samples is not None:
+            report = verify(circ, exhaustive=False, samples=args.samples, seed=args.seed)
+        else:
+            report = verify(circ, exhaustive=True)
+    except ValueError as exc:
+        print(f"modmult verify: {exc}", file=sys.stderr)
+        return 2
     print(report.summary())
     for x, res, other in report.failures:
         print(f"  x={x}: result={res} other={other}")
@@ -137,7 +144,8 @@ def _cmd_modexp(args) -> int:
     return 0
 
 
-def _parse_bits(spec: str) -> tuple[int, ...]:
+def parse_bits(spec: str) -> tuple[int, ...]:
+    """Bit-width spec: "7..10" (inclusive range) or "7,9,12"."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
         return tuple(range(int(lo), int(hi) + 1))
@@ -151,7 +159,7 @@ def _cmd_bench(args) -> int:
         with open(args.moduli, encoding="utf-8") as fh:
             moduli = tuple(int(line) for line in fh if line.strip())
     cfg = bench_mod.SweepConfig(
-        bits=_parse_bits(args.bits),
+        bits=parse_bits(args.bits),
         moduli=moduli,
         multiplier_cap=args.multiplier_cap,
         methods=tuple(args.methods.split(",")),
@@ -211,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="simulate a circuit file against C*x mod M")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--exhaustive", action="store_true", default=False)
-    p.add_argument("--samples", type=int)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true", help="all x in [0, M); the default")
+    mode.add_argument("--samples", type=int, help="this many seeded pseudo-random x instead")
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=_cmd_verify)
 

@@ -83,7 +83,6 @@ def build_modexp(
     cfg: SynthesisConfig | None = None,
     depth_model: DepthModel | None = None,
     keep_identity_gates: bool = False,
-    use_cache: bool = True,
 ) -> ModExpCircuit:
     """Synthesize the 2n conditional positions and total the resources.
 
@@ -100,9 +99,6 @@ def build_modexp(
     cache: dict[int, BlockCircuit] = {}
 
     def block_for(c: int) -> BlockCircuit:
-        if not use_cache:
-            cache.setdefault(c, synthesize(c, mv, cfg))
-            return synthesize(c, mv, cfg)
         if c not in cache:
             cache[c] = synthesize(c, mv, cfg)
         return cache[c]

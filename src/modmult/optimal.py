@@ -29,8 +29,10 @@ from .circuit import (
     BlockOp,
     CostModel,
     DEFAULT_COST_MODEL,
+    apply_block,
+    inverse_op,
 )
-from .numtheory import Modulus, NotCoprime, mod_inverse
+from .numtheory import Modulus, NotCoprime
 
 __all__ = ["ModulusTooLarge", "OptimalSearch", "optimal_costs", "optimal_circuit"]
 
@@ -79,22 +81,8 @@ class OptimalSearch:
             )
         self.model = model
         self.ops = _edge_ops(include_neg)
-        self._inv2 = mod_inverse(2, mv)
+        self._inv2 = (mv + 1) // 2
         self._dist = self._run()
-
-    def _apply_vec(self, op: BlockOp, a: np.ndarray, b: np.ndarray):
-        m = self.m
-        if op.opcode == ADD:
-            return ((a + b) % m, b) if op.target == R1 else (a, (a + b) % m)
-        if op.opcode == SUB:
-            return ((a - b) % m, b) if op.target == R1 else (a, (b - a) % m)
-        if op.opcode == DBL:
-            return ((2 * a) % m, b) if op.target == R1 else (a, (2 * b) % m)
-        if op.opcode == HLV:
-            i2 = self._inv2
-            return ((a * i2) % m, b) if op.target == R1 else (a, (b * i2) % m)
-        # NEG
-        return ((m - a) % m, b) if op.target == R1 else (a, (m - b) % m)
 
     def _run(self) -> np.ndarray:
         m = self.m
@@ -103,7 +91,7 @@ class OptimalSearch:
         a, b = src // m, src % m
         keys, data = [], []
         for op in self.ops:
-            na, nb = self._apply_vec(op, a, b)
+            na, nb = apply_block(op, a, b, m, self._inv2)
             keys.append(src * size + (na * m + nb))
             data.append(
                 np.full(size, self.model.op_cost(op.opcode, self.n), dtype=np.float64)
@@ -175,13 +163,13 @@ class OptimalSearch:
         )
         dist = self._dist[source_row]
         source_state = (1, 0) if source_row == 1 else (1, 1)
-        inv_ops = [(op, BlockOp(_INV[op.opcode], op.target, op.source)) for op in self.ops]
+        inv_ops = [(op, inverse_op(op)) for op in self.ops]
         ops_rev: list[BlockOp] = []
         cur = target
         while dist[cur] > 0:
             ca, cb = divmod(cur, m)
             for op, inv in inv_ops:
-                pa, pb = self._apply_vec(inv, ca, cb)
+                pa, pb = apply_block(inv, ca, cb, m, self._inv2)
                 prev = pa * m + pb
                 w = self.model.op_cost(op.opcode, n)
                 if dist[prev] + w == dist[cur]:
@@ -195,9 +183,6 @@ class OptimalSearch:
         if source_state == (1, 1):
             ops.insert(0, BlockOp(FANOUT))
         return BlockCircuit(m, c, n, tuple(ops), result)
-
-
-_INV = {ADD: SUB, SUB: ADD, DBL: HLV, HLV: DBL, NEG: NEG}
 
 
 def optimal_costs(

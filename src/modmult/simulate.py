@@ -7,23 +7,18 @@ the other register must return to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import (
-    ADD,
-    CSWAP_LAYER,
-    DBL,
-    FANOUT,
-    HLV,
-    NEG,
     R1,
-    SUB,
     BlockCircuit,
     BlockOp,
+    FanoutOnNonzero,
+    apply_block,
+    inverse_op,
 )
-from .numtheory import mod_inverse
 
 __all__ = [
     "MachineState",
@@ -43,10 +38,6 @@ _LCG_C = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
 
-class FanoutOnNonzero(RuntimeError):
-    """FANOUT hit a non-zero second register -- a synthesis bug upstream."""
-
-
 @dataclass(frozen=True)
 class MachineState:
     r1: int
@@ -58,59 +49,9 @@ class MachineState:
             raise ValueError("register values must lie in [0, M)")
 
 
-def _halve(v: int, m: int) -> int:
-    return v // 2 if v % 2 == 0 else (v + m) // 2
-
-
 def apply_op(s: MachineState, op: BlockOp) -> MachineState:
     m = s.modulus
-    r1, r2 = s.r1, s.r2
-    code = op.opcode
-    if code == ADD:
-        if op.target == R1:
-            r1 = (r1 + r2) % m
-        else:
-            r2 = (r2 + r1) % m
-    elif code == SUB:
-        if op.target == R1:
-            r1 = (r1 - r2) % m
-        else:
-            r2 = (r2 - r1) % m
-    elif code == DBL:
-        if op.target == R1:
-            r1 = (2 * r1) % m
-        else:
-            r2 = (2 * r2) % m
-    elif code == HLV:
-        if op.target == R1:
-            r1 = _halve(r1, m)
-        else:
-            r2 = _halve(r2, m)
-    elif code == NEG:
-        if op.target == R1:
-            r1 = (m - r1) % m
-        else:
-            r2 = (m - r2) % m
-    elif code == FANOUT:
-        if r2 != 0:
-            raise FanoutOnNonzero(f"FANOUT with r2={r2}")
-        r2 = r1
-    elif code == CSWAP_LAYER:
-        r1, r2 = r2, r1
-    else:  # pragma: no cover - BlockOp validates opcodes
-        raise ValueError(f"unknown opcode {code}")
-    return MachineState(r1, r2, m)
-
-
-_INVERSES = {ADD: SUB, SUB: ADD, DBL: HLV, HLV: DBL, NEG: NEG, CSWAP_LAYER: CSWAP_LAYER}
-
-
-def inverse_op(op: BlockOp) -> BlockOp:
-    """Inverse block (ADD<->SUB, DBL<->HLV, NEG and CSWAP self-inverse)."""
-    try:
-        return BlockOp(_INVERSES[op.opcode], op.target, op.source)
-    except KeyError:
-        raise ValueError(f"{op.opcode} has no block inverse") from None
+    return MachineState(*apply_block(op, s.r1, s.r2, m, (m + 1) // 2), m)
 
 
 def run_circuit(c: BlockCircuit, x: int) -> MachineState:
@@ -122,51 +63,17 @@ def run_circuit(c: BlockCircuit, x: int) -> MachineState:
 
 
 def circuit_images(c: BlockCircuit, xs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized run over many inputs; returns final (r1, r2) arrays.
+    """Run the circuit on every input at once; returns final (r1, r2) arrays.
 
-    FANOUT here still demands an all-zero second register, matching
-    apply_op semantics.
+    xs defaults to all of [0, M) as int64; the arithmetic keeps the dtype
+    of xs, so pass an object array when M >= 2^31.
     """
     m = c.modulus
-    if xs is None:
-        xs = np.arange(m, dtype=np.int64)
-    r1 = np.asarray(xs, dtype=np.int64) % m
+    r1 = np.arange(m, dtype=np.int64) if xs is None else np.asarray(xs) % m
     r2 = np.zeros_like(r1)
-    inv2 = mod_inverse(2, m)
+    inv2 = (m + 1) // 2
     for op in c.ops:
-        code = op.opcode
-        if code == ADD:
-            if op.target == R1:
-                r1 = (r1 + r2) % m
-            else:
-                r2 = (r2 + r1) % m
-        elif code == SUB:
-            if op.target == R1:
-                r1 = (r1 - r2) % m
-            else:
-                r2 = (r2 - r1) % m
-        elif code == DBL:
-            if op.target == R1:
-                r1 = (2 * r1) % m
-            else:
-                r2 = (2 * r2) % m
-        elif code == HLV:
-            # v/2 if even else (v+M)/2, i.e. multiplication by 2^-1 mod M
-            if op.target == R1:
-                r1 = (r1 * inv2) % m
-            else:
-                r2 = (r2 * inv2) % m
-        elif code == NEG:
-            if op.target == R1:
-                r1 = (m - r1) % m
-            else:
-                r2 = (m - r2) % m
-        elif code == FANOUT:
-            if np.any(r2 != 0):
-                raise FanoutOnNonzero("FANOUT with non-zero second register")
-            r2 = r1.copy()
-        elif code == CSWAP_LAYER:
-            r1, r2 = r2, r1
+        r1, r2 = apply_block(op, r1, r2, m, inv2)
     return r1, r2
 
 
@@ -195,7 +102,6 @@ class VerifyReport:
 
 
 _EXHAUSTIVE_CAP = 1 << 20
-_VECTOR_CAP = 1 << 20
 
 
 def _lcg_samples(seed: int, count: int, m: int) -> list[int]:
@@ -216,41 +122,24 @@ def verify(
 ) -> VerifyReport:
     """Check result = C*x mod M and cleared ancilla for the tested inputs.
 
-    Exhaustive mode covers all x in [0, M) (M capped at 2^20) and checks
-    that the result-register map is a permutation; sampled mode draws from
-    the fixed LCG. Failures are data, not exceptions.
+    Exhaustive mode covers all x in [0, M) (M capped at 2^20); sampled
+    mode draws from the fixed LCG, as exact Python ints at any width. Both
+    check that distinct tested inputs map to distinct results. Failures
+    are data, not exceptions, listed in input order; exhaustive mode ends
+    the list with (-1, total, 0) when more than max_failures inputs fail.
     """
     m, cmul = c.modulus, c.multiplier % c.modulus
-    res_is_r1 = c.result_register == R1
-    failures: list[tuple[int, int, int]] = []
     if exhaustive:
         if m > _EXHAUSTIVE_CAP:
             raise ValueError(f"modulus {m} too large for exhaustive verification")
-        r1, r2 = circuit_images(c)
-        res, other = (r1, r2) if res_is_r1 else (r2, r1)
-        expected = (np.arange(m, dtype=np.int64) * cmul) % m
-        bad = np.flatnonzero((res != expected) | (other != 0))
-        for x in bad[:max_failures]:
-            failures.append((int(x), int(res[x]), int(other[x])))
-        if len(bad) > max_failures:
-            failures.append((-1, int(len(bad)), 0))
-        injective = len(np.unique(res)) == m
-        return VerifyReport(cmul, m, "exhaustive", m, tuple(failures), injective)
-    xs = _lcg_samples(seed, samples, m)
-    seen: dict[int, int] = {}
-    injective = True
-    for x in xs:
-        s = run_circuit(c, x)
-        res, other = (s.r1, s.r2) if res_is_r1 else (s.r2, s.r1)
-        if res != (cmul * x) % m or other != 0:
-            if len(failures) < max_failures:
-                failures.append((x, res, other))
-        if x in seen:
-            if seen[x] != res:
-                injective = False
-        else:
-            seen[x] = res
-    # distinct sampled inputs must map to distinct results
-    if len(set(seen.values())) != len(seen):
-        injective = False
-    return VerifyReport(cmul, m, f"sampled({samples})", len(xs), tuple(failures), injective, seed)
+        xs, mode, seed = np.arange(m, dtype=np.int64), "exhaustive", None
+    else:
+        xs, mode = np.array(_lcg_samples(seed, samples, m), dtype=object), f"sampled({samples})"
+    r1, r2 = circuit_images(c, xs)
+    res, other = (r1, r2) if c.result_register == R1 else (r2, r1)
+    bad = np.flatnonzero((res != xs * cmul % m) | (other != 0))
+    failures = [(int(xs[i]), int(res[i]), int(other[i])) for i in bad[:max_failures]]
+    injective = len(np.unique(res)) == (m if exhaustive else len(set(xs)))
+    if exhaustive and len(bad) > max_failures:
+        failures.append((-1, int(len(bad)), 0))
+    return VerifyReport(cmul, m, mode, len(xs), tuple(failures), injective, seed)

@@ -29,6 +29,7 @@ from .circuit import (
     BlockOp,
     CostModel,
     DEFAULT_COST_MODEL,
+    inverse_op,
 )
 from .numtheory import (
     Modulus,
@@ -200,6 +201,43 @@ def _completion_cost(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -
     return memo[path[0][0]] if path else tail
 
 
+def _best_sequence(
+    a: int, b: int, last: Move | None, k: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
+) -> tuple[int, tuple[Move, ...]] | None:
+    """Least (score, moves) over one lookahead round's sequences from (a, b);
+    `last` is the move committed before (a, b).
+
+    An explicit stack, not a nested recursive function: a closure that refers
+    to itself forms a reference cycle that keeps `memo` alive until a full
+    garbage collection.
+    """
+    best: tuple[int, tuple[Move, ...]] | None = None
+    stack = [(a, b, (), 0, frozenset({(a, b)}))]
+    while stack:
+        pa, pb, seq, cost, seen = stack.pop()
+        if (pa, pb) == (1, 1) or len(seq) == k:
+            scored = (cost + _completion_cost(pa, pb, add_cost, hlv_cost, memo), seq)
+            if best is None or scored < best:
+                best = scored
+            continue
+        prev = seq[-1] if seq else last
+        for mv in Move:
+            if prev is not None and _UNDOES.get(prev) == mv:
+                continue
+            if mv == Move.HALVE_A and pa % 2:
+                continue
+            if mv == Move.HALVE_B and pb % 2:
+                continue
+            na, nb = _apply_move(mv, pa, pb)
+            if not (1 <= na < cap and 1 <= nb < cap):
+                continue
+            if (na, nb) in seen:
+                continue
+            step = hlv_cost if mv <= Move.HALVE_B else add_cost
+            stack.append((na, nb, seq + (mv,), cost + step, seen | {(na, nb)}))
+    return best
+
+
 def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTrace:
     """k-step lookahead over the generalized move set.
 
@@ -219,9 +257,6 @@ def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTr
     cap = cfg.value_cap_multiplier * max(a, b)
     memo: dict[tuple[int, int], int] = {}
 
-    def completion(pair: tuple[int, int]) -> int:
-        return _completion_cost(pair[0], pair[1], add_cost, hlv_cost, memo)
-
     pairs = [(a, b)]
     moves: list[Move] = []
     prev_committed: Move | None = None
@@ -229,40 +264,7 @@ def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTr
     while (a, b) != (1, 1):
         if len(moves) > max_rounds:  # pragma: no cover - safety net
             raise RuntimeError(f"lookahead failed to converge from ({a}, {b})")
-        best: tuple[int, tuple[Move, ...]] | None = None
-
-        def consider(score: int, seq: tuple[Move, ...]) -> None:
-            nonlocal best
-            if best is None or (score, seq) < best:
-                best = (score, seq)
-
-        def expand(
-            pa: int,
-            pb: int,
-            seq: tuple[Move, ...],
-            cost: int,
-            seen: frozenset[tuple[int, int]],
-        ) -> None:
-            if (pa, pb) == (1, 1) or len(seq) == k:
-                consider(cost + completion((pa, pb)), seq)
-                return
-            last = seq[-1] if seq else prev_committed
-            for mv in Move:
-                if last is not None and _UNDOES.get(last) == mv:
-                    continue
-                if mv == Move.HALVE_A and pa % 2:
-                    continue
-                if mv == Move.HALVE_B and pb % 2:
-                    continue
-                na, nb = _apply_move(mv, pa, pb)
-                if not (1 <= na < cap and 1 <= nb < cap):
-                    continue
-                if (na, nb) in seen:
-                    continue
-                step = hlv_cost if mv <= Move.HALVE_B else add_cost
-                expand(na, nb, seq + (mv,), cost + step, seen | {(na, nb)})
-
-        expand(a, b, (), 0, frozenset({(a, b)}))
+        best = _best_sequence(a, b, prev_committed, k, cap, add_cost, hlv_cost, memo)
         assert best is not None and best[1], "no legal move available"
         mv = best[1][0]
         a, b = _apply_move(mv, a, b)
@@ -340,8 +342,6 @@ def baseline_synthesize(c: int | Multiplier, m: int | Modulus) -> BlockCircuit:
         forward.append(BlockOp(DBL, R2))
         if add_step:
             forward.append(BlockOp(ADD, R2, R1))
-    from .simulate import inverse_op  # local import to avoid a cycle
-
     ops.extend(inverse_op(op) for op in reversed(forward))
     return BlockCircuit(mv, cv, n, tuple(ops), R1)
 

@@ -162,6 +162,22 @@ class TestSerialization:
         with pytest.raises(InvariantViolation):
             parse(text)
 
+    def test_even_or_small_modulus_rejected(self):
+        for m in (1, 2, 22):
+            with pytest.raises(InvariantViolation):
+                parse(f"MODULUS {m}\nMULTIPLIER 1\nWIDTH {m.bit_length()}\nRESULT R1\nEND\n")
+
+    def test_multiplier_outside_modulus_rejected(self):
+        for c in (0, 21, 34):
+            with pytest.raises(InvariantViolation):
+                parse(f"MODULUS 21\nMULTIPLIER {c}\nWIDTH 5\nRESULT R1\nEND\n")
+
+    def test_width_must_be_modulus_bit_length(self):
+        # a wrong WIDTH would misprice every block, since costs are per bit
+        for width in (3, 6):
+            with pytest.raises(InvariantViolation):
+                parse(f"MODULUS 21\nMULTIPLIER 13\nWIDTH {width}\nRESULT R1\nEND\n")
+
     def test_parse_error_carries_line_number(self):
         text = "MODULUS 21\nMULTIPLIER 13\nWIDTH 5\nRESULT R1\nFROB R1\nEND\n"
         with pytest.raises(ParseError, match="line 5"):

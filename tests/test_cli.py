@@ -79,6 +79,21 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_refusal_exit_code(capsys, tmp_path):
+    # a mismatch exits 1; a circuit the command will not check exits 2
+    bad_width = tmp_path / "width.txt"
+    bad_width.write_text("MODULUS 21\nMULTIPLIER 2\nWIDTH 3\nRESULT R1\nDBL R1\nEND\n")
+    assert main(["verify", "--circuit", str(bad_width)]) == 2
+    big = tmp_path / "big.txt"  # M = 2^21 + 1, past the exhaustive cap
+    big.write_text("MODULUS 2097153\nMULTIPLIER 2\nWIDTH 22\nRESULT R1\nDBL R1\nEND\n")
+    assert main(["verify", "--circuit", str(big), "--exhaustive"]) == 2
+    assert "exhaustive" in capsys.readouterr().err
+    assert main(["verify", "--circuit", str(big), "--samples", "50"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--circuit", str(big), "--exhaustive", "--samples", "50"])
+    assert exc.value.code == 2
+
+
 def test_modexp_outputs(capsys, tmp_path):
     out_dir = tmp_path / "me"
     code, _ = run(

@@ -2,10 +2,18 @@ import math
 
 import pytest
 
-from modmult.circuit import DepthModel
+from modmult.circuit import (
+    CSWAP_LAYER,
+    BlockOp,
+    DepthModel,
+    circuit_cost,
+    circuit_depth,
+    op_cnots,
+    op_cost,
+)
 from modmult.modexp import BaseNotCoprime, ModExpCircuit, build_modexp, modexp_plan
 from modmult.simulate import run_circuit
-from modmult.synth import SynthesisConfig
+from modmult.synth import SynthesisConfig, synthesize
 
 
 class TestPlan:
@@ -44,10 +52,18 @@ class TestBuild:
             assert acc == pow(2, z, 21), z
 
     def test_cache_transparent(self):
-        a = build_modexp(21, 2, use_cache=True)
-        b = build_modexp(21, 2, use_cache=False)
-        assert (a.toffoli, a.cnot, a.depth) == (b.toffoli, b.cnot, b.depth)
-        assert a.distinct_blocks == b.distinct_blocks == 3  # {2, 4, 16}
+        a = build_modexp(21, 2)
+        # the same totals from a fresh synthesis per position
+        ripple, cswap = DepthModel.ripple(), BlockOp(CSWAP_LAYER)
+        toffoli = cnot = depth = 0
+        for c in modexp_plan(21, 2).multipliers:
+            block = synthesize(c, 21)
+            t, k = circuit_cost(block)
+            toffoli += t + 2 * op_cost(cswap, 5)
+            cnot += k + 2 * op_cnots(cswap, 5)
+            depth += circuit_depth(block, ripple) + 2 * ripple.op_depth(CSWAP_LAYER, 5)
+        assert (a.toffoli, a.cnot, a.depth) == (toffoli, cnot, depth)
+        assert a.distinct_blocks == 3  # {2, 4, 16}
 
     def test_keep_identity_gates_costs_more(self):
         # ord_15(2) = 4, so repeated squaring reaches 1 and stays there

@@ -1,11 +1,13 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from modmult.circuit import (
     ADD,
+    CSWAP_LAYER,
     DBL,
     FANOUT,
     HLV,
@@ -19,13 +21,15 @@ from modmult.circuit import (
 from modmult.simulate import (
     FanoutOnNonzero,
     MachineState,
+    VerifyReport,
+    _lcg_samples,
     apply_op,
     circuit_images,
     inverse_op,
     run_circuit,
     verify,
 )
-from modmult.synth import synthesize
+from modmult.synth import baseline_synthesize, synthesize
 
 
 def test_add_collapses_to_zero():
@@ -117,20 +121,52 @@ def test_verify_catches_mutation():
     assert not report.passed and len(report.failures) >= 1
 
 
+def test_sampled_failures_match_scalar_fold():
+    m = 101 * 1297  # 17 bits
+    c = synthesize(54321, m)
+    i = next(i for i, op in enumerate(c.ops) if op.opcode == ADD)
+    mutant = BlockCircuit(
+        m, c.multiplier, c.width,
+        c.ops[:i] + (BlockOp(SUB, c.ops[i].target, c.ops[i].source),) + c.ops[i + 1 :],
+        c.result_register,
+    )
+    expected, seen = [], {}
+    for x in _lcg_samples(11, 300, m):
+        s = run_circuit(mutant, x)
+        res, other = (s.r1, s.r2) if mutant.result_register == R1 else (s.r2, s.r1)
+        if res != 54321 * x % m or other != 0:
+            expected.append((x, res, other))
+        seen[x] = res
+    assert len(expected) > 32
+    injective = len(set(seen.values())) == len(seen)
+    assert verify(mutant, exhaustive=False, samples=300, seed=11) == VerifyReport(
+        54321, m, "sampled(300)", 300, tuple(expected[:32]), injective, 11
+    )
+
+
 def test_sampled_mode_reproducible():
-    c = synthesize(77778, 1011113)
-    r1 = verify(c, exhaustive=False, samples=100, seed=7)
-    r2 = verify(c, exhaustive=False, samples=100, seed=7)
-    assert r1 == r2 and r1.passed and r1.seed == 7
+    # the 128-bit case passes only if sampled arithmetic is exact past int64
+    m128 = (1 << 128) - 159
+    for c, m in [(77778, 1011113), (3**70 % m128, m128)]:
+        circ = synthesize(c, m)
+        r1 = verify(circ, exhaustive=False, samples=100, seed=7)
+        r2 = verify(circ, exhaustive=False, samples=100, seed=7)
+        assert r1 == r2 and r1.passed and r1.seed == 7
 
 
 def test_vectorized_matches_scalar():
-    for m, c in [(21, 13), (35, 12), (91, 5)]:
-        circ = synthesize(c, m)
-        r1, r2 = circuit_images(circ)
-        for x in range(m):
-            s = run_circuit(circ, x)
-            assert (s.r1, s.r2) == (int(r1[x]), int(r2[x]))
+    # every opcode on every target, plus FANOUT and CSWAP_LAYER
+    every_block = BlockCircuit(
+        35, 2, 6, (BlockOp(FANOUT), *_invertible_ops, BlockOp(CSWAP_LAYER))
+    )
+    circuits = [synthesize(c, m) for m, c in [(21, 13), (35, 12), (91, 5)]]
+    for circ in circuits + [baseline_synthesize(12, 35), every_block]:
+        m = circ.modulus
+        for xs in (None, np.arange(m, dtype=object)):
+            r1, r2 = circuit_images(circ, xs)
+            for x in range(m):
+                s = run_circuit(circ, x)
+                assert (s.r1, s.r2) == (int(r1[x]), int(r2[x]))
 
 
 def test_verify_all_methods_small_moduli():

@@ -1,3 +1,4 @@
+import gc
 from math import gcd
 
 import pytest
@@ -119,6 +120,19 @@ class TestLookaheadTrace:
     @settings(max_examples=60, deadline=None)
     def test_invariants(self, ab):
         _check_trace(lookahead_trace(*ab))
+
+    def test_leaves_no_reference_cycles(self):
+        # garbage a call leaves in cycles (such as its completion memo)
+        # lives until a full collection and inflates peak memory
+        gc.collect()
+        gc.disable()
+        try:
+            for c in range(1000, 1040):
+                if gcd(c, 49447) == 1:
+                    synthesize(c, 49447)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_never_worse_than_binary(self):
         # a strided subset of coprime pairs below 2^10 keeps this under a
