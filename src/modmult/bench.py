@@ -18,6 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from statistics import mean
 
@@ -64,6 +65,10 @@ _EXHAUSTIVE_BIT_CAP = 12
 _SAMPLE_COUNT = 1000
 _SAMPLE_SEED = 2024
 
+# part of every cache key; bump it when a record's fields or their meaning
+# change, so entries written before are misses
+_CACHE_SCHEMA = 2
+
 
 class MixedModels(ValueError):
     """Aggregation refused: records computed under different cost models."""
@@ -87,6 +92,9 @@ class BenchRecord:
     wall_seconds: float
     cost_model_hash: str
     error: str = ""
+    # SweepConfig.config_hash of the sweep that made the record; the cache
+    # keys on it, or on cost_model_hash for a record made outside a sweep
+    config_hash: str = ""
 
     def csv_row(self) -> str:
         return (
@@ -123,6 +131,22 @@ class SweepConfig:
 
     def synthesis_config(self) -> SynthesisConfig:
         return self.synthesis or SynthesisConfig(cost_model=self.cost_model)
+
+    @cached_property
+    def config_hash(self) -> str:
+        """Hash of every setting that shapes a record -- cost and depth
+        models, synthesis config, verify and timing flags -- and the cache
+        schema. Computed once per config; the result cache keys on it."""
+        doc = [
+            _CACHE_SCHEMA,
+            self.cost_model.hash,
+            dataclasses.asdict(self.depth_model),
+            dataclasses.asdict(self.synthesis_config()),
+            self.verify_circuits,
+            self.timing,
+        ]
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _multipliers(m: int, cfg: SweepConfig) -> list[int]:
@@ -188,6 +212,7 @@ def _record(method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | 
         wall_seconds=elapsed,
         cost_model_hash=cfg.cost_model.hash,
         error=error,
+        config_hash=cfg.config_hash,
     )
 
 
@@ -200,12 +225,13 @@ def _sweep_modulus(args: tuple[int, SweepConfig]) -> list[BenchRecord]:
     records = []
     for c in cs:
         for method in cfg.methods:
-            cached = cache_lookup(cfg.cache_dir, m, c, method, cfg.cost_model.hash)
+            cached = cache_lookup(cfg.cache_dir, m, c, method, cfg.config_hash)
             if cached is not None:
                 records.append(cached)
                 continue
             rec = _record(method, c, m, cfg, opt)
-            cache_store(cfg.cache_dir, rec)
+            if not rec.error:  # a failure is retried, never served
+                cache_store(cfg.cache_dir, rec)
             records.append(rec)
     return records
 
@@ -315,17 +341,17 @@ def write_ratio_csv(series: list[tuple[int, float | None, float | None]], path: 
 # --- result cache -----------------------------------------------------------
 
 
-def cache_key(m: int, c: int, method: str, model_hash: str) -> str:
-    payload = f"{m},{c},{method},{model_hash}"
+def cache_key(m: int, c: int, method: str, config_hash: str) -> str:
+    payload = f"{m},{c},{method},{config_hash}"
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
 def cache_lookup(
-    cache_dir: str | None, m: int, c: int, method: str, model_hash: str
+    cache_dir: str | None, m: int, c: int, method: str, config_hash: str
 ) -> BenchRecord | None:
     if cache_dir is None:
         return None
-    path = os.path.join(cache_dir, cache_key(m, c, method, model_hash) + ".json")
+    path = os.path.join(cache_dir, cache_key(m, c, method, config_hash) + ".json")
     if not os.path.exists(path):
         return None
     try:
@@ -350,10 +376,10 @@ def cache_store(cache_dir: str | None, record: BenchRecord) -> None:
     digest = hashlib.sha256(
         json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
+    config_hash = record.config_hash or record.cost_model_hash
     path = os.path.join(
         cache_dir,
-        cache_key(record.modulus, record.multiplier, record.method, record.cost_model_hash)
-        + ".json",
+        cache_key(record.modulus, record.multiplier, record.method, config_hash) + ".json",
     )
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

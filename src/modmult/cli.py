@@ -76,16 +76,22 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    cost, _ = _models(args.cost_model)
-    search = OptimalSearch(args.modulus, cost)
-    if args.all:
-        for c, value in sorted(search.all_costs().items()):
-            print(f"{c},{value}")
-        return 0
-    if args.multiplier is None:
+    """Exit 2 with a one-line message for a modulus beyond the bit cap,
+    a cost model pricing a searched op at <= 0, or a bad multiplier."""
+    if not args.all and args.multiplier is None:
         print("error: provide --multiplier or --all", file=sys.stderr)
         return 2
-    circ = search.circuit(args.multiplier)
+    cost, _ = _models(args.cost_model)
+    try:
+        search = OptimalSearch(args.modulus, cost)
+        if args.all:
+            for c, value in sorted(search.all_costs().items()):
+                print(f"{c},{value}")
+            return 0
+        circ = search.circuit(args.multiplier)
+    except ValueError as exc:
+        print(f"modmult optimal: {exc}", file=sys.stderr)
+        return 2
     _write_or_print(serialize(circ), args.output)
     return 0
 
@@ -179,6 +185,7 @@ def _cmd_bench(args) -> int:
     errors = [r for r in records if r.error]
     if errors:
         print(f"{len(errors)} records carry errors", file=sys.stderr)
+        return 3
     return 0
 
 

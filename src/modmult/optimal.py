@@ -2,10 +2,11 @@
 
 States are residue pairs (a, b) in (Z_M)^2; edges are the block operators
 (ADD/SUB with either target, DBL/HLV/NEG on either register) weighted by
-the cost model. A single-source least-cost pass from the two legal start
-states -- (1, 1) after a free FANOUT, and (1, 0) for single-register
-circuits that skip it -- yields, for every coprime c, the cheapest circuit
-ending in (c, 0) or (0, c).
+the cost model, which must price each above 0. A bucket Dijkstra from the
+two legal start states -- (1, 1) after a free FANOUT, and (1, 0) for
+single-register circuits that skip it -- yields, for every coprime c, the
+cheapest circuit ending in (c, 0) or (0, c). Edges come from `apply_block`
+on the fly, so memory is the int32 distances, 8 bytes per state.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from math import gcd
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .circuit import (
     ADD,
@@ -34,13 +33,19 @@ from .circuit import (
 )
 from .numtheory import Modulus, NotCoprime
 
-__all__ = ["ModulusTooLarge", "OptimalSearch", "optimal_costs", "optimal_circuit"]
+__all__ = [
+    "ModulusTooLarge", "NonPositiveCost", "OptimalSearch", "optimal_costs", "optimal_circuit"
+]
 
 DEFAULT_BIT_CAP = 12
 
 
 class ModulusTooLarge(ValueError):
     """State space M^2 exceeds the configured search cap."""
+
+
+class NonPositiveCost(ValueError):
+    """An edge op costs <= 0 at this width; least-cost search needs > 0."""
 
 
 def _edge_ops(include_neg: bool) -> list[BlockOp]:
@@ -81,37 +86,35 @@ class OptimalSearch:
             )
         self.model = model
         self.ops = _edge_ops(include_neg)
+        self._weights = [model.op_cost(op.opcode, self.n) for op in self.ops]
+        free = [op.text() for op, w in zip(self.ops, self._weights) if w <= 0]
+        if free:
+            raise NonPositiveCost(f"{', '.join(free)} must cost > 0 at n={self.n}")
         self._inv2 = (mv + 1) // 2
         self._dist = self._run()
 
     def _run(self) -> np.ndarray:
+        """Dial's bucket Dijkstra (CACM 1969) over positive integer weights,
+        one distance row per source; the unreached sentinel leaves room for
+        `dist + w` in int32."""
         m = self.m
-        size = m * m
-        src = np.arange(size, dtype=np.int64)
-        a, b = src // m, src % m
-        keys, data = [], []
-        for op in self.ops:
-            na, nb = apply_block(op, a, b, m, self._inv2)
-            keys.append(src * size + (na * m + nb))
-            data.append(
-                np.full(size, self.model.op_cost(op.opcode, self.n), dtype=np.float64)
-            )
-        key = np.concatenate(keys)
-        weight = np.concatenate(data)
-        # distinct ops can share an edge (e.g. ADD and DBL on equal
-        # registers); keep the cheapest, since coo->csr would sum them
-        order = np.argsort(key, kind="stable")
-        key, weight = key[order], weight[order]
-        starts = np.ones(len(key), dtype=bool)
-        starts[1:] = key[1:] != key[:-1]
-        weight = np.minimum.reduceat(weight, np.flatnonzero(starts))
-        key = key[starts]
-        graph = csr_matrix(
-            (weight, ((key // size).astype(np.int64), (key % size).astype(np.int64))),
-            shape=(size, size),
-        )
-        sources = [1 * m + 1, 1 * m + 0]  # (1,1) post-FANOUT and (1,0) bare
-        return _sp_dijkstra(graph, directed=True, indices=sources)
+        dist = np.full((2, m * m), np.iinfo(np.int32).max // 2, dtype=np.int32)
+        for row, source in zip(dist, (m + 1, m)):  # (1,1) post-FANOUT, (1,0) bare
+            row[source] = 0
+            buckets = {0: [np.array([source])]}
+            while buckets:
+                du = min(buckets)
+                u = np.concatenate(buckets.pop(du))
+                u = u[row[u] == du]  # drop entries lowered since queued
+                a, b = np.divmod(u, m)
+                for op, w in zip(self.ops, self._weights):
+                    na, nb = apply_block(op, a, b, m, self._inv2)
+                    v = na * m + nb
+                    v = v[row[v] > du + w]
+                    if v.size:
+                        row[v] = du + w
+                        buckets.setdefault(du + w, []).append(v)
+        return dist
 
     def _candidates(self, c: int) -> list[tuple[int, int, str]]:
         m = self.m
@@ -136,15 +139,9 @@ class OptimalSearch:
     def all_costs(self) -> dict[int, int]:
         """Minimal cost for every coprime c in [1, M)."""
         m = self.m
-        d = self._dist
-        r1_best = np.minimum(d[0, np.arange(m) * m], d[1, np.arange(m) * m])
-        r2_best = np.minimum(d[0, np.arange(m)], d[1, np.arange(m)])
-        best = np.minimum(r1_best, r2_best)
-        out: dict[int, int] = {}
-        for c in range(1, m):
-            if gcd(c, m) == 1:
-                out[c] = 0 if c == 1 else int(best[c])
-        return out
+        # (c, 0) sits at c * m, (0, c) at c; least over both rows
+        best = np.minimum(self._dist[:, : m * m : m], self._dist[:, :m]).min(axis=0)
+        return {c: 0 if c == 1 else int(best[c]) for c in range(1, m) if gcd(c, m) == 1}
 
     def circuit(self, c: int) -> BlockCircuit:
         """Reconstruct one least-cost circuit for c; deterministic via the
@@ -163,15 +160,14 @@ class OptimalSearch:
         )
         dist = self._dist[source_row]
         source_state = (1, 0) if source_row == 1 else (1, 1)
-        inv_ops = [(op, inverse_op(op)) for op in self.ops]
+        inv_ops = [(op, inverse_op(op), w) for op, w in zip(self.ops, self._weights)]
         ops_rev: list[BlockOp] = []
         cur = target
         while dist[cur] > 0:
             ca, cb = divmod(cur, m)
-            for op, inv in inv_ops:
+            for op, inv, w in inv_ops:
                 pa, pb = apply_block(inv, ca, cb, m, self._inv2)
                 prev = pa * m + pb
-                w = self.model.op_cost(op.opcode, n)
                 if dist[prev] + w == dist[cur]:
                     ops_rev.append(op)
                     cur = prev

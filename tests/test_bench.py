@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from modmult import bench
 from modmult.bench import (
     CSV_HEADER,
     BenchRecord,
@@ -22,6 +23,7 @@ from modmult.bench import (
     write_summary_csv,
 )
 from modmult.circuit import ADD, CostModel, DepthModel
+from modmult.synth import SynthesisConfig
 
 
 def small_sweep(**kw):
@@ -183,3 +185,43 @@ class TestCache:
         second = bench_sweep(cfg)
         hit = next(r for r in second if r.multiplier == target.multiplier)
         assert hit.toffoli == target.toffoli + 7
+
+
+class TestCacheKey:
+    """A cache filled under one config never serves a sweep under another."""
+
+    @staticmethod
+    def warm_and_cold(tmp_path, fill, **kw):
+        cache = str(tmp_path)
+        bench_sweep(small_sweep(cache_dir=cache, **fill))
+        warm = bench_sweep(small_sweep(cache_dir=cache, **kw))
+        cold = bench_sweep(small_sweep(**kw))
+        return warm, cold
+
+    def test_depth_model(self, tmp_path):
+        base = dict(moduli=(21,), methods=("heuristic",))
+        warm, cold = self.warm_and_cold(
+            tmp_path, base, depth_model=DepthModel.lookahead(), **base
+        )
+        assert sum(r.depth for r in warm) == sum(r.depth for r in cold) == 630
+
+    def test_synthesis_config(self, tmp_path):
+        base = dict(moduli=(65,), methods=("heuristic",))
+        warm, cold = self.warm_and_cold(
+            tmp_path, base, synthesis=SynthesisConfig(lookahead_depth=1), **base
+        )
+        assert sum(r.toffoli for r in warm) == sum(r.toffoli for r in cold) == 8308
+
+    def test_timing(self, tmp_path):
+        base = dict(moduli=(21,), methods=("heuristic",))
+        warm, cold = self.warm_and_cold(tmp_path, dict(timing=True, **base), **base)
+        assert records_to_csv(warm) == records_to_csv(cold)
+
+    def test_error_records_not_stored(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("synthesis failed")
+
+        monkeypatch.setattr(bench, "_synthesize_method", broken)
+        recs = bench_sweep(small_sweep(moduli=(21,), cache_dir=str(tmp_path)))
+        assert recs and all(r.error for r in recs)
+        assert os.listdir(tmp_path) == []

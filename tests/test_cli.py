@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from modmult import bench
 from modmult.cli import main
-from modmult.circuit import parse
+from modmult.circuit import NEG, CostModel, parse, save_model_file
 from modmult.simulate import verify
 
 
@@ -153,3 +154,31 @@ def test_bits_range_spec(capsys, tmp_path):
     assert code == 0
     bits_seen = {line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]}
     assert bits_seen == {"7", "8"}
+
+
+def test_optimal_free_op_exit_code(capsys, tmp_path):
+    # NEG priced at 0 would give the search a zero-cost edge
+    model = tmp_path / "free_neg.json"
+    save_model_file(str(model), CostModel("free-neg", {**CostModel().coeffs, NEG: (0, 0)}))
+    args = ["optimal", "--modulus", "21", "--multiplier", "13", "--cost-model", str(model)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "NEG" in err and len(err.strip().splitlines()) == 1
+
+
+def test_optimal_beyond_cap_exit_code(capsys):
+    assert main(["optimal", "--modulus", "8191", "--all"]) == 2  # 13 bits, cap 12
+    err = capsys.readouterr().err
+    assert "cap" in err and len(err.strip().splitlines()) == 1
+
+
+def test_bench_errors_exit_code(capsys, tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("synthesis failed")
+
+    monkeypatch.setattr(bench, "_synthesize_method", broken)
+    mods = tmp_path / "mods.txt"
+    mods.write_text("21\n")
+    out = tmp_path / "r.csv"
+    assert main(["bench", "--moduli", str(mods), "--methods", "heuristic", "--out", str(out)]) == 3
+    assert "carry errors" in capsys.readouterr().err

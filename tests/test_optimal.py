@@ -1,10 +1,34 @@
+import hashlib
+import heapq
+import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 
-from modmult.circuit import ADD, DBL, FANOUT, R1, CostModel, circuit_cost, serialize
+from modmult.circuit import (
+    ADD,
+    DBL,
+    FANOUT,
+    HLV,
+    NEG,
+    R1,
+    R2,
+    SUB,
+    BlockOp,
+    CostModel,
+    apply_block,
+    circuit_cost,
+    serialize,
+)
 from modmult.numtheory import NotCoprime
-from modmult.optimal import ModulusTooLarge, OptimalSearch, optimal_circuit, optimal_costs
+from modmult.optimal import (
+    ModulusTooLarge,
+    NonPositiveCost,
+    OptimalSearch,
+    optimal_circuit,
+    optimal_costs,
+)
 from modmult.simulate import verify
 from modmult.synth import SynthesisConfig, synthesize
 
@@ -36,6 +60,13 @@ class TestCosts:
     def test_bit_cap(self):
         with pytest.raises(ModulusTooLarge):
             OptimalSearch((1 << 13) + 1, bit_cap=12)
+
+    def test_free_edge_op_refused(self):
+        free_neg = CostModel("free-neg", {**CostModel().coeffs, NEG: (0, 0)})
+        with pytest.raises(NonPositiveCost, match="NEG"):
+            OptimalSearch(21, free_neg)
+        # NEG is not an edge without include_neg, so its price is irrelevant
+        assert OptimalSearch(21, free_neg, include_neg=False).cost(13) > 0
 
     def test_module_level_wrappers(self):
         assert optimal_costs(21)[13] == OptimalSearch(21).cost(13)
@@ -91,3 +122,83 @@ class TestFloorProperty:
         without = optimal_costs(21, include_neg=False)
         for c, cost in with_neg.items():
             assert without[c] >= cost
+
+
+def _running_digest(search: OptimalSearch) -> str:
+    h = hashlib.sha256()
+    for c in range(2, search.m):
+        if gcd(c, search.m) == 1:
+            h.update(serialize(search.circuit(c)).encode())
+    return h.hexdigest()
+
+
+class TestSearch:
+    def test_golden_1007(self):
+        # digests of the costs and circuits of the CSR-matrix search this replaced
+        search = OptimalSearch(1007)
+        costs = repr(sorted(search.all_costs().items())).encode()
+        assert hashlib.sha256(costs).hexdigest().startswith("5557e1c1ebd78a01")
+        assert _running_digest(search).startswith("82fabfaf00a50452")
+        no_neg = OptimalSearch(1007, include_neg=False)
+        assert _running_digest(no_neg).startswith("e0804c0125eb57ff")
+
+    @staticmethod
+    def reference(m: int, model: CostModel, include_neg: bool):
+        """Distance rows and all_costs from a heapq Dijkstra over an
+        explicit edge list."""
+        n = m.bit_length()
+        codes = (DBL, HLV, NEG) if include_neg else (DBL, HLV)
+        ops = [BlockOp(code, t, s) for code in (ADD, SUB) for t, s in ((R1, R2), (R2, R1))]
+        ops += [BlockOp(code, t) for code in codes for t in (R1, R2)]
+        edges = []
+        for state in range(m * m):
+            a, b = divmod(state, m)
+            out = []
+            for op in ops:
+                na, nb = apply_block(op, a, b, m, (m + 1) // 2)
+                out.append((na * m + nb, model.op_cost(op.opcode, n)))
+            edges.append(out)
+        unreached = np.iinfo(np.int32).max // 2
+        rows = []
+        for source in ((1, 1), (1, 0)):
+            dist = [unreached] * (m * m)
+            start = source[0] * m + source[1]
+            dist[start] = 0
+            heap = [(0, start)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                for v, w in edges[u]:
+                    if d + w < dist[v]:
+                        dist[v] = d + w
+                        heapq.heappush(heap, (d + w, v))
+            rows.append(dist)
+        costs = {
+            c: 0 if c == 1 else min(row[i] for row in rows for i in (c * m, c))
+            for c in range(1, m)
+            if gcd(c, m) == 1
+        }
+        return np.array(rows), costs
+
+    @pytest.mark.parametrize("include_neg", [True, False])
+    @pytest.mark.parametrize("m", [21, 33, 35, 77])
+    def test_matches_heapq_reference(self, m, include_neg):
+        model = CostModel()
+        search = OptimalSearch(m, model, include_neg=include_neg)
+        dist, costs = self.reference(m, model, include_neg)
+        assert np.array_equal(search._dist, dist)
+        assert search.all_costs() == costs
+
+    def test_twelve_bit_cap_fits(self):
+        m, c = 4087, 1234  # 61 * 67, the 12-bit cap
+        tracemalloc.start()
+        try:
+            search = OptimalSearch(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 30, f"{peak / 2**20:.0f} MB"
+        circ = search.circuit(c)
+        assert circuit_cost(circ, search.model)[0] == search.cost(c)
+        assert verify(circ, exhaustive=True).passed
