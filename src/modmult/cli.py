@@ -76,40 +76,27 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    """Exit 2 with a one-line message for a modulus beyond the bit cap,
-    a cost model pricing a searched op at <= 0, or a bad multiplier."""
     if not args.all and args.multiplier is None:
-        print("error: provide --multiplier or --all", file=sys.stderr)
-        return 2
+        raise ValueError("provide --multiplier or --all")
     cost, _ = _models(args.cost_model)
-    try:
-        search = OptimalSearch(args.modulus, cost)
-        if args.all:
-            for c, value in sorted(search.all_costs().items()):
-                print(f"{c},{value}")
-            return 0
-        circ = search.circuit(args.multiplier)
-    except ValueError as exc:
-        print(f"modmult optimal: {exc}", file=sys.stderr)
-        return 2
-    _write_or_print(serialize(circ), args.output)
+    search = OptimalSearch(args.modulus, cost)
+    if args.all:
+        for c, value in sorted(search.all_costs().items()):
+            print(f"{c},{value}")
+        return 0
+    _write_or_print(serialize(search.circuit(args.multiplier)), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    """Exit 0 on a pass, 1 on a mismatch, 2 for a circuit file with an
-    invalid header or one too large for exhaustive verification."""
+    """Exit 0 on a pass, 1 on a mismatch (2, from `main`, for a file with
+    an invalid header or too large for exhaustive verification)."""
     with open(args.circuit, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        circ = parse(text)
-        if args.samples is not None:
-            report = verify(circ, exhaustive=False, samples=args.samples, seed=args.seed)
-        else:
-            report = verify(circ, exhaustive=True)
-    except ValueError as exc:
-        print(f"modmult verify: {exc}", file=sys.stderr)
-        return 2
+        circ = parse(fh.read())
+    if args.samples is not None:
+        report = verify(circ, exhaustive=False, samples=args.samples, seed=args.seed)
+    else:
+        report = verify(circ, exhaustive=True)
     print(report.summary())
     for x, res, other in report.failures:
         print(f"  x={x}: result={res} other={other}")
@@ -259,8 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; exit 2 with a one-line message on invalid input.
+
+    The library reports invalid input as a `ValueError`: a multiplier or
+    base not coprime to the modulus, a modulus past a cap, a lookahead
+    depth out of range, a cost model pricing a searched op at <= 0, or a
+    circuit file with an invalid header."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"modmult {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -68,12 +68,9 @@ class Move(enum.IntEnum):
     ADD_B = 5  # B <- B + A
 
 
-_UNDOES = {
-    Move.SUB_A: Move.ADD_A,
-    Move.ADD_A: Move.SUB_A,
-    Move.SUB_B: Move.ADD_B,
-    Move.ADD_B: Move.SUB_B,
-}
+# _UNDO_OF[mv] is the move the lookahead may not play right after mv
+# (ADD and SUB on the same side undo each other; -1: none)
+_UNDO_OF = (-1, -1, Move.ADD_A, Move.ADD_B, Move.SUB_A, Move.SUB_B)
 
 EUCLID_SUBTRACTIVE = "EUCLID_SUBTRACTIVE"
 BINARY = "BINARY"
@@ -186,56 +183,71 @@ def _completion_cost(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -
     """Cost of finishing with plain binary-GCD moves; memoized along the
     reduction path so repeated scoring is cheap."""
     path: list[tuple[tuple[int, int], int]] = []
-    while (a, b) not in memo:
-        if (a, b) == (1, 1):
-            memo[(1, 1)] = 0
+    pair = (a, b)
+    while (tail := memo.get(pair)) is None:
+        if a == 1 and b == 1:
+            tail = memo[pair] = 0
             break
-        mv = _binary_step(a, b)
-        cost = hlv_cost if mv <= Move.HALVE_B else add_cost
-        path.append(((a, b), cost))
-        a, b = _apply_move(mv, a, b)
-    tail = memo[(a, b)]
+        path.append((pair, hlv_cost if not a & 1 or not b & 1 else add_cost))
+        if not a & 1:
+            a >>= 1
+        elif not b & 1:
+            b >>= 1
+        elif a < b:
+            b -= a
+        else:
+            a -= b
+        pair = (a, b)
     for pair, cost in reversed(path):
         tail += cost
         memo[pair] = tail
-    return memo[path[0][0]] if path else tail
+    return tail
 
 
 def _best_sequence(
     a: int, b: int, last: Move | None, k: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
-) -> tuple[int, tuple[Move, ...]] | None:
-    """Least (score, moves) over one lookahead round's sequences from (a, b);
-    `last` is the move committed before (a, b).
+) -> tuple[int, tuple[int, ...]] | None:
+    """Least (score, moves) over one lookahead round's sequences from
+    (a, b) != (1, 1); `last` is the move committed before (a, b).
 
-    An explicit stack, not a nested recursive function: a closure that refers
-    to itself forms a reference cycle that keeps `memo` alive until a full
-    garbage collection.
+    Children are built inline in `Move` order. A child at depth k, or equal
+    to (1, 1), is a leaf and is scored on the spot; only inner nodes go on
+    the explicit stack (a self-referencing closure would form a reference
+    cycle that keeps `memo` alive until a full garbage collection).
+    `anc` holds the pairs on the path from (a, b), for the no-revisit rule.
     """
-    best: tuple[int, tuple[Move, ...]] | None = None
-    stack = [(a, b, (), 0, frozenset({(a, b)}))]
+    best: int | None = None
+    best_seq: tuple[int, ...] = ()
+    stack = [(a, b, (), 0, ((a, b),))]
     while stack:
-        pa, pb, seq, cost, seen = stack.pop()
-        if (pa, pb) == (1, 1) or len(seq) == k:
-            scored = (cost + _completion_cost(pa, pb, add_cost, hlv_cost, memo), seq)
-            if best is None or scored < best:
-                best = scored
-            continue
+        pa, pb, seq, cost, anc = stack.pop()
         prev = seq[-1] if seq else last
-        for mv in Move:
-            if prev is not None and _UNDOES.get(prev) == mv:
+        undo = -1 if prev is None else _UNDO_OF[prev]
+        at_leaves = len(seq) + 1 == k
+        # halving an odd value gives 0, which the bounds test rejects
+        for mv, na, nb, step in (
+            (0, 0 if pa & 1 else pa >> 1, pb, hlv_cost),
+            (1, pa, 0 if pb & 1 else pb >> 1, hlv_cost),
+            (2, pa - pb, pb, add_cost),
+            (3, pa, pb - pa, add_cost),
+            (4, pa + pb, pb, add_cost),
+            (5, pa, pb + pa, add_cost),
+        ):
+            if mv == undo or not (0 < na < cap and 0 < nb < cap):
                 continue
-            if mv == Move.HALVE_A and pa % 2:
+            pair = (na, nb)
+            if pair in anc:
                 continue
-            if mv == Move.HALVE_B and pb % 2:
-                continue
-            na, nb = _apply_move(mv, pa, pb)
-            if not (1 <= na < cap and 1 <= nb < cap):
-                continue
-            if (na, nb) in seen:
-                continue
-            step = hlv_cost if mv <= Move.HALVE_B else add_cost
-            stack.append((na, nb, seq + (mv,), cost + step, seen | {(na, nb)}))
-    return best
+            if at_leaves or (na == 1 and nb == 1):
+                score = memo.get(pair)
+                if score is None:
+                    score = _completion_cost(na, nb, add_cost, hlv_cost, memo)
+                score += cost + step
+                if best is None or score < best or (score == best and seq + (mv,) < best_seq):
+                    best, best_seq = score, seq + (mv,)
+            else:
+                stack.append((na, nb, seq + (mv,), cost + step, anc + (pair,)))
+    return None if best is None else (best, best_seq)
 
 
 def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTrace:
@@ -266,7 +278,7 @@ def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTr
             raise RuntimeError(f"lookahead failed to converge from ({a}, {b})")
         best = _best_sequence(a, b, prev_committed, k, cap, add_cost, hlv_cost, memo)
         assert best is not None and best[1], "no legal move available"
-        mv = best[1][0]
+        mv = Move(best[1][0])
         a, b = _apply_move(mv, a, b)
         moves.append(mv)
         pairs.append((a, b))
@@ -284,6 +296,9 @@ _MOVE_BLOCKS = {
     Move.HALVE_A: (DBL, R1, None),
     Move.HALVE_B: (DBL, R2, None),
 }
+# Every circuit shares these six immutable ops: a 128-bit modulus's trace
+# runs to hundreds of moves, and an op object per move costs about 100 bytes.
+_MOVE_OPS = {move: BlockOp(*block) for move, block in _MOVE_BLOCKS.items()}
 
 
 def trace_to_circuit(t: GcdTrace, m: int | Modulus) -> BlockCircuit:
@@ -302,11 +317,8 @@ def trace_to_circuit(t: GcdTrace, m: int | Modulus) -> BlockCircuit:
         result, c = R1, first_a
     else:
         raise ValueError(f"trace does not start from modulus {mv}")
-    ops = [BlockOp(FANOUT)]
-    for move in reversed(t.moves):
-        opcode, target, source = _MOVE_BLOCKS[move]
-        ops.append(BlockOp(opcode, target, source))
-    return BlockCircuit(mv, c % mv, mv.bit_length(), tuple(ops), result)
+    ops = (BlockOp(FANOUT), *(_MOVE_OPS[move] for move in reversed(t.moves)))
+    return BlockCircuit(mv, c % mv, mv.bit_length(), ops, result)
 
 
 def _horner_steps(value: int) -> list[bool]:

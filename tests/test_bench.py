@@ -22,7 +22,8 @@ from modmult.bench import (
     write_records_csv,
     write_summary_csv,
 )
-from modmult.circuit import ADD, CostModel, DepthModel
+from modmult.circuit import ADD, NEG, CostModel, DepthModel
+from modmult.optimal import NonPositiveCost
 from modmult.synth import SynthesisConfig
 
 
@@ -91,6 +92,12 @@ class TestSweep:
     def test_multiplier_cap(self):
         recs = bench_sweep(small_sweep(moduli=(91,), multiplier_cap=5, methods=("heuristic",)))
         assert len(recs) == 5
+
+    def test_optimal_construction_error_propagates(self):
+        # a search refused at construction fails the sweep, not each record
+        model = CostModel("free-neg", {**CostModel().coeffs, NEG: (0, 0)})
+        with pytest.raises(NonPositiveCost):
+            bench_sweep(small_sweep(moduli=(21,), methods=("optimal",), cost_model=model))
 
     def test_timing_flag(self):
         recs = bench_sweep(small_sweep(moduli=(21,), timing=True, methods=("heuristic",)))

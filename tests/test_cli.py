@@ -182,3 +182,22 @@ def test_bench_errors_exit_code(capsys, tmp_path, monkeypatch):
     out = tmp_path / "r.csv"
     assert main(["bench", "--moduli", str(mods), "--methods", "heuristic", "--out", str(out)]) == 3
     assert "carry errors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--modulus", "21", "--multiplier", "7"], "gcd(7, 21)"),
+        (["synth", "--modulus", "21", "--multiplier", "13", "--lookahead", "9"], "lookahead depth"),
+        (["modexp", "--modulus", "21", "--base", "7"], "gcd(7, 21)"),
+        (["bench", "--bits", "13", "--methods", "optimal", "--out", "unused.csv"], "bit cap"),
+    ],
+    ids=["synth-not-coprime", "synth-lookahead", "modexp-base", "bench-optimal-cap"],
+)
+def test_invalid_input_exit_code(capsys, argv, message):
+    # refused with exit 2 and one line, not a traceback and exit 1
+    # (verify's code for a mismatch)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"modmult {argv[0]}: ") and message in err
+    assert len(err.strip().splitlines()) == 1

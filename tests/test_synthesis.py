@@ -1,14 +1,34 @@
 import gc
+import hashlib
+import random
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modmult.circuit import ADD, DBL, FANOUT, HLV, NEG, R1, R2, SUB, circuit_cost, serialize
+from modmult import synth
+from modmult.circuit import (
+    ADD,
+    DBL,
+    FANOUT,
+    HLV,
+    NEG,
+    R1,
+    R2,
+    SUB,
+    CostModel,
+    circuit_cost,
+    serialize,
+)
+from modmult.modexp import modexp_plan
 from modmult.numtheory import NotCoprime, SpecialForm, SpecialKind, mod_inverse
 from modmult.simulate import run_circuit, verify
 from modmult.synth import (
     Move,
+    _apply_move,
+    _best_sequence,
+    _binary_step,
+    _completion_cost,
     SynthesisConfig,
     baseline_synthesize,
     binary_gcd_trace,
@@ -293,3 +313,163 @@ class TestSynthesize:
         if m % 2 == 0 or m < 3 or c % m == 0:
             return
         assert verify(synthesize(c % m if c % m else 1, m)).passed
+
+
+def _running_digest(circuits) -> str:
+    h = hashlib.sha256()
+    for circ in circuits:
+        h.update(serialize(circ).encode())
+    return h.hexdigest()
+
+
+class TestGoldenAnchors:
+    """Circuit text pinned across rewrites of the lookahead search."""
+
+    def test_all_multipliers_mod_1007(self):
+        circuits = (synthesize(c, 1007) for c in range(2, 1007) if gcd(c, 1007) == 1)
+        assert _running_digest(circuits).startswith("483dfbf3053f0d1e")
+
+    def test_modexp_multipliers_128_bit(self):
+        m = ((1 << 64) - 59) * ((1 << 64) - 83)
+        circuits = (synthesize(c, m) for c in modexp_plan(m, 2).multipliers[:32])
+        assert _running_digest(circuits).startswith("04a1135b3a281e2c")
+
+
+# The lookahead round and the completion cost as they stood before leaves
+# were scored in place: the reference for the rewrite. Bodies verbatim; the
+# round calls the reference completion.
+_UNDOES = {
+    Move.SUB_A: Move.ADD_A,
+    Move.ADD_A: Move.SUB_A,
+    Move.SUB_B: Move.ADD_B,
+    Move.ADD_B: Move.SUB_B,
+}
+
+
+def _reference_completion_cost(a, b, add_cost, hlv_cost, memo):
+    """Cost of finishing with plain binary-GCD moves; memoized along the
+    reduction path so repeated scoring is cheap."""
+    path: list[tuple[tuple[int, int], int]] = []
+    while (a, b) not in memo:
+        if (a, b) == (1, 1):
+            memo[(1, 1)] = 0
+            break
+        mv = _binary_step(a, b)
+        cost = hlv_cost if mv <= Move.HALVE_B else add_cost
+        path.append(((a, b), cost))
+        a, b = _apply_move(mv, a, b)
+    tail = memo[(a, b)]
+    for pair, cost in reversed(path):
+        tail += cost
+        memo[pair] = tail
+    return memo[path[0][0]] if path else tail
+
+
+def _reference_best_sequence(a, b, last, k, cap, add_cost, hlv_cost, memo):
+    _completion_cost = _reference_completion_cost
+    best: tuple[int, tuple[Move, ...]] | None = None
+    stack = [(a, b, (), 0, frozenset({(a, b)}))]
+    while stack:
+        pa, pb, seq, cost, seen = stack.pop()
+        if (pa, pb) == (1, 1) or len(seq) == k:
+            scored = (cost + _completion_cost(pa, pb, add_cost, hlv_cost, memo), seq)
+            if best is None or scored < best:
+                best = scored
+            continue
+        prev = seq[-1] if seq else last
+        for mv in Move:
+            if prev is not None and _UNDOES.get(prev) == mv:
+                continue
+            if mv == Move.HALVE_A and pa % 2:
+                continue
+            if mv == Move.HALVE_B and pb % 2:
+                continue
+            na, nb = _apply_move(mv, pa, pb)
+            if not (1 <= na < cap and 1 <= nb < cap):
+                continue
+            if (na, nb) in seen:
+                continue
+            step = hlv_cost if mv <= Move.HALVE_B else add_cost
+            stack.append((na, nb, seq + (mv,), cost + step, seen | {(na, nb)}))
+    return best
+
+
+def _priced(add, hlv):
+    return CostModel(f"add{add}-hlv{hlv}", {**CostModel().coeffs, ADD: add, HLV: hlv})
+
+
+# HLV/ADD price ratios: the default (slightly dearer halving), equal prices
+# (ties between sequences of different move mixes), and cheap halving
+_PRICES = [CostModel(), _priced((3, 0), (3, 0)), _priced((3, 0), (1, 0))]
+
+
+def _seeded_pairs(k, count=8, bits=12):
+    rng = random.Random(k)
+    pairs = []
+    while len(pairs) < count:
+        m = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        c = rng.randrange(2, m)
+        if gcd(m, c) == 1:
+            pairs.append((m, c))
+    return pairs
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("cap", [2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_lookahead_trace_matches_reference(self, k, cap, monkeypatch):
+        cases = [
+            (m, c, SynthesisConfig(lookahead_depth=k, cost_model=model, value_cap_multiplier=cap))
+            for m, c in _seeded_pairs(k)
+            for model in _PRICES
+        ]
+        got = [lookahead_trace(m, c, cfg) for m, c, cfg in cases]
+        monkeypatch.setattr(synth, "_best_sequence", _reference_best_sequence)
+        want = [lookahead_trace(m, c, cfg) for m, c, cfg in cases]
+        assert got == want
+        assert all(type(mv) is Move for t in got for mv in t.moves)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_best_sequence_matches_reference(self, k):
+        # single rounds after every possible last move, from seeded states
+        # and from every small one (where ADD-then-halve cycles and the cap
+        # are in reach); free ADD or HLV prices make sequences that revisit
+        # a pair or undo the last move tie with others, so the enumerated
+        # set shows; with both free, the least sequence is the least
+        # enumerated one
+        free = [_priced((0, 0), (3, 2)), _priced((3, 0), (0, 0)), _priced((0, 0), (0, 0))]
+        models = _PRICES + free
+        small = [(a, b) for a in range(1, 12) for b in range(1, 12) if gcd(a, b) == 1]
+        for m, c in _seeded_pairs(k, count=6, bits=10) + small[1:]:
+            for model in models:
+                add_cost, hlv_cost = model.op_cost(ADD, 10), model.op_cost(HLV, 10)
+                for last in (None, *Move):
+                    # a cap just above the larger value puts ADD moves on it
+                    for cap in (max(m, c) + 1, 2 * max(m, c), 4 * max(m, c)):
+                        args = (m, c, last, k, cap, add_cost, hlv_cost)
+                        got = _best_sequence(*args, {})
+                        assert got == _reference_best_sequence(*args, {}), (args, got)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 1 << 130), st.integers(1, 1 << 130)).filter(
+                lambda ab: gcd(*ab) == 1
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from(_PRICES),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_completion_cost_is_binary_trace_cost(self, pairs, model):
+        # one memo across the calls, so later calls also take memo hits; the
+        # memo must end up holding what the reference writes
+        n = 16
+        add_cost, hlv_cost = model.op_cost(ADD, n), model.op_cost(HLV, n)
+        memo: dict = {}
+        reference_memo: dict = {}
+        for a, b in pairs:
+            got = _completion_cost(a, b, add_cost, hlv_cost, memo)
+            assert got == trace_cost(binary_gcd_trace(a, b), n, model)
+            assert got == _reference_completion_cost(a, b, add_cost, hlv_cost, reference_memo)
+            assert memo == reference_memo
