@@ -2,7 +2,8 @@
 """Compare heuristic synthesis against the exact optimum for small widths.
 
 Prints, per bit-width, the floor-violation count (must be 0) and the
-average heuristic/optimal Toffoli ratio.
+average heuristic/optimal Toffoli ratio (omitted at a width with no
+semiprime modulus, such as 5).
 
 Example:
     python scripts/compare_optimal.py --bits 7..9
@@ -38,8 +39,8 @@ def main() -> None:
                 h_sum += h
                 o_sum += floor[c]
                 pairs += 1
-        print(f"n={n:>2} pairs={pairs:>6} floor_violations={violations} "
-              f"avg_ratio={h_sum / o_sum:.4f}")
+        ratio = f" avg_ratio={h_sum / o_sum:.4f}" if pairs else ""
+        print(f"n={n:>2} pairs={pairs:>6} floor_violations={violations}{ratio}")
 
 
 if __name__ == "__main__":

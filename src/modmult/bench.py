@@ -121,6 +121,8 @@ class SweepConfig:
     optimal_bit_cap: int = DEFAULT_BIT_CAP
 
     def __post_init__(self) -> None:
+        for m in self.moduli or ():
+            Modulus(m)  # odd and >= 3, or ValueError
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")

@@ -149,6 +149,7 @@ class BlockCircuit:
 # `% m` arithmetic, so one definition serves Python ints and numpy arrays
 # (int64 stays exact while m < 2^31; pass object arrays beyond). inv2 is
 # 2^-1 mod m, which is (m + 1) // 2 for the odd moduli BlockCircuit admits.
+# Every rule is linear in (t, s) mod m; `simulate.verify` relies on it.
 _BLOCKS = {
     ADD: (lambda t, s, m, inv2: (t + s) % m, SUB),
     SUB: (lambda t, s, m, inv2: (t - s) % m, ADD),

@@ -89,8 +89,8 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Exit 0 on a pass, 1 on a mismatch (2, from `main`, for a file with
-    an invalid header or too large for exhaustive verification)."""
+    """Exit 0 on a pass, 1 on a mismatch (2, from `main`, for an invalid
+    header, a file too large for exhaustive verification or --samples < 1)."""
     with open(args.circuit, encoding="utf-8") as fh:
         circ = parse(fh.read())
     if args.samples is not None:

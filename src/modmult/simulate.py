@@ -1,15 +1,15 @@
 """Classical block-semantics simulator and verification oracle.
 
-Every block acts bijectively on (Z_M)^2, so a circuit is verified as a
-permutation: for each tested x the result register must hold C*x mod M and
-the other register must return to 0.
+A circuit is correct when, for each tested x, the result register holds
+C*x mod M and the other register returns to 0. Every block is linear over
+Z_M, so `verify` decides every input from one run on x = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import islice
+from math import gcd
 
 from .circuit import (
     R1,
@@ -27,7 +27,6 @@ __all__ = [
     "apply_op",
     "inverse_op",
     "run_circuit",
-    "circuit_images",
     "verify",
 ]
 
@@ -60,21 +59,6 @@ def run_circuit(c: BlockCircuit, x: int) -> MachineState:
     for op in c.ops:
         s = apply_op(s, op)
     return s
-
-
-def circuit_images(c: BlockCircuit, xs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Run the circuit on every input at once; returns final (r1, r2) arrays.
-
-    xs defaults to all of [0, M) as int64; the arithmetic keeps the dtype
-    of xs, so pass an object array when M >= 2^31.
-    """
-    m = c.modulus
-    r1 = np.arange(m, dtype=np.int64) if xs is None else np.asarray(xs) % m
-    r2 = np.zeros_like(r1)
-    inv2 = (m + 1) // 2
-    for op in c.ops:
-        r1, r2 = apply_block(op, r1, r2, m, inv2)
-    return r1, r2
 
 
 @dataclass(frozen=True)
@@ -123,23 +107,35 @@ def verify(
     """Check result = C*x mod M and cleared ancilla for the tested inputs.
 
     Exhaustive mode covers all x in [0, M) (M capped at 2^20); sampled
-    mode draws from the fixed LCG, as exact Python ints at any width. Both
-    check that distinct tested inputs map to distinct results. Failures
-    are data, not exceptions, listed in input order; exhaustive mode ends
-    the list with (-1, total, 0) when more than max_failures inputs fail.
+    mode draws `samples` >= 1 inputs from the fixed LCG. Both check that
+    distinct tested inputs map to distinct results. Failures are data, not
+    exceptions, listed in input order; exhaustive mode ends the list with
+    (-1, total, 0) when more than max_failures inputs fail.
+
+    Why one input decides: ADD, SUB, DBL, HLV and NEG are linear mod M,
+    CSWAP_LAYER swaps the registers and FANOUT (op 0 only, where R2 = 0)
+    copies R1, so the circuit sends (x, 0) to (a*x, b*x), with (a, b) its
+    image of x = 1. Input x passes exactly when q = M / gcd(a - C, b, M)
+    divides it, and the results are distinct exactly when gcd(a, M) = 1.
     """
     m, cmul = c.modulus, c.multiplier % c.modulus
     if exhaustive:
         if m > _EXHAUSTIVE_CAP:
             raise ValueError(f"modulus {m} too large for exhaustive verification")
-        xs, mode, seed = np.arange(m, dtype=np.int64), "exhaustive", None
+        xs, mode, seed = range(m), "exhaustive", None
+    elif samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     else:
-        xs, mode = np.array(_lcg_samples(seed, samples, m), dtype=object), f"sampled({samples})"
-    r1, r2 = circuit_images(c, xs)
-    res, other = (r1, r2) if c.result_register == R1 else (r2, r1)
-    bad = np.flatnonzero((res != xs * cmul % m) | (other != 0))
-    failures = [(int(xs[i]), int(res[i]), int(other[i])) for i in bad[:max_failures]]
-    injective = len(np.unique(res)) == (m if exhaustive else len(set(xs)))
-    if exhaustive and len(bad) > max_failures:
-        failures.append((-1, int(len(bad)), 0))
+        xs, mode = _lcg_samples(seed, samples, m), f"sampled({samples})"
+    s = run_circuit(c, 1)
+    a, b = (s.r1, s.r2) if c.result_register == R1 else (s.r2, s.r1)
+    q = m // gcd(a - cmul, b, m)
+    bad = () if q == 1 else (x for x in xs if x % q)
+    failures = [(x, a * x % m, b * x % m) for x in islice(bad, max_failures)]
+    if exhaustive:
+        injective = gcd(a, m) == 1
+        if m - m // q > max_failures:
+            failures.append((-1, m - m // q, 0))
+    else:
+        injective = len({a * x % m for x in xs}) == len(set(xs))
     return VerifyReport(cmul, m, mode, len(xs), tuple(failures), injective, seed)

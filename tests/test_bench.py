@@ -46,6 +46,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(moduli=((1 << 13) + 1,), methods=("optimal",))
 
+    @pytest.mark.parametrize("bad", [22, 1, 2, 0, -21])
+    def test_explicit_moduli_must_be_odd_and_at_least_3(self, bad):
+        with pytest.raises(ValueError, match="modulus must be"):
+            SweepConfig(moduli=(21, bad))
+
 
 class TestSweep:
     def test_deterministic_csv(self):

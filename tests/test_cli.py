@@ -90,6 +90,8 @@ def test_verify_refusal_exit_code(capsys, tmp_path):
     assert main(["verify", "--circuit", str(big), "--exhaustive"]) == 2
     assert "exhaustive" in capsys.readouterr().err
     assert main(["verify", "--circuit", str(big), "--samples", "50"]) == 0
+    for samples in ("0", "-5"):  # a check that tests nothing is no pass
+        assert main(["verify", "--circuit", str(big), "--samples", samples]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--circuit", str(big), "--exhaustive", "--samples", "50"])
     assert exc.value.code == 2
@@ -182,6 +184,18 @@ def test_bench_errors_exit_code(capsys, tmp_path, monkeypatch):
     out = tmp_path / "r.csv"
     assert main(["bench", "--moduli", str(mods), "--methods", "heuristic", "--out", str(out)]) == 3
     assert "carry errors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modulus", ["22", "1"])
+def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
+    # refused up front: no error records, no empty CSV
+    mods = tmp_path / "mods.txt"
+    mods.write_text(f"21\n{modulus}\n")
+    out = tmp_path / "r.csv"
+    assert main(["bench", "--moduli", str(mods), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("modmult bench: modulus must be") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

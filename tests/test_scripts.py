@@ -1,0 +1,37 @@
+"""Smoke tests: each script under scripts/ runs at small sizes and prints
+one line per width."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_compare_optimal():
+    # no 5-bit semiprime qualifies, so n=5 has no pairs and no ratio
+    lines = run_script("compare_optimal.py", "--bits", "5..6")
+    assert [line.split()[0] for line in lines] == ["n=", "n="]
+    assert lines[0].split() == ["n=", "5", "pairs=", "0", "floor_violations=0"]
+    assert "floor_violations=0 avg_ratio=" in lines[1]
+
+
+def test_modexp_resources():
+    # a header, then one line per width and adder regime
+    lines = run_script("modexp_resources.py", "--widths", "8,16")
+    assert lines[0].split()[:2] == ["n", "regime"]
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["8", "ripple"], ["8", "lookahead"], ["16", "ripple"], ["16", "lookahead"],
+    ]

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modmult.circuit import (
+    _BLOCKS,
+    _OPCODES,
     ADD,
     CSWAP_LAYER,
     DBL,
@@ -17,6 +19,7 @@ from modmult.circuit import (
     SUB,
     BlockCircuit,
     BlockOp,
+    apply_block,
 )
 from modmult.simulate import (
     FanoutOnNonzero,
@@ -24,7 +27,6 @@ from modmult.simulate import (
     VerifyReport,
     _lcg_samples,
     apply_op,
-    circuit_images,
     inverse_op,
     run_circuit,
     verify,
@@ -121,27 +123,110 @@ def test_verify_catches_mutation():
     assert not report.passed and len(report.failures) >= 1
 
 
+def _one_op_mutant(c: BlockCircuit, i: int, op: BlockOp) -> BlockCircuit:
+    return BlockCircuit(
+        c.modulus, c.multiplier, c.width, c.ops[:i] + (op,) + c.ops[i + 1 :], c.result_register
+    )
+
+
+def _fold_reports(c: BlockCircuit, xs, mode="exhaustive", seed=None):
+    """Fold run_circuit over every x in xs; returns verify's expected
+    report as a function of max_failures, and the number of failing x."""
+    m = c.modulus
+    bad, results = [], set()
+    for x in xs:
+        s = run_circuit(c, x)
+        res, other = (s.r1, s.r2) if c.result_register == R1 else (s.r2, s.r1)
+        if res != c.multiplier * x % m or other != 0:
+            bad.append((x, res, other))
+        results.add(res)
+    injective = len(results) == len(set(xs))
+
+    def report(max_failures: int = 32) -> VerifyReport:
+        failures = bad[:max_failures]
+        if mode == "exhaustive" and len(bad) > max_failures:
+            failures.append((-1, len(bad), 0))
+        return VerifyReport(c.multiplier, m, mode, len(xs), tuple(failures), injective, seed)
+
+    return report, len(bad)
+
+
+def _check_against_fold(c: BlockCircuit) -> tuple[VerifyReport, int]:
+    """Compare verify with the fold in both modes; returns the exhaustive
+    report and the number of failing x."""
+    m = c.modulus
+    expected, total = _fold_reports(c, range(m))
+    for cap in {0, 5, 32, total}:  # at cap == total the tail must not show
+        assert verify(c, max_failures=cap) == expected(cap)
+    sampled, _ = _fold_reports(c, _lcg_samples(m, 300, m), "sampled(300)", m)
+    assert verify(c, exhaustive=False, samples=300, seed=m) == sampled()
+    return expected(), total
+
+
 def test_sampled_failures_match_scalar_fold():
-    m = 101 * 1297  # 17 bits
-    c = synthesize(54321, m)
-    i = next(i for i, op in enumerate(c.ops) if op.opcode == ADD)
-    mutant = BlockCircuit(
-        m, c.multiplier, c.width,
-        c.ops[:i] + (BlockOp(SUB, c.ops[i].target, c.ops[i].source),) + c.ops[i + 1 :],
-        c.result_register,
-    )
-    expected, seen = [], {}
-    for x in _lcg_samples(11, 300, m):
-        s = run_circuit(mutant, x)
-        res, other = (s.r1, s.r2) if mutant.result_register == R1 else (s.r2, s.r1)
-        if res != 54321 * x % m or other != 0:
-            expected.append((x, res, other))
-        seen[x] = res
-    assert len(expected) > 32
-    injective = len(set(seen.values())) == len(seen)
-    assert verify(mutant, exhaustive=False, samples=300, seed=11) == VerifyReport(
-        54321, m, "sampled(300)", 300, tuple(expected[:32]), injective, 11
-    )
+    # a 17-bit and a 128-bit mutant, each with an ADD turned into a SUB
+    for cmul, m in [(54321, 101 * 1297), (3**70 % ((1 << 128) - 159), (1 << 128) - 159)]:
+        c = synthesize(cmul, m)
+        i = next(i for i, op in enumerate(c.ops) if op.opcode == ADD)
+        mutant = _one_op_mutant(c, i, BlockOp(SUB, c.ops[i].target, c.ops[i].source))
+        expected, failing = _fold_reports(mutant, _lcg_samples(11, 300, m), "sampled(300)", 11)
+        assert failing > 32
+        assert verify(mutant, exhaustive=False, samples=300, seed=11) == expected()
+
+
+def test_verify_matches_exhaustive_fold():
+    rng = random.Random(2718)
+    replacements = _invertible_ops + [BlockOp(CSWAP_LAYER)]
+    reports = []
+    for m in (21, 35, 77, 221, 1007):
+        for _ in range(8):
+            cmul = rng.randrange(2, m)
+            while gcd(cmul, m) != 1:
+                cmul = rng.randrange(2, m)
+            c = rng.choice([synthesize, baseline_synthesize])(cmul, m)
+            i = rng.randrange(c.ops[0].opcode == FANOUT, len(c.ops))
+            for circ in (c, _one_op_mutant(c, i, rng.choice(replacements))):
+                reports.append(_check_against_fold(circ)[0])
+    assert any(r.failures and r.failures[-1][0] == -1 for r in reports)
+    assert any(not r.passed for r in reports) and any(r.passed for r in reports)
+    # hand-built, C = 1: (x, 0) -> (0, x) and -> (5x, x) at M = 35 are not
+    # injective and fail 34 inputs each, so the tail shows; (x, 0) -> (x, 7x)
+    # at M = 21 fails the 14 inputs that 3 does not divide
+    zero = (BlockOp(FANOUT), BlockOp(SUB, R1, R2))
+    for m, ops, injective, failing in [
+        (35, zero, False, 34),
+        (35, zero + (BlockOp(ADD, R1, R2),) * 5, False, 34),
+        (21, (BlockOp(FANOUT), *[BlockOp(DBL, R2)] * 3, BlockOp(SUB, R2, R1)), True, 14),
+    ]:
+        report, total = _check_against_fold(BlockCircuit(m, 1, m.bit_length(), ops))
+        assert (report.injective, total) == (injective, failing)
+
+
+@given(
+    st.sampled_from(sorted(_BLOCKS)),
+    st.integers(1, 10**6).map(lambda k: 2 * k + 1),
+    st.lists(st.integers(0, 10**7), min_size=5, max_size=5),
+)
+def test_block_rules_are_linear(code, m, vals):
+    # verify's one-input certificate holds only while every rule is additive
+    # and homogeneous mod m
+    rule, inv2 = _BLOCKS[code][0], (m + 1) // 2
+    t1, s1, t2, s2, k = (v % m for v in vals)
+    lhs = rule((t1 + t2) % m, (s1 + s2) % m, m, inv2)
+    assert lhs == (rule(t1, s1, m, inv2) + rule(t2, s2, m, inv2)) % m
+    assert rule(k * t1 % m, k * s1 % m, m, inv2) == k * rule(t1, s1, m, inv2) % m
+
+
+def test_every_opcode_is_a_rule_or_routing():
+    # FANOUT and CSWAP_LAYER are the only opcodes apply_block routes itself
+    assert set(_BLOCKS) | {FANOUT, CSWAP_LAYER} == set(_OPCODES)
+
+
+def test_verify_refuses_no_samples():
+    c = synthesize(13, 21)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            verify(c, exhaustive=False, samples=samples)
 
 
 def test_sampled_mode_reproducible():
@@ -155,15 +240,18 @@ def test_sampled_mode_reproducible():
 
 
 def test_vectorized_matches_scalar():
-    # every opcode on every target, plus FANOUT and CSWAP_LAYER
+    # apply_block's array form, which OptimalSearch uses: every opcode on
+    # every target, plus FANOUT and CSWAP_LAYER
     every_block = BlockCircuit(
         35, 2, 6, (BlockOp(FANOUT), *_invertible_ops, BlockOp(CSWAP_LAYER))
     )
     circuits = [synthesize(c, m) for m, c in [(21, 13), (35, 12), (91, 5)]]
     for circ in circuits + [baseline_synthesize(12, 35), every_block]:
         m = circ.modulus
-        for xs in (None, np.arange(m, dtype=object)):
-            r1, r2 = circuit_images(circ, xs)
+        for xs in (np.arange(m, dtype=np.int64), np.arange(m, dtype=object)):
+            r1, r2 = xs, np.zeros_like(xs)
+            for op in circ.ops:
+                r1, r2 = apply_block(op, r1, r2, m, (m + 1) // 2)
             for x in range(m):
                 s = run_circuit(circ, x)
                 assert (s.r1, s.r2) == (int(r1[x]), int(r2[x]))
