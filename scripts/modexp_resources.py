@@ -6,11 +6,13 @@ depth, and qubit totals under both adder regimes.
 
 Example:
     python scripts/modexp_resources.py --widths 16,32,64,128
+    python scripts/modexp_resources.py --widths 8..12
 """
 
 import argparse
 
 from modmult.circuit import DepthModel
+from modmult.cli import parse_bits
 from modmult.modexp import build_modexp
 from modmult.numtheory import nth_largest_prime
 
@@ -23,7 +25,7 @@ def main() -> None:
 
     header = f"{'n':>4} {'regime':<9} {'toffoli':>12} {'cnot':>12} {'depth':>12} {'ancillae':>9} {'qubits':>7}"
     print(header)
-    for n in (int(tok) for tok in args.widths.split(",")):
+    for n in parse_bits(args.widths):
         m = int(nth_largest_prime(n, 1))
         for name, dm in (("ripple", DepthModel.ripple()), ("lookahead", DepthModel.lookahead())):
             r = build_modexp(m, args.base, depth_model=dm)

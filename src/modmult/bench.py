@@ -1,6 +1,14 @@
 """Benchmark harness: sweeps over semiprime moduli and coprime
 multipliers, per-method records, Table-style aggregation, ratio series,
-CSV emission, and a content-addressed result cache.
+CSV emission, and a result cache.
+
+The cache holds one file per (modulus, SweepConfig.config_hash): a shard of
+every stored record of that modulus under that config, with one sha256 over
+its canonical JSON. A sweep reads a modulus's shard once, and writes it once,
+merged with the new records, only when some record missed. A missing,
+unreadable or tampered shard is a miss for every record in it. The config
+hash covers a cache schema version, so files of an older layout are ignored.
+Records that carry an error are never stored.
 
 Output ordering is deterministic (modulus, multiplier, method); with
 timing disabled (the default) two identical sweeps produce byte-identical
@@ -21,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from statistics import mean
+from typing import Iterable
 
 from .circuit import CostModel, DepthModel, circuit_cost, circuit_depth
 from .numtheory import Modulus, enumerate_semiprimes
@@ -47,7 +56,8 @@ __all__ = [
     "write_records_csv",
     "write_summary_csv",
     "write_ratio_csv",
-    "cache_key",
+    "cache_path",
+    "cache_read",
     "cache_lookup",
     "cache_store",
 ]
@@ -65,9 +75,10 @@ _EXHAUSTIVE_BIT_CAP = 12
 _SAMPLE_COUNT = 1000
 _SAMPLE_SEED = 2024
 
-# part of every cache key; bump it when a record's fields or their meaning
-# change, so entries written before are misses
-_CACHE_SCHEMA = 2
+# part of every config hash, so of every cache file name; bump it when a
+# record's fields, their meaning or the cache layout change, so files written
+# before are misses
+_CACHE_SCHEMA = 3
 
 
 class MixedModels(ValueError):
@@ -92,8 +103,8 @@ class BenchRecord:
     wall_seconds: float
     cost_model_hash: str
     error: str = ""
-    # SweepConfig.config_hash of the sweep that made the record; the cache
-    # keys on it, or on cost_model_hash for a record made outside a sweep
+    # SweepConfig.config_hash of the sweep that made the record; empty for
+    # a record made outside a sweep
     config_hash: str = ""
 
     def csv_row(self) -> str:
@@ -224,17 +235,20 @@ def _sweep_modulus(args: tuple[int, SweepConfig]) -> list[BenchRecord]:
     opt = None
     if "optimal" in cfg.methods:
         opt = OptimalSearch(m, cfg.cost_model, bit_cap=cfg.optimal_bit_cap)
+    shard = cache_read(cfg.cache_dir, m, cfg.config_hash)
     records = []
+    fresh = False
     for c in cs:
         for method in cfg.methods:
-            cached = cache_lookup(cfg.cache_dir, m, c, method, cfg.config_hash)
-            if cached is not None:
-                records.append(cached)
-                continue
-            rec = _record(method, c, m, cfg, opt)
-            if not rec.error:  # a failure is retried, never served
-                cache_store(cfg.cache_dir, rec)
+            rec = cache_lookup(shard, c, method)
+            if rec is None:
+                rec = _record(method, c, m, cfg, opt)
+                if not rec.error:  # a failure is retried, never served
+                    shard[(c, method)] = rec
+                    fresh = True
             records.append(rec)
+    if fresh:
+        cache_store(cfg.cache_dir, m, cfg.config_hash, shard.values())
     return records
 
 
@@ -342,48 +356,62 @@ def write_ratio_csv(series: list[tuple[int, float | None, float | None]], path: 
 
 # --- result cache -----------------------------------------------------------
 
+_FIELDS = [f.name for f in dataclasses.fields(BenchRecord)]
 
-def cache_key(m: int, c: int, method: str, config_hash: str) -> str:
-    payload = f"{m},{c},{method},{config_hash}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
+Shard = dict[tuple[int, str], BenchRecord]  # keyed by (multiplier, method)
 
 
-def cache_lookup(
-    cache_dir: str | None, m: int, c: int, method: str, config_hash: str
-) -> BenchRecord | None:
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def cache_path(cache_dir: str, m: int, config_hash: str) -> str:
+    return os.path.join(cache_dir, f"{m}-{config_hash}.json")
+
+
+def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
+    """The shard of modulus m under config_hash; empty when there is none
+    or it fails its checksum."""
     if cache_dir is None:
-        return None
-    path = os.path.join(cache_dir, cache_key(m, c, method, config_hash) + ".json")
-    if not os.path.exists(path):
-        return None
+        return {}
+    path = cache_path(cache_dir, m, config_hash)
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        body = doc["record"]
-        digest = hashlib.sha256(
-            json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
+        body = doc["shard"]
+        digest = hashlib.sha256(_canonical(body).encode()).hexdigest()
         if digest != doc["checksum"]:
             raise CacheCorrupt(path)
-        return BenchRecord(**body)
-    except (CacheCorrupt, KeyError, TypeError, ValueError, json.JSONDecodeError):
-        return None  # corrupt entries are treated as misses
+        if (body["modulus"], body["config_hash"], body["fields"]) != (m, config_hash, _FIELDS):
+            raise CacheCorrupt(path)
+        records = [BenchRecord(*row) for row in body["rows"]]
+    except (OSError, CacheCorrupt, KeyError, TypeError, ValueError):
+        return {}  # missing or corrupt shards are treated as misses
+    return {(r.multiplier, r.method): r for r in records}
 
 
-def cache_store(cache_dir: str | None, record: BenchRecord) -> None:
+def cache_lookup(shard: Shard, c: int, method: str) -> BenchRecord | None:
+    return shard.get((c, method))
+
+
+def cache_store(
+    cache_dir: str | None, m: int, config_hash: str, records: Iterable[BenchRecord]
+) -> None:
+    """Replace the shard of modulus m under config_hash with `records`,
+    in (multiplier, method) order."""
     if cache_dir is None:
         return
+    rank = {name: i for i, name in enumerate(METHODS)}
+    rows = [
+        [getattr(r, name) for name in _FIELDS]
+        for r in sorted(records, key=lambda r: (r.multiplier, rank[r.method]))
+    ]
+    body = {"modulus": m, "config_hash": config_hash, "fields": _FIELDS, "rows": rows}
+    text = _canonical(body)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     os.makedirs(cache_dir, exist_ok=True)
-    body = dataclasses.asdict(record)
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    config_hash = record.config_hash or record.cost_model_hash
-    path = os.path.join(
-        cache_dir,
-        cache_key(record.modulus, record.multiplier, record.method, config_hash) + ".json",
-    )
+    path = cache_path(cache_dir, m, config_hash)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"record": body, "checksum": digest}, fh)
+        fh.write(f'{{"checksum":"{digest}","shard":{text}}}')
     os.replace(tmp, path)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -220,8 +221,10 @@ class CostModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", dict(self.coeffs))
 
-    @property
+    @cached_property
     def hash(self) -> str:
+        """Hash of the coefficients, computed once per model; `coeffs`
+        must not change after construction."""
         payload = json.dumps(sorted(self.coeffs.items()), separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

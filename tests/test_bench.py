@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -13,8 +14,9 @@ from modmult.bench import (
     SweepConfig,
     aggregate,
     bench_sweep,
-    cache_key,
     cache_lookup,
+    cache_path,
+    cache_read,
     cache_store,
     ratio_series,
     records_to_csv,
@@ -151,52 +153,128 @@ def _sample_record():
     )
 
 
+def _cache_state(path):
+    return {e.name: (e.inode(), e.stat().st_mtime_ns) for e in os.scandir(path)}
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts cache hits and misses through the module-global cache_lookup,
+    the name the benchmark's tracer wraps."""
+    counts = {"hits": 0, "misses": 0}
+    real = bench.cache_lookup
+
+    def counted(*args):
+        rec = real(*args)
+        counts["hits" if rec is not None else "misses"] += 1
+        return rec
+
+    monkeypatch.setattr(bench, "cache_lookup", counted)
+    return counts
+
+
 class TestCache:
     def test_store_then_lookup(self, tmp_path):
         rec = _sample_record()
         d = str(tmp_path)
-        cache_store(d, rec)
-        assert cache_lookup(d, 21, 13, "heuristic", rec.cost_model_hash) == rec
+        cache_store(d, 21, rec.cost_model_hash, [rec])
+        assert cache_lookup(cache_read(d, 21, rec.cost_model_hash), 13, "heuristic") == rec
 
     def test_none_dir_is_noop(self):
-        cache_store(None, _sample_record())
-        assert cache_lookup(None, 21, 13, "heuristic", "x") is None
+        cache_store(None, 21, "x", [_sample_record()])
+        assert cache_lookup(cache_read(None, 21, "x"), 13, "heuristic") is None
 
     def test_model_hash_miss(self, tmp_path):
         rec = _sample_record()
-        cache_store(str(tmp_path), rec)
-        assert cache_lookup(str(tmp_path), 21, 13, "heuristic", "deadbeef") is None
+        cache_store(str(tmp_path), 21, rec.cost_model_hash, [rec])
+        assert cache_read(str(tmp_path), 21, "deadbeef") == {}
 
     def test_corrupt_entry_is_miss(self, tmp_path):
         rec = _sample_record()
         d = str(tmp_path)
-        cache_store(d, rec)
-        path = os.path.join(d, cache_key(21, 13, "heuristic", rec.cost_model_hash) + ".json")
+        cache_store(d, 21, rec.cost_model_hash, [rec])
+        path = cache_path(d, 21, rec.cost_model_hash)
         doc = json.loads(open(path).read())
-        doc["record"]["toffoli"] = 1  # tamper without updating the checksum
+        toffoli = doc["shard"]["fields"].index("toffoli")
+        doc["shard"]["rows"][0][toffoli] = 1  # tamper without updating the checksum
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        assert cache_lookup(d, 21, 13, "heuristic", rec.cost_model_hash) is None
+        assert cache_lookup(cache_read(d, 21, rec.cost_model_hash), 13, "heuristic") is None
 
     def test_garbage_file_is_miss(self, tmp_path):
         rec = _sample_record()
         d = str(tmp_path)
-        path = os.path.join(d, cache_key(21, 13, "heuristic", rec.cost_model_hash) + ".json")
-        with open(path, "w") as fh:
+        with open(cache_path(d, 21, rec.cost_model_hash), "w") as fh:
             fh.write("{not json")
-        assert cache_lookup(d, 21, 13, "heuristic", rec.cost_model_hash) is None
+        assert cache_lookup(cache_read(d, 21, rec.cost_model_hash), 13, "heuristic") is None
 
     def test_sweep_uses_cache(self, tmp_path):
         cfg = small_sweep(moduli=(21,), methods=("heuristic",), cache_dir=str(tmp_path))
         first = bench_sweep(cfg)
-        assert len(os.listdir(tmp_path)) == len(first)
+        assert os.listdir(tmp_path) == [os.path.basename(cache_path("", 21, cfg.config_hash))]
         # poison one entry's payload; a cache hit must surface the altered value
         target = first[0]
         poisoned = dataclasses.replace(target, toffoli=target.toffoli + 7)
-        cache_store(str(tmp_path), poisoned)
+        cache_store(str(tmp_path), 21, cfg.config_hash, [poisoned, *first[1:]])
         second = bench_sweep(cfg)
         hit = next(r for r in second if r.multiplier == target.multiplier)
         assert hit.toffoli == target.toffoli + 7
+
+    def test_one_shard_per_modulus(self, tmp_path):
+        cfg = small_sweep(moduli=(65, 21), cache_dir=str(tmp_path))
+        recs = bench_sweep(cfg)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(cache_path("", m, cfg.config_hash)) for m in (21, 65)
+        )
+        for m in (21, 65):
+            shard = cache_read(str(tmp_path), m, cfg.config_hash)
+            assert list(shard.values()) == [r for r in recs if r.modulus == m]
+
+    @pytest.mark.parametrize("damage", ["tamper", "garbage"])
+    def test_corrupt_shard_is_all_misses_and_rewritten(self, tmp_path, lookups, damage):
+        cfg = small_sweep(moduli=(21,), cache_dir=str(tmp_path))
+        cold = records_to_csv(bench_sweep(cfg))
+        path = cache_path(str(tmp_path), 21, cfg.config_hash)
+        if damage == "tamper":
+            doc = json.loads(open(path).read())
+            doc["shard"]["rows"][-1][doc["shard"]["fields"].index("depth")] += 1
+            text = json.dumps(doc)
+        else:
+            text = "\x00garbage"
+        with open(path, "w") as fh:
+            fh.write(text)
+        lookups.update(hits=0, misses=0)
+        assert records_to_csv(bench_sweep(cfg)) == cold
+        assert lookups == {"hits": 0, "misses": cold.count("\n") - 1}
+        lookups.update(hits=0, misses=0)
+        assert records_to_csv(bench_sweep(cfg)) == cold  # the shard was rewritten
+        assert lookups == {"hits": cold.count("\n") - 1, "misses": 0}
+
+    def test_windows_merge_into_one_shard(self, tmp_path, lookups):
+        # coprimes of 91 from 2: the first two windows of 5 cover those of the third
+        window = dict(moduli=(91,), multiplier_cap=5, cache_dir=str(tmp_path))
+        low = bench_sweep(small_sweep(multiplier_start=2, **window))
+        high = bench_sweep(small_sweep(multiplier_start=8, **window))
+        assert len(os.listdir(tmp_path)) == 1
+        state = _cache_state(tmp_path)
+        lookups.update(hits=0, misses=0)
+        both = bench_sweep(small_sweep(moduli=(91,), multiplier_cap=10, cache_dir=str(tmp_path)))
+        assert both == low + high
+        assert lookups == {"hits": len(both), "misses": 0}
+        assert _cache_state(tmp_path) == state  # a sweep of all hits writes nothing
+        cfg = small_sweep(moduli=(91,))
+        shard = cache_read(str(tmp_path), 91, cfg.config_hash)
+        assert list(shard.values()) == both  # stored in (multiplier, method) order
+
+    def test_cold_and_warm_csv_identical(self, tmp_path, lookups):
+        cfg = SweepConfig(bits=(7, 8), methods=bench.METHODS, cache_dir=str(tmp_path))
+        cold = records_to_csv(bench_sweep(cfg))
+        assert lookups["hits"] == 0
+        lookups.update(hits=0, misses=0)
+        warm = records_to_csv(bench_sweep(cfg))
+        assert lookups["misses"] == 0
+        assert warm == cold
+        assert hashlib.sha256(cold.encode()).hexdigest()[:16] == "e9e194b058a4358f"
 
 
 class TestCacheKey:
@@ -237,3 +315,18 @@ class TestCacheKey:
         recs = bench_sweep(small_sweep(moduli=(21,), cache_dir=str(tmp_path)))
         assert recs and all(r.error for r in recs)
         assert os.listdir(tmp_path) == []
+
+    def test_error_records_left_out_of_shard(self, tmp_path, monkeypatch):
+        real = bench._synthesize_method
+
+        def baseline_broken(method, *args):
+            if method == "baseline":
+                raise RuntimeError("synthesis failed")
+            return real(method, *args)
+
+        monkeypatch.setattr(bench, "_synthesize_method", baseline_broken)
+        cfg = small_sweep(moduli=(21,), cache_dir=str(tmp_path))
+        recs = bench_sweep(cfg)
+        assert {r.method for r in recs if r.error} == {"baseline"}
+        shard = cache_read(str(tmp_path), 21, cfg.config_hash)
+        assert list(shard.values()) == [r for r in recs if not r.error]

@@ -83,7 +83,9 @@ class TestCost:
         assert circuit_depth(cab, dm) == circuit_depth(ca, dm) + circuit_depth(cb, dm)
 
     def test_model_hash_tracks_coefficients(self):
-        assert CostModel().hash == CostModel().hash
+        model = CostModel()
+        assert model.hash == CostModel().hash == "627151b7e274d592"
+        assert vars(model)["hash"] == model.hash  # computed once, then cached
         other = CostModel("tweaked", {**CostModel().coeffs, ADD: (4, 0)})
         assert other.hash != CostModel().hash
 

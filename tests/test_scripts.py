@@ -35,3 +35,10 @@ def test_modexp_resources():
     assert [line.split()[:2] for line in lines[1:]] == [
         ["8", "ripple"], ["8", "lookahead"], ["16", "ripple"], ["16", "lookahead"],
     ]
+
+
+def test_modexp_resources_width_range():
+    lines = run_script("modexp_resources.py", "--widths", "8..9")
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["8", "ripple"], ["8", "lookahead"], ["9", "ripple"], ["9", "lookahead"],
+    ]
