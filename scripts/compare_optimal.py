@@ -16,7 +16,7 @@ from modmult.circuit import circuit_cost
 from modmult.cli import parse_bits
 from modmult.numtheory import enumerate_semiprimes
 from modmult.optimal import OptimalSearch
-from modmult.synth import SynthesisConfig, synthesize
+from modmult.synth import DecisionCache, SynthesisConfig, synthesize
 
 
 def main() -> None:
@@ -31,10 +31,11 @@ def main() -> None:
         for sp in enumerate_semiprimes(n):
             m = sp.value
             floor = OptimalSearch(m, cfg.cost_model).all_costs()
+            decisions = DecisionCache()
             for c in range(2, m):
                 if gcd(c, m) != 1:
                     continue
-                h = circuit_cost(synthesize(c, m, cfg), cfg.cost_model)[0]
+                h = circuit_cost(synthesize(c, m, cfg, decisions), cfg.cost_model)[0]
                 violations += h < floor[c]
                 h_sum += h
                 o_sum += floor[c]

@@ -24,7 +24,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -36,6 +35,7 @@ from .numtheory import Modulus, enumerate_semiprimes
 from .optimal import DEFAULT_BIT_CAP, OptimalSearch
 from .simulate import verify
 from .synth import (
+    DecisionCache,
     SynthesisConfig,
     baseline_synthesize,
     euclid_trace,
@@ -122,7 +122,7 @@ class SweepConfig:
     multiplier_cap: int | None = None  # None = width-based default
     multiplier_start: int = 2
     methods: tuple[str, ...] = ("heuristic", "baseline")
-    jobs: int = 1
+    jobs: int = 1  # sweeps run in one process; any other value is refused
     cost_model: CostModel = field(default_factory=CostModel)
     depth_model: DepthModel = field(default_factory=DepthModel.ripple)
     synthesis: SynthesisConfig | None = None
@@ -132,6 +132,12 @@ class SweepConfig:
     optimal_bit_cap: int = DEFAULT_BIT_CAP
 
     def __post_init__(self) -> None:
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1, got {self.jobs}")
+        for name in ("bits", "moduli", "methods"):
+            values = getattr(self, name) or ()
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name} in {values}: each would be swept twice")
         for m in self.moduli or ():
             Modulus(m)  # odd and >= 3, or ValueError
         for method in self.methods:
@@ -143,6 +149,10 @@ class SweepConfig:
                 raise ValueError("optimal method requested beyond its bit cap")
 
     def synthesis_config(self) -> SynthesisConfig:
+        return self._synthesis_config
+
+    @cached_property
+    def _synthesis_config(self) -> SynthesisConfig:
         return self.synthesis or SynthesisConfig(cost_model=self.cost_model)
 
     @cached_property
@@ -175,10 +185,12 @@ def _multipliers(m: int, cfg: SweepConfig) -> list[int]:
     return out
 
 
-def _synthesize_method(method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | None):
+def _synthesize_method(
+    method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | None, decisions: DecisionCache
+):
     scfg = cfg.synthesis_config()
     if method == "heuristic":
-        return synthesize(c, m, scfg)
+        return synthesize(c, m, scfg, decisions)
     if method == "baseline":
         return baseline_synthesize(c, m)
     if method == "euclid":
@@ -189,13 +201,15 @@ def _synthesize_method(method: str, c: int, m: int, cfg: SweepConfig, opt: Optim
     return opt.circuit(c)
 
 
-def _record(method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | None) -> BenchRecord:
+def _record(
+    method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | None, decisions: DecisionCache
+) -> BenchRecord:
     bits = m.bit_length()
     start = time.perf_counter()
     error = ""
     toffoli = cnot = depth = ops = 0
     try:
-        circ = _synthesize_method(method, c, m, cfg, opt)
+        circ = _synthesize_method(method, c, m, cfg, opt, decisions)
         toffoli, cnot = circuit_cost(circ, cfg.cost_model)
         depth = circuit_depth(circ, cfg.depth_model)
         ops = len(circ.ops)
@@ -229,9 +243,10 @@ def _record(method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | 
     )
 
 
-def _sweep_modulus(args: tuple[int, SweepConfig]) -> list[BenchRecord]:
-    m, cfg = args
+def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
     cs = _multipliers(m, cfg)
+    # the lookahead decisions of every heuristic record of m under cfg
+    decisions = DecisionCache()
     opt = None
     if "optimal" in cfg.methods:
         opt = OptimalSearch(m, cfg.cost_model, bit_cap=cfg.optimal_bit_cap)
@@ -242,7 +257,7 @@ def _sweep_modulus(args: tuple[int, SweepConfig]) -> list[BenchRecord]:
         for method in cfg.methods:
             rec = cache_lookup(shard, c, method)
             if rec is None:
-                rec = _record(method, c, m, cfg, opt)
+                rec = _record(method, c, m, cfg, opt, decisions)
                 if not rec.error:  # a failure is retried, never served
                     shard[(c, method)] = rec
                     fresh = True
@@ -263,15 +278,8 @@ def _moduli_for(cfg: SweepConfig) -> list[int]:
 
 def bench_sweep(cfg: SweepConfig) -> list[BenchRecord]:
     """Run the sweep; records come back ordered by (M, C, method)."""
-    moduli = _moduli_for(cfg)
-    tasks = [(m, cfg) for m in moduli]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            per_mod = list(pool.map(_sweep_modulus, tasks, chunksize=1))
-    else:
-        per_mod = [_sweep_modulus(t) for t in tasks]
+    records = [r for m in _moduli_for(cfg) for r in _sweep_modulus(m, cfg)]
     method_rank = {name: i for i, name in enumerate(METHODS)}
-    records = [r for group in per_mod for r in group]
     records.sort(key=lambda r: (r.modulus, r.multiplier, method_rank[r.method]))
     return records
 

@@ -156,7 +156,6 @@ def _cmd_bench(args) -> int:
         moduli=moduli,
         multiplier_cap=args.multiplier_cap,
         methods=tuple(args.methods.split(",")),
-        jobs=args.jobs,
         cost_model=cost,
         depth_model=depth,
         cache_dir=args.cache,
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moduli", help="file with one modulus per line")
     p.add_argument("--multiplier-cap", type=int, dest="multiplier_cap")
     p.add_argument("--methods", default="heuristic,baseline")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cost-model", dest="cost_model")
     p.add_argument("--out", required=True)
     p.add_argument("--summary")

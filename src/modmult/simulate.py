@@ -122,20 +122,27 @@ def verify(
     if exhaustive:
         if m > _EXHAUSTIVE_CAP:
             raise ValueError(f"modulus {m} too large for exhaustive verification")
-        xs, mode, seed = range(m), "exhaustive", None
+        mode, seed, tested = "exhaustive", None, m
     elif samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     else:
-        xs, mode = _lcg_samples(seed, samples, m), f"sampled({samples})"
-    s = run_circuit(c, 1)
-    a, b = (s.r1, s.r2) if c.result_register == R1 else (s.r2, s.r1)
+        mode, tested = f"sampled({samples})", samples
+    r1, r2, inv2 = 1, 0, (m + 1) // 2
+    for op in c.ops:
+        r1, r2 = apply_block(op, r1, r2, m, inv2)
+    a, b = (r1, r2) if c.result_register == R1 else (r2, r1)
     q = m // gcd(a - cmul, b, m)
+    # x -> a*x is a bijection on Z_M exactly when a is a unit
+    unit = gcd(a, m) == 1
+    if exhaustive:
+        xs = range(m)
+    elif q > 1 or not unit:
+        xs = _lcg_samples(seed, samples, m)
+    else:
+        xs = ()  # every input passes and results are distinct: nothing to draw
     bad = () if q == 1 else (x for x in xs if x % q)
     failures = [(x, a * x % m, b * x % m) for x in islice(bad, max_failures)]
-    if exhaustive:
-        injective = gcd(a, m) == 1
-        if m - m // q > max_failures:
-            failures.append((-1, m - m // q, 0))
-    else:
-        injective = len({a * x % m for x in xs}) == len(set(xs))
-    return VerifyReport(cmul, m, mode, len(xs), tuple(failures), injective, seed)
+    if exhaustive and m - m // q > max_failures:
+        failures.append((-1, m - m // q, 0))
+    injective = unit or (not exhaustive and len({a * x % m for x in xs}) == len(set(xs)))
+    return VerifyReport(cmul, m, mode, tested, tuple(failures), injective, seed)

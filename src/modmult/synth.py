@@ -44,6 +44,7 @@ from .numtheory import (
 __all__ = [
     "Move",
     "GcdTrace",
+    "DecisionCache",
     "SynthesisConfig",
     "euclid_trace",
     "binary_gcd_trace",
@@ -250,7 +251,36 @@ def _best_sequence(
     return None if best is None else (best, best_seq)
 
 
-def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTrace:
+class DecisionCache:
+    """Lookahead decisions shared by the traces of one modulus.
+
+    A round's committed move depends only on its pair (a, b), the move
+    committed before it, and (k, cap, ADD price, HLV price). `moves` maps
+    (a, b, last) to that move; `params` is the (k, cap, ADD price,
+    HLV price) it was filled under, set by the first trace that uses it.
+    `hits` counts the rounds served from `moves`.
+    """
+
+    def __init__(self) -> None:
+        self.params: tuple[int, int, int, int] | None = None
+        self.moves: dict[tuple[int, int, Move | None], Move] = {}
+        self.hits = 0
+
+    def bind(self, params: tuple[int, int, int, int]) -> None:
+        """Refuse a trace whose (k, cap, ADD price, HLV price) differ from
+        those the cache was filled under."""
+        if self.params is None:
+            self.params = params
+        elif self.params != params:
+            raise ValueError(
+                f"decision cache filled under (k, cap, add, hlv) = {self.params}, "
+                f"used under {params}"
+            )
+
+
+def lookahead_trace(
+    a: int, b: int, cfg: SynthesisConfig | None = None, decisions: DecisionCache | None = None
+) -> GcdTrace:
     """k-step lookahead over the generalized move set.
 
     Each round enumerates all irredundant move sequences of length <= k
@@ -258,6 +288,10 @@ def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTr
     own moves plus the binary-GCD completion cost from its final pair, and
     commits the first move of the best-scoring sequence. Values are kept
     inside [1, cap*M') where M' is the larger starting value.
+
+    With `decisions`, a round whose (a, b, last move) the cache holds
+    commits the cached move, and a computed round is stored there; the
+    trace is the same either way.
     """
     cfg = cfg or SynthesisConfig()
     _check_coprime(a, b)
@@ -268,6 +302,10 @@ def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTr
     hlv_cost = model.op_cost(HLV, n)
     cap = cfg.value_cap_multiplier * max(a, b)
     memo: dict[tuple[int, int], int] = {}
+    decided = None
+    if decisions is not None:
+        decisions.bind((k, cap, add_cost, hlv_cost))
+        decided = decisions.moves
 
     pairs = [(a, b)]
     moves: list[Move] = []
@@ -276,9 +314,15 @@ def lookahead_trace(a: int, b: int, cfg: SynthesisConfig | None = None) -> GcdTr
     while (a, b) != (1, 1):
         if len(moves) > max_rounds:  # pragma: no cover - safety net
             raise RuntimeError(f"lookahead failed to converge from ({a}, {b})")
-        best = _best_sequence(a, b, prev_committed, k, cap, add_cost, hlv_cost, memo)
-        assert best is not None and best[1], "no legal move available"
-        mv = Move(best[1][0])
+        mv = None if decided is None else decided.get((a, b, prev_committed))
+        if mv is None:
+            best = _best_sequence(a, b, prev_committed, k, cap, add_cost, hlv_cost, memo)
+            assert best is not None and best[1], "no legal move available"
+            mv = Move(best[1][0])
+            if decided is not None:
+                decided[a, b, prev_committed] = mv
+        else:
+            decisions.hits += 1
         a, b = _apply_move(mv, a, b)
         moves.append(mv)
         pairs.append((a, b))
@@ -373,9 +417,15 @@ def special_synthesize(f: SpecialForm, m: int | Modulus) -> BlockCircuit:
 
 
 def synthesize(
-    c: int | Multiplier, m: int | Modulus, cfg: SynthesisConfig | None = None
+    c: int | Multiplier,
+    m: int | Modulus,
+    cfg: SynthesisConfig | None = None,
+    decisions: DecisionCache | None = None,
 ) -> BlockCircuit:
-    """Dispatch: identity, special-form shortcut, or lookahead GCD trace."""
+    """Dispatch: identity, special-form shortcut, or lookahead GCD trace.
+
+    `decisions` is passed to `lookahead_trace`: one cache serves every
+    multiplier of modulus m under one cfg."""
     cfg = cfg or SynthesisConfig()
     mv = m.value if isinstance(m, Modulus) else m
     cv = (c.value if isinstance(c, Multiplier) else c) % mv
@@ -388,4 +438,4 @@ def synthesize(
         form = detect_special(cv, mv)
         if form is not None:
             return special_synthesize(form, mv)
-    return trace_to_circuit(lookahead_trace(mv, cv, cfg), mv)
+    return trace_to_circuit(lookahead_trace(mv, cv, cfg, decisions), mv)

@@ -26,7 +26,7 @@ from modmult.bench import (
 )
 from modmult.circuit import ADD, NEG, CostModel, DepthModel
 from modmult.optimal import NonPositiveCost
-from modmult.synth import SynthesisConfig
+from modmult.synth import DecisionCache, SynthesisConfig
 
 
 def small_sweep(**kw):
@@ -52,6 +52,29 @@ class TestConfig:
     def test_explicit_moduli_must_be_odd_and_at_least_3(self, bad):
         with pytest.raises(ValueError, match="modulus must be"):
             SweepConfig(moduli=(21, bad))
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_other_than_one_refused(self, jobs):
+        # sweeps run in one process; the field stays for callers passing 1
+        assert SweepConfig(jobs=1).jobs == 1
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            SweepConfig(jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [("moduli", (21, 65, 21)), ("methods", ("heuristic", "heuristic")), ("bits", (7, 7))],
+    )
+    def test_duplicates_refused(self, field, values):
+        # each duplicate would be swept again: duplicate CSV rows, double counts
+        with pytest.raises(ValueError, match=f"duplicate {field}"):
+            SweepConfig(**{field: values})
+
+    def test_synthesis_config_built_once(self):
+        cfg = SweepConfig()
+        assert cfg.synthesis_config() is cfg.synthesis_config()
+        assert cfg.synthesis_config() == SynthesisConfig(cost_model=cfg.cost_model)
+        given = SynthesisConfig(lookahead_depth=2)
+        assert SweepConfig(synthesis=given).synthesis_config() is given
 
 
 class TestSweep:
@@ -90,11 +113,26 @@ class TestSweep:
         assert all(r.error == "" for r in recs)
         assert all(r.toffoli >= 0 for r in recs)
 
-    def test_jobs_match_serial(self):
-        cfg = small_sweep()
-        serial = records_to_csv(bench_sweep(cfg))
-        parallel = records_to_csv(bench_sweep(small_sweep(jobs=2)))
-        assert serial == parallel
+    def test_one_decision_cache_per_modulus(self, monkeypatch):
+        # heuristic records go through the module-global synthesize, the name
+        # the benchmark's tracer wraps, with one cache per modulus
+        seen = []
+        real = bench.synthesize
+
+        def spy(c, m, cfg, decisions):
+            seen.append((m, decisions))
+            return real(c, m, cfg, decisions)
+
+        monkeypatch.setattr(bench, "synthesize", spy)
+        recs = bench_sweep(small_sweep(moduli=(65, 21), methods=("heuristic",)))
+        assert len(seen) == len(recs) == 11 + 47
+        caches = {m: {id(d) for mm, d in seen if mm == m} for m in (21, 65)}
+        assert all(len(ids) == 1 for ids in caches.values())
+        assert caches[21] != caches[65]
+        assert all(isinstance(d, DecisionCache) for _, d in seen)
+        assert records_to_csv(recs) == records_to_csv(
+            bench_sweep(small_sweep(moduli=(65, 21), methods=("heuristic",)))
+        )
 
     def test_multiplier_cap(self):
         recs = bench_sweep(small_sweep(moduli=(91,), multiplier_cap=5, methods=("heuristic",)))

@@ -205,8 +205,17 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         (["synth", "--modulus", "21", "--multiplier", "13", "--lookahead", "9"], "lookahead depth"),
         (["modexp", "--modulus", "21", "--base", "7"], "gcd(7, 21)"),
         (["bench", "--bits", "13", "--methods", "optimal", "--out", "unused.csv"], "bit cap"),
+        (["bench", "--methods", "heuristic,heuristic", "--out", "unused.csv"], "duplicate methods"),
+        (["bench", "--bits", "7,7", "--out", "unused.csv"], "duplicate bits"),
     ],
-    ids=["synth-not-coprime", "synth-lookahead", "modexp-base", "bench-optimal-cap"],
+    ids=[
+        "synth-not-coprime",
+        "synth-lookahead",
+        "modexp-base",
+        "bench-optimal-cap",
+        "bench-duplicate-method",
+        "bench-duplicate-bits",
+    ],
 )
 def test_invalid_input_exit_code(capsys, argv, message):
     # refused with exit 2 and one line, not a traceback and exit 1

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -21,7 +22,9 @@ from modmult.circuit import (
     BlockOp,
     apply_block,
 )
+from modmult import simulate
 from modmult.simulate import (
+    _EXHAUSTIVE_CAP,
     FanoutOnNonzero,
     MachineState,
     VerifyReport,
@@ -267,3 +270,94 @@ def test_verify_all_methods_small_moduli():
             assert verify(synthesize(c, m)).passed, (m, c, "heuristic")
             assert verify(baseline_synthesize(c, m)).passed, (m, c, "baseline")
             assert verify(trace_to_circuit(euclid_trace(m, c), m)).passed, (m, c, "euclid")
+
+
+def _reference_verify(c, exhaustive=True, samples=1000, seed=2024, max_failures=32):
+    """verify as it stood before the bare fold: run_circuit on x = 1, the
+    samples always drawn, sampled injectivity by set comparison. Body
+    verbatim."""
+    m, cmul = c.modulus, c.multiplier % c.modulus
+    if exhaustive:
+        if m > _EXHAUSTIVE_CAP:
+            raise ValueError(f"modulus {m} too large for exhaustive verification")
+        xs, mode, seed = range(m), "exhaustive", None
+    elif samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    else:
+        xs, mode = _lcg_samples(seed, samples, m), f"sampled({samples})"
+    s = run_circuit(c, 1)
+    a, b = (s.r1, s.r2) if c.result_register == R1 else (s.r2, s.r1)
+    q = m // gcd(a - cmul, b, m)
+    bad = () if q == 1 else (x for x in xs if x % q)
+    failures = [(x, a * x % m, b * x % m) for x in islice(bad, max_failures)]
+    if exhaustive:
+        injective = gcd(a, m) == 1
+        if m - m // q > max_failures:
+            failures.append((-1, m - m // q, 0))
+    else:
+        injective = len({a * x % m for x in xs}) == len(set(xs))
+    return VerifyReport(cmul, m, mode, len(xs), tuple(failures), injective, seed)
+
+
+def _non_unit_circuits():
+    """Hand-built circuits whose image a of x = 1 shares a factor with M:
+    (x, 0) -> (0, x) and (5x, x) at M = 35 against C = 1, and (3x, x) at
+    M = 21 and at M = 3 * (2^61 - 1) against C = 3."""
+    zero = (BlockOp(FANOUT), BlockOp(SUB, R1, R2))
+    triple = (BlockOp(FANOUT), BlockOp(ADD, R1, R2), BlockOp(ADD, R1, R2))
+    big = 3 * ((1 << 61) - 1)
+    return [
+        BlockCircuit(35, 1, 6, zero),
+        BlockCircuit(35, 1, 6, zero + (BlockOp(ADD, R1, R2),) * 5),
+        BlockCircuit(21, 3, 5, triple),
+        BlockCircuit(big, 3, big.bit_length(), triple),
+    ]
+
+
+def test_verify_matches_reference_body():
+    # seeded circuits, their one-op mutants and hand-built non-unit images,
+    # field for field in both modes
+    rng = random.Random(31415)
+    replacements = _invertible_ops + [BlockOp(CSWAP_LAYER)]
+    circuits = _non_unit_circuits()
+    for m in (21, 35, 77, 221, 1007, 101 * 1297, (1 << 61) - 1):
+        for _ in range(6):
+            cmul = rng.randrange(2, m)
+            while gcd(cmul, m) != 1:
+                cmul = rng.randrange(2, m)
+            c = rng.choice([synthesize, baseline_synthesize])(cmul, m)
+            i = rng.randrange(c.ops[0].opcode == FANOUT, len(c.ops))
+            circuits += [c, _one_op_mutant(c, i, rng.choice(replacements))]
+    seen = set()
+    for c in circuits:
+        if c.modulus <= _EXHAUSTIVE_CAP:
+            for cap in (0, 5, 32):
+                got = verify(c, max_failures=cap)
+                assert got == _reference_verify(c, max_failures=cap), c
+        for samples, seed in ((1, 3), (64, 7), (300, c.modulus)):
+            kw = dict(exhaustive=False, samples=samples, seed=seed)
+            got = verify(c, **kw)
+            assert got == _reference_verify(c, **kw), (c, kw)
+            seen.add((got.passed, got.injective, bool(got.failures)))
+    # passing, failing and injective, failing and not injective
+    assert {(True, True, False), (False, True, True), (False, False, True)} <= seen
+
+
+def test_passing_sampled_verify_draws_no_samples(monkeypatch):
+    draws = []
+    real = simulate._lcg_samples
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_lcg_samples", counted)
+    m128 = (1 << 128) - 159
+    for c, m in [(13, 21), (77778, 1011113), (3**70 % m128, m128)]:
+        report = verify(synthesize(c, m), exhaustive=False, samples=1000, seed=5)
+        assert report.passed and report.tested == 1000 and report.seed == 5
+    assert draws == []
+    # a circuit that leaves something to check still draws them
+    for c in _non_unit_circuits()[:2]:
+        assert not verify(c, exhaustive=False, samples=50, seed=5).passed
+    assert len(draws) == 2

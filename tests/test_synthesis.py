@@ -24,6 +24,7 @@ from modmult.modexp import modexp_plan
 from modmult.numtheory import NotCoprime, SpecialForm, SpecialKind, mod_inverse
 from modmult.simulate import run_circuit, verify
 from modmult.synth import (
+    DecisionCache,
     Move,
     _apply_move,
     _best_sequence,
@@ -147,9 +148,13 @@ class TestLookaheadTrace:
         gc.collect()
         gc.disable()
         try:
+            decisions = DecisionCache()
             for c in range(1000, 1040):
                 if gcd(c, 49447) == 1:
                     synthesize(c, 49447)
+                    synthesize(c, 49447, None, decisions)
+            assert decisions.hits > 0
+            del decisions
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -473,3 +478,64 @@ class TestReferenceEquivalence:
             assert got == trace_cost(binary_gcd_trace(a, b), n, model)
             assert got == _reference_completion_cost(a, b, add_cost, hlv_cost, reference_memo)
             assert memo == reference_memo
+
+
+class TestDecisionCache:
+    def test_counts_mod_1007(self):
+        # every lookahead multiplier of 1007 shares one cache: 13,631 rounds,
+        # 5,583 distinct (a, b, last) states, the same circuits
+        decisions = DecisionCache()
+        circuits = [
+            synthesize(c, 1007, None, decisions) for c in range(2, 1007) if gcd(c, 1007) == 1
+        ]
+        assert (len(decisions.moves), decisions.hits) == (5583, 8048)
+        assert _running_digest(circuits).startswith("483dfbf3053f0d1e")
+        rounds = sum(len(circ.ops) - 1 for circ in circuits if circ.ops[0].opcode == FANOUT)
+        assert rounds == 13631 == len(decisions.moves) + decisions.hits
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(lookahead_depth=2),
+            dict(value_cap_multiplier=2),
+            dict(cost_model=_PRICES[1]),
+            dict(cost_model=_PRICES[2]),
+        ],
+        ids=["k", "cap", "add-price", "hlv-price"],
+    )
+    def test_refused_under_another_config(self, other):
+        decisions = DecisionCache()
+        synthesize(13, 1007, SynthesisConfig(), decisions)
+        filled = dict(decisions.moves)
+        with pytest.raises(ValueError, match="decision cache"):
+            synthesize(29, 1007, SynthesisConfig(**other), decisions)
+        with pytest.raises(ValueError, match="decision cache"):
+            lookahead_trace(1007, 29, SynthesisConfig(**other), decisions)
+        assert decisions.moves == filled  # nothing served, nothing stored
+
+    def test_refused_for_another_modulus_cap(self):
+        # the cap is value_cap_multiplier * M, so another modulus differs
+        decisions = DecisionCache()
+        synthesize(13, 1007, None, decisions)
+        with pytest.raises(ValueError, match="decision cache"):
+            synthesize(13, 1009, None, decisions)
+
+    @pytest.mark.parametrize("cap", [2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_shared_cache_matches_reference(self, k, cap, monkeypatch):
+        # one cache per (modulus, config), shared by that modulus's
+        # multipliers, against uncached traces of the reference round
+        rng = random.Random(100 + k)
+        cases, caches = [], []
+        for m in (rng.randrange(1 << 8, 1 << 9) | 1, rng.randrange(1 << 9, 1 << 10) | 1):
+            cs = [c for c in range(2, m) if gcd(c, m) == 1]
+            for model in _PRICES:
+                cfg = SynthesisConfig(lookahead_depth=k, cost_model=model, value_cap_multiplier=cap)
+                caches.append(DecisionCache())
+                cases += [(m, c, cfg, caches[-1]) for c in rng.sample(cs, 6)]
+        got = [lookahead_trace(m, c, cfg, decisions) for m, c, cfg, decisions in cases]
+        assert sum(decisions.hits for decisions in caches) > 0
+        monkeypatch.setattr(synth, "_best_sequence", _reference_best_sequence)
+        want = [lookahead_trace(m, c, cfg) for m, c, cfg, _ in cases]
+        assert got == want
+        assert all(type(mv) is Move for t in got for mv in t.moves)
