@@ -17,7 +17,6 @@ from .circuit import (
 from .modexp import build_modexp, modexp_plan
 from .numtheory import (
     Modulus,
-    Multiplier,
     SpecialForm,
     SpecialKind,
     detect_special,

@@ -2,12 +2,16 @@
 multipliers, per-method records, Table-style aggregation, ratio series,
 CSV emission, and a result cache.
 
+Every record's circuit is verified. SweepConfig refuses a sweep that selects
+nothing and a synthesis config under another cost model than its own.
+
 The cache holds one file per (modulus, SweepConfig.config_hash): a shard of
-every stored record of that modulus under that config, with one sha256 over
-its canonical JSON. A sweep reads a modulus's shard once, and writes it once,
-merged with the new records, only when some record missed. A missing,
-unreadable or tampered shard is a miss for every record in it. The config
-hash covers a cache schema version, so files of an older layout are ignored.
+every stored record of that modulus under that config, labelled with both
+and with the record field list, and one sha256 over its canonical JSON. A
+sweep reads a modulus's shard once, and writes it once, merged with the new
+records, only when some record missed. A missing, unreadable, tampered or
+mislabelled shard is a miss for every record in it. The config hash covers
+a cache schema version (4), so files of an older layout are ignored.
 Records that carry an error are never stored.
 
 Output ordering is deterministic (modulus, multiplier, method); with
@@ -48,7 +52,7 @@ __all__ = [
     "BenchRecord",
     "SweepConfig",
     "MixedModels",
-    "CacheCorrupt",
+    "SummaryRow",
     "bench_sweep",
     "aggregate",
     "ratio_series",
@@ -78,15 +82,11 @@ _SAMPLE_SEED = 2024
 # part of every config hash, so of every cache file name; bump it when a
 # record's fields, their meaning or the cache layout change, so files written
 # before are misses
-_CACHE_SCHEMA = 3
+_CACHE_SCHEMA = 4
 
 
 class MixedModels(ValueError):
     """Aggregation refused: records computed under different cost models."""
-
-
-class CacheCorrupt(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,6 @@ class BenchRecord:
     wall_seconds: float
     cost_model_hash: str
     error: str = ""
-    # SweepConfig.config_hash of the sweep that made the record; empty for
-    # a record made outside a sweep
-    config_hash: str = ""
 
     def csv_row(self) -> str:
         return (
@@ -128,7 +125,6 @@ class SweepConfig:
     synthesis: SynthesisConfig | None = None
     cache_dir: str | None = None
     timing: bool = False
-    verify_circuits: bool = True
     optimal_bit_cap: int = DEFAULT_BIT_CAP
 
     def __post_init__(self) -> None:
@@ -138,6 +134,14 @@ class SweepConfig:
             values = getattr(self, name) or ()
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} in {values}: each would be swept twice")
+        if not (self.bits if self.moduli is None else self.moduli):
+            raise ValueError("no moduli to sweep: the widths or moduli given are empty")
+        if not self.methods:
+            raise ValueError("no methods to sweep")
+        if self.multiplier_cap is not None and self.multiplier_cap < 1:
+            raise ValueError(f"multiplier cap must be >= 1, got {self.multiplier_cap}")
+        if self.synthesis and self.synthesis.cost_model.hash != self.cost_model.hash:
+            raise ValueError("synthesis cost model differs from the sweep's cost model")
         for m in self.moduli or ():
             Modulus(m)  # odd and >= 3, or ValueError
         for method in self.methods:
@@ -158,14 +162,13 @@ class SweepConfig:
     @cached_property
     def config_hash(self) -> str:
         """Hash of every setting that shapes a record -- cost and depth
-        models, synthesis config, verify and timing flags -- and the cache
-        schema. Computed once per config; the result cache keys on it."""
+        models, synthesis config, timing flag -- and the cache schema.
+        Computed once per config; the result cache keys on it."""
         doc = [
             _CACHE_SCHEMA,
             self.cost_model.hash,
             dataclasses.asdict(self.depth_model),
             dataclasses.asdict(self.synthesis_config()),
-            self.verify_circuits,
             self.timing,
         ]
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -213,15 +216,12 @@ def _record(
         toffoli, cnot = circuit_cost(circ, cfg.cost_model)
         depth = circuit_depth(circ, cfg.depth_model)
         ops = len(circ.ops)
-        if cfg.verify_circuits:
-            if bits <= _EXHAUSTIVE_BIT_CAP:
-                report = verify(circ, exhaustive=True)
-            else:
-                report = verify(
-                    circ, exhaustive=False, samples=_SAMPLE_COUNT, seed=_SAMPLE_SEED
-                )
-            if not report.passed:
-                error = f"verification failed: {report.summary()}"
+        if bits <= _EXHAUSTIVE_BIT_CAP:
+            report = verify(circ, exhaustive=True)
+        else:
+            report = verify(circ, exhaustive=False, samples=_SAMPLE_COUNT, seed=_SAMPLE_SEED)
+        if not report.passed:
+            error = f"verification failed: {report.summary()}"
     except Exception as exc:  # per-record failures never abort the sweep
         error = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start if cfg.timing else 0.0
@@ -239,7 +239,6 @@ def _record(
         wall_seconds=elapsed,
         cost_model_hash=cfg.cost_model.hash,
         error=error,
-        config_hash=cfg.config_hash,
     )
 
 
@@ -378,23 +377,22 @@ def cache_path(cache_dir: str, m: int, config_hash: str) -> str:
 
 
 def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
-    """The shard of modulus m under config_hash; empty when there is none
-    or it fails its checksum."""
+    """The shard of modulus m under config_hash; empty when there is none,
+    it fails its checksum, or its label names another modulus, config hash
+    or field list."""
     if cache_dir is None:
         return {}
-    path = cache_path(cache_dir, m, config_hash)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(cache_path(cache_dir, m, config_hash), encoding="utf-8") as fh:
             doc = json.load(fh)
         body = doc["shard"]
         digest = hashlib.sha256(_canonical(body).encode()).hexdigest()
-        if digest != doc["checksum"]:
-            raise CacheCorrupt(path)
-        if (body["modulus"], body["config_hash"], body["fields"]) != (m, config_hash, _FIELDS):
-            raise CacheCorrupt(path)
+        label = (body["modulus"], body["config_hash"], body["fields"])
+        if digest != doc["checksum"] or label != (m, config_hash, _FIELDS):
+            return {}
         records = [BenchRecord(*row) for row in body["rows"]]
-    except (OSError, CacheCorrupt, KeyError, TypeError, ValueError):
-        return {}  # missing or corrupt shards are treated as misses
+    except (OSError, KeyError, TypeError, ValueError):
+        return {}  # a missing or unreadable shard is a miss
     return {(r.multiplier, r.method): r for r in records}
 
 

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -58,9 +59,17 @@ NEG = "NEG"
 CSWAP_LAYER = "CSWAP_LAYER"
 
 Opcode = str
-_OPCODES = (FANOUT, ADD, SUB, DBL, HLV, NEG, CSWAP_LAYER)
-_TWO_REG = (ADD, SUB)
-_ONE_REG = (DBL, HLV, NEG)
+# Each opcode's register count: 2 = target and source, 1 = target only.
+_REG_COUNT = {FANOUT: 0, ADD: 2, SUB: 2, DBL: 1, HLV: 1, NEG: 1, CSWAP_LAYER: 0}
+_OPCODES = tuple(_REG_COUNT)
+_TAKES = ("no arguments", "one register", "two registers")
+# every legal (opcode, target, source): registers from R1, R2, and a
+# target and source that differ
+_SIGNATURES = frozenset(
+    (code, *regs, *(None,) * (2 - count))
+    for code, count in _REG_COUNT.items()
+    for regs in permutations(_REGISTERS, count)
+)
 
 
 class UnknownOpcode(ValueError):
@@ -91,28 +100,16 @@ class BlockOp:
     source: str | None = None
 
     def __post_init__(self) -> None:
-        if self.opcode not in _OPCODES:
-            raise UnknownOpcode(f"unknown opcode {self.opcode!r}")
-        if self.opcode in _TWO_REG:
-            if self.target not in _REGISTERS or self.source not in _REGISTERS:
-                raise InvariantViolation(f"{self.opcode} needs target and source registers")
-            if self.target == self.source:
-                raise InvariantViolation(f"{self.opcode} target must differ from source")
-        elif self.opcode in _ONE_REG:
-            if self.target not in _REGISTERS:
-                raise InvariantViolation(f"{self.opcode} needs a target register")
-            if self.source is not None:
-                raise InvariantViolation(f"{self.opcode} takes no source register")
-        else:
-            if self.target is not None or self.source is not None:
-                raise InvariantViolation(f"{self.opcode} takes no register arguments")
+        if (self.opcode, self.target, self.source) not in _SIGNATURES:
+            if self.opcode not in _REG_COUNT:
+                raise UnknownOpcode(f"unknown opcode {self.opcode!r}")
+            raise InvariantViolation(
+                f"illegal registers ({self.target!r}, {self.source!r}) for {self.opcode}, "
+                f"which takes {_TAKES[_REG_COUNT[self.opcode]]}"
+            )
 
     def text(self) -> str:
-        if self.opcode in _TWO_REG:
-            return f"{self.opcode} {self.target} {self.source}"
-        if self.opcode in _ONE_REG:
-            return f"{self.opcode} {self.target}"
-        return self.opcode
+        return " ".join((self.opcode, self.target, self.source)[: 1 + _REG_COUNT[self.opcode]])
 
 
 @dataclass(frozen=True)
@@ -393,7 +390,7 @@ def parse(text: str) -> BlockCircuit:
                     raise ParseError(line_no, "RESULT takes one register")
                 header[expect] = _parse_register(toks[1], line_no)
             else:
-                if len(toks) != 2 or not toks[1].isdigit():
+                if len(toks) != 2 or not toks[1].isdecimal():
                     raise ParseError(line_no, f"{expect} takes one decimal value")
                 header[expect] = int(toks[1])
             continue
@@ -402,26 +399,12 @@ def parse(text: str) -> BlockCircuit:
                 raise ParseError(line_no, "END takes no arguments")
             ended = True
             continue
-        if key in (FANOUT, CSWAP_LAYER):
-            if len(toks) != 1:
-                raise ParseError(line_no, f"{key} takes no arguments")
-            ops.append(BlockOp(key))
-        elif key in _TWO_REG:
-            if len(toks) != 3:
-                raise ParseError(line_no, f"{key} takes two registers")
-            ops.append(
-                BlockOp(
-                    key,
-                    _parse_register(toks[1], line_no),
-                    _parse_register(toks[2], line_no),
-                )
-            )
-        elif key in _ONE_REG:
-            if len(toks) != 2:
-                raise ParseError(line_no, f"{key} takes one register")
-            ops.append(BlockOp(key, _parse_register(toks[1], line_no)))
-        else:
+        count = _REG_COUNT.get(key)
+        if count is None:
             raise ParseError(line_no, f"unknown token {key!r}")
+        if len(toks) != 1 + count:
+            raise ParseError(line_no, f"{key} takes {_TAKES[count]}")
+        ops.append(BlockOp(key, *(_parse_register(tok, line_no) for tok in toks[1:])))
     if len(header) < len(header_order):
         raise ParseError(0, "incomplete header")
     if not ended:

@@ -62,23 +62,22 @@ class ModExpCircuit:
         return len(self.blocks)
 
 
-def modexp_plan(m: int | Modulus, b: int = 2) -> ModExpPlan:
+def modexp_plan(m: int, b: int = 2) -> ModExpPlan:
     """All 2n multipliers by repeated modular squaring."""
-    mv = m.value if isinstance(m, Modulus) else m
-    Modulus(mv)
-    if gcd(b, mv) != 1:
-        raise BaseNotCoprime(f"gcd({b}, {mv}) != 1")
-    n = mv.bit_length()
+    Modulus(m)
+    if gcd(b, m) != 1:
+        raise BaseNotCoprime(f"gcd({b}, {m}) != 1")
+    n = m.bit_length()
     mults = []
-    c = b % mv
+    c = b % m
     for _ in range(2 * n):
         mults.append(c)
-        c = (c * c) % mv
-    return ModExpPlan(mv, b, tuple(mults))
+        c = (c * c) % m
+    return ModExpPlan(m, b, tuple(mults))
 
 
 def build_modexp(
-    m: int | Modulus,
+    m: int,
     b: int = 2,
     cfg: SynthesisConfig | None = None,
     depth_model: DepthModel | None = None,
@@ -93,14 +92,14 @@ def build_modexp(
     cfg = cfg or SynthesisConfig()
     depth_model = depth_model or DepthModel.ripple()
     plan = modexp_plan(m, b)
-    mv, n = plan.modulus, plan.n
+    n = plan.n
     model: CostModel = cfg.cost_model
 
     cache: dict[int, BlockCircuit] = {}
 
     def block_for(c: int) -> BlockCircuit:
         if c not in cache:
-            cache[c] = synthesize(c, mv, cfg)
+            cache[c] = synthesize(c, m, cfg)
         return cache[c]
 
     cswap = BlockOp(CSWAP_LAYER)
@@ -114,7 +113,7 @@ def build_modexp(
         block = block_for(c)
         costed = block
         if c == 1 and keep_identity_gates:
-            costed = block_for(2 % mv)
+            costed = block_for(2 % m)
         t, k = circuit_cost(costed, model)
         toffoli += t
         cnot += k

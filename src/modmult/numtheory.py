@@ -13,7 +13,6 @@ from math import gcd
 
 __all__ = [
     "Modulus",
-    "Multiplier",
     "SpecialKind",
     "SpecialForm",
     "NotCoprime",
@@ -58,19 +57,6 @@ class Modulus:
         return self.value.bit_length()
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """A multiplicand C in [1, M-1] coprime to the modulus."""
-
-    value: int
-
-    def validate(self, m: Modulus) -> None:
-        if not 1 <= self.value < m.value:
-            raise ValueError(f"multiplier {self.value} outside [1, {m.value - 1}]")
-        if gcd(self.value, m.value) != 1:
-            raise NotCoprime(f"gcd({self.value}, {m.value}) != 1")
-
-
 class SpecialKind(enum.Enum):
     POWER_OF_TWO = "PowerOfTwo"
     INVERSE_POWER_OF_TWO = "InversePowerOfTwo"
@@ -90,65 +76,57 @@ class SpecialForm:
     kind: SpecialKind
     k: int
 
-    def multiplier(self, m: int | Modulus) -> int:
+    def multiplier(self, m: int) -> int:
         """Re-derive the multiplier C this form denotes, mod M."""
-        mv = m.value if isinstance(m, Modulus) else m
-        p = pow(2, self.k, mv)
+        p = pow(2, self.k, m)
         if self.kind is SpecialKind.POWER_OF_TWO:
             return p
         if self.kind is SpecialKind.INVERSE_POWER_OF_TWO:
-            return mod_inverse(p, mv)
+            return mod_inverse(p, m)
         if self.kind is SpecialKind.NEG_POWER_OF_TWO:
-            return (-p) % mv
-        return (-mod_inverse(p, mv)) % mv
+            return (-p) % m
+        return (-mod_inverse(p, m)) % m
 
 
-def _as_int(m: int | Modulus) -> int:
-    return m.value if isinstance(m, Modulus) else m
-
-
-def mod_inverse(c: int, m: int | Modulus) -> int:
+def mod_inverse(c: int, m: int) -> int:
     """Least positive d with c*d = 1 (mod m). Raises NotInvertible."""
-    mv = _as_int(m)
     try:
-        return pow(c, -1, mv)
+        return pow(c, -1, m)
     except ValueError as exc:
-        raise NotInvertible(f"{c} has no inverse mod {mv}") from exc
+        raise NotInvertible(f"{c} has no inverse mod {m}") from exc
 
 
-def pow_mod(b: int, e: int, m: int | Modulus) -> int:
+def pow_mod(b: int, e: int, m: int) -> int:
     """b^e mod m for non-negative e (square-and-multiply)."""
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    return pow(b, e, _as_int(m))
+    return pow(b, e, m)
 
 
-def detect_special(c: int | Multiplier, m: int | Modulus) -> SpecialForm | None:
+def detect_special(c: int, m: int) -> SpecialForm | None:
     """Scan k = 0 .. 2n-1 for a power-of-two special form of C.
 
     For each k (ascending) the four kinds are checked in declaration order;
     the first hit wins. Returns None when no form matches below the cap --
     such multipliers fall through to GCD-trace synthesis.
     """
-    mv = _as_int(m)
-    cv = c.value if isinstance(c, Multiplier) else c
-    if gcd(cv, mv) != 1:
-        raise NotCoprime(f"gcd({cv}, {mv}) != 1")
-    n = mv.bit_length()
-    inv2 = mod_inverse(2, mv)
+    if gcd(c, m) != 1:
+        raise NotCoprime(f"gcd({c}, {m}) != 1")
+    n = m.bit_length()
+    inv2 = mod_inverse(2, m)
     p = 1  # 2^k mod M
     ip = 1  # 2^-k mod M
     for k in range(2 * n):
-        if cv == p:
+        if c == p:
             return SpecialForm(SpecialKind.POWER_OF_TWO, k)
-        if cv == ip:
+        if c == ip:
             return SpecialForm(SpecialKind.INVERSE_POWER_OF_TWO, k)
-        if cv == mv - p:
+        if c == m - p:
             return SpecialForm(SpecialKind.NEG_POWER_OF_TWO, k)
-        if cv == mv - ip:
+        if c == m - ip:
             return SpecialForm(SpecialKind.NEG_INVERSE_POWER_OF_TWO, k)
-        p = (p * 2) % mv
-        ip = (ip * inv2) % mv
+        p = (p * 2) % m
+        ip = (ip * inv2) % m
     return None
 
 

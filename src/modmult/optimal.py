@@ -71,18 +71,17 @@ class OptimalSearch:
 
     def __init__(
         self,
-        m: int | Modulus,
+        m: int,
         model: CostModel = DEFAULT_COST_MODEL,
         include_neg: bool = True,
         bit_cap: int = DEFAULT_BIT_CAP,
     ):
-        mv = m.value if isinstance(m, Modulus) else m
-        Modulus(mv)  # validate
-        self.m = mv
-        self.n = mv.bit_length()
+        Modulus(m)  # validate
+        self.m = m
+        self.n = m.bit_length()
         if self.n > bit_cap:
             raise ModulusTooLarge(
-                f"{mv} has {self.n} bits; cap is {bit_cap} (state space M^2)"
+                f"{m} has {self.n} bits; cap is {bit_cap} (state space M^2)"
             )
         self.model = model
         self.ops = _edge_ops(include_neg)
@@ -90,7 +89,7 @@ class OptimalSearch:
         free = [op.text() for op, w in zip(self.ops, self._weights) if w <= 0]
         if free:
             raise NonPositiveCost(f"{', '.join(free)} must cost > 0 at n={self.n}")
-        self._inv2 = (mv + 1) // 2
+        self._inv2 = (m + 1) // 2
         self._dist = self._run()
 
     def _run(self) -> np.ndarray:
@@ -182,7 +181,7 @@ class OptimalSearch:
 
 
 def optimal_costs(
-    m: int | Modulus,
+    m: int,
     model: CostModel = DEFAULT_COST_MODEL,
     include_neg: bool = True,
     bit_cap: int = DEFAULT_BIT_CAP,
@@ -193,7 +192,7 @@ def optimal_costs(
 
 def optimal_circuit(
     c: int,
-    m: int | Modulus,
+    m: int,
     model: CostModel = DEFAULT_COST_MODEL,
     include_neg: bool = True,
     bit_cap: int = DEFAULT_BIT_CAP,

@@ -31,15 +31,7 @@ from .circuit import (
     DEFAULT_COST_MODEL,
     inverse_op,
 )
-from .numtheory import (
-    Modulus,
-    Multiplier,
-    NotCoprime,
-    SpecialForm,
-    SpecialKind,
-    detect_special,
-    mod_inverse,
-)
+from .numtheory import NotCoprime, SpecialForm, SpecialKind, detect_special, mod_inverse
 
 __all__ = [
     "Move",
@@ -73,10 +65,6 @@ class Move(enum.IntEnum):
 # (ADD and SUB on the same side undo each other; -1: none)
 _UNDO_OF = (-1, -1, Move.ADD_A, Move.ADD_B, Move.SUB_A, Move.SUB_B)
 
-EUCLID_SUBTRACTIVE = "EUCLID_SUBTRACTIVE"
-BINARY = "BINARY"
-LOOKAHEAD_ORIGIN = "LOOKAHEAD"
-
 
 @dataclass(frozen=True)
 class GcdTrace:
@@ -88,7 +76,6 @@ class GcdTrace:
 
     pairs: tuple[tuple[int, int], ...]
     moves: tuple[Move, ...]
-    origin: str
 
     def __post_init__(self) -> None:
         if len(self.pairs) != len(self.moves) + 1:
@@ -144,7 +131,7 @@ def euclid_trace(a: int, b: int) -> GcdTrace:
             b -= a
             moves.append(Move.SUB_B)
         pairs.append((a, b))
-    return GcdTrace(tuple(pairs), tuple(moves), EUCLID_SUBTRACTIVE)
+    return GcdTrace(tuple(pairs), tuple(moves))
 
 
 def _binary_step(a: int, b: int) -> Move:
@@ -166,7 +153,7 @@ def binary_gcd_trace(a: int, b: int) -> GcdTrace:
         a, b = _apply_move(mv, a, b)
         moves.append(mv)
         pairs.append((a, b))
-    return GcdTrace(tuple(pairs), tuple(moves), BINARY)
+    return GcdTrace(tuple(pairs), tuple(moves))
 
 
 def _move_cost(mv: Move, n: int, model: CostModel) -> int:
@@ -327,7 +314,7 @@ def lookahead_trace(
         moves.append(mv)
         pairs.append((a, b))
         prev_committed = mv
-    return GcdTrace(tuple(pairs), tuple(moves), LOOKAHEAD_ORIGIN)
+    return GcdTrace(tuple(pairs), tuple(moves))
 
 
 # Reduction moves, reversed and inverted, as circuit blocks: SUB -> ADD,
@@ -345,24 +332,23 @@ _MOVE_BLOCKS = {
 _MOVE_OPS = {move: BlockOp(*block) for move, block in _MOVE_BLOCKS.items()}
 
 
-def trace_to_circuit(t: GcdTrace, m: int | Modulus) -> BlockCircuit:
+def trace_to_circuit(t: GcdTrace, m: int) -> BlockCircuit:
     """FANOUT followed by the reversed move list as blocks.
 
     The trace side holding M becomes the register that ends at M*x = 0;
     the other side (starting at C) is the result register.
     """
-    mv = m.value if isinstance(m, Modulus) else m
     first_a, first_b = t.pairs[0]
     if (first_a, first_b) == (1, 1):
-        return BlockCircuit(mv, 1, mv.bit_length(), ())
-    if first_a == mv:
+        return BlockCircuit(m, 1, m.bit_length(), ())
+    if first_a == m:
         result, c = R2, first_b
-    elif first_b == mv:
+    elif first_b == m:
         result, c = R1, first_a
     else:
-        raise ValueError(f"trace does not start from modulus {mv}")
+        raise ValueError(f"trace does not start from modulus {m}")
     ops = (BlockOp(FANOUT), *(_MOVE_OPS[move] for move in reversed(t.moves)))
-    return BlockCircuit(mv, c % mv, mv.bit_length(), ops, result)
+    return BlockCircuit(m, c % m, m.bit_length(), ops, result)
 
 
 def _horner_steps(value: int) -> list[bool]:
@@ -371,7 +357,7 @@ def _horner_steps(value: int) -> list[bool]:
     return [bit == "1" for bit in bits]
 
 
-def baseline_synthesize(c: int | Multiplier, m: int | Modulus) -> BlockCircuit:
+def baseline_synthesize(c: int, m: int) -> BlockCircuit:
     """Binary-expansion construction: Horner double-and-add of C on R1,
     then uncompute of the copy register driven by C^-1 mod M.
 
@@ -379,15 +365,14 @@ def baseline_synthesize(c: int | Multiplier, m: int | Modulus) -> BlockCircuit:
     from R1 = Cx (one add for the leading bit of the inverse, then
     double/add per remaining bit), emitted as HLV/SUB blocks in reverse.
     """
-    mv = m.value if isinstance(m, Modulus) else m
-    cv = (c.value if isinstance(c, Multiplier) else c) % mv
-    _check_coprime(cv if cv else mv, mv)
-    n = mv.bit_length()
-    if cv == 1:
-        return BlockCircuit(mv, 1, n, ())
-    d = mod_inverse(cv, mv)
+    c %= m
+    _check_coprime(c if c else m, m)
+    n = m.bit_length()
+    if c == 1:
+        return BlockCircuit(m, 1, n, ())
+    d = mod_inverse(c, m)
     ops = [BlockOp(FANOUT)]
-    for add_step in _horner_steps(cv):
+    for add_step in _horner_steps(c):
         ops.append(BlockOp(DBL, R1))
         if add_step:
             ops.append(BlockOp(ADD, R1, R2))
@@ -399,26 +384,25 @@ def baseline_synthesize(c: int | Multiplier, m: int | Modulus) -> BlockCircuit:
         if add_step:
             forward.append(BlockOp(ADD, R2, R1))
     ops.extend(inverse_op(op) for op in reversed(forward))
-    return BlockCircuit(mv, cv, n, tuple(ops), R1)
+    return BlockCircuit(m, c, n, tuple(ops), R1)
 
 
-def special_synthesize(f: SpecialForm, m: int | Modulus) -> BlockCircuit:
+def special_synthesize(f: SpecialForm, m: int) -> BlockCircuit:
     """Single-register shortcut: k doublings (or halvings), plus one
     negation for the negated kinds. No FANOUT is needed."""
-    mv = m.value if isinstance(m, Modulus) else m
-    n = mv.bit_length()
+    n = m.bit_length()
     if f.kind in (SpecialKind.POWER_OF_TWO, SpecialKind.NEG_POWER_OF_TWO):
         ops = [BlockOp(DBL, R1)] * f.k
     else:
         ops = [BlockOp(HLV, R1)] * f.k
     if f.kind in (SpecialKind.NEG_POWER_OF_TWO, SpecialKind.NEG_INVERSE_POWER_OF_TWO):
         ops.append(BlockOp(NEG, R1))
-    return BlockCircuit(mv, f.multiplier(mv), n, tuple(ops), R1)
+    return BlockCircuit(m, f.multiplier(m), n, tuple(ops), R1)
 
 
 def synthesize(
-    c: int | Multiplier,
-    m: int | Modulus,
+    c: int,
+    m: int,
     cfg: SynthesisConfig | None = None,
     decisions: DecisionCache | None = None,
 ) -> BlockCircuit:
@@ -427,15 +411,14 @@ def synthesize(
     `decisions` is passed to `lookahead_trace`: one cache serves every
     multiplier of modulus m under one cfg."""
     cfg = cfg or SynthesisConfig()
-    mv = m.value if isinstance(m, Modulus) else m
-    cv = (c.value if isinstance(c, Multiplier) else c) % mv
-    if cv == 0 or gcd(cv, mv) != 1:
-        raise NotCoprime(f"gcd({cv}, {mv}) != 1")
-    n = mv.bit_length()
-    if cv == 1:
-        return BlockCircuit(mv, 1, n, ())
+    c %= m
+    if c == 0 or gcd(c, m) != 1:
+        raise NotCoprime(f"gcd({c}, {m}) != 1")
+    n = m.bit_length()
+    if c == 1:
+        return BlockCircuit(m, 1, n, ())
     if cfg.use_special_cases:
-        form = detect_special(cv, mv)
+        form = detect_special(c, m)
         if form is not None:
-            return special_synthesize(form, mv)
-    return trace_to_circuit(lookahead_trace(mv, cv, cfg, decisions), mv)
+            return special_synthesize(form, m)
+    return trace_to_circuit(lookahead_trace(m, c, cfg, decisions), m)

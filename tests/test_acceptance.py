@@ -90,7 +90,6 @@ def test_criterion_2_correctness_oracle():
     cfg = SweepConfig(
         bits=(7, 8, 9, 10),
         methods=("heuristic", "baseline", "euclid", "optimal"),
-        verify_circuits=True,
     )
     records = bench_sweep(cfg)
     bad = [r for r in records if r.error]

@@ -24,7 +24,7 @@ from modmult.bench import (
     write_records_csv,
     write_summary_csv,
 )
-from modmult.circuit import ADD, NEG, CostModel, DepthModel
+from modmult.circuit import ADD, DBL, NEG, CostModel, DepthModel
 from modmult.optimal import NonPositiveCost
 from modmult.synth import DecisionCache, SynthesisConfig
 
@@ -68,6 +68,29 @@ class TestConfig:
         # each duplicate would be swept again: duplicate CSV rows, double counts
         with pytest.raises(ValueError, match=f"duplicate {field}"):
             SweepConfig(**{field: values})
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(bits=()), "no moduli"),
+            (dict(moduli=()), "no moduli"),
+            (dict(methods=()), "no methods"),
+            (dict(multiplier_cap=0), "multiplier cap must be >= 1"),
+        ],
+        ids=["no-bits", "no-moduli", "no-methods", "cap-0"],
+    )
+    def test_empty_sweep_refused(self, kw, message):
+        # each would write a header-only CSV and report success
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**kw)
+
+    def test_synthesis_cost_model_must_match(self):
+        # circuits synthesized under one model would carry another's hash
+        cheap_dbl = CostModel("cheap-dbl", {**CostModel().coeffs, DBL: (1, 0)})
+        with pytest.raises(ValueError, match="synthesis cost model"):
+            SweepConfig(synthesis=SynthesisConfig(cost_model=cheap_dbl))
+        cfg = SweepConfig(cost_model=cheap_dbl, synthesis=SynthesisConfig(cost_model=cheap_dbl))
+        assert cfg.synthesis_config().cost_model is cheap_dbl
 
     def test_synthesis_config_built_once(self):
         cfg = SweepConfig()
@@ -245,6 +268,36 @@ class TestCache:
         with open(cache_path(d, 21, rec.cost_model_hash), "w") as fh:
             fh.write("{not json")
         assert cache_lookup(cache_read(d, 21, rec.cost_model_hash), 13, "heuristic") is None
+
+    def test_mislabelled_shard_is_miss(self, tmp_path):
+        # a checksum covers a shard's body, not the file name it sits under:
+        # a shard labelled with another modulus, config hash or field list
+        # (as the schema-3 rows, which carried config_hash) is no shard of this one
+        d, h = str(tmp_path), "c0ffee"
+        rec = _sample_record()
+        fields = [f.name for f in dataclasses.fields(BenchRecord)]
+        row = [getattr(rec, name) for name in fields]
+        swapped = fields.copy()
+        swapped[4:6] = swapped[5], swapped[4]  # cnot read as toffoli and back
+
+        def read_as(modulus=21, config_hash=h, fields=fields, rows=(row,)):
+            body = {"modulus": modulus, "config_hash": config_hash, "fields": fields, "rows": list(rows)}
+            text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            with open(cache_path(d, 21, h), "w") as fh:
+                fh.write(json.dumps({"checksum": digest, "shard": body}))
+            return cache_read(d, 21, h)
+
+        assert cache_lookup(read_as(), 13, "heuristic") == rec
+        assert read_as(modulus=65) == {}
+        assert read_as(config_hash="deadbeef") == {}
+        assert read_as(fields=swapped) == {}
+        schema_3 = [
+            "bits", "modulus", "multiplier", "method", "toffoli", "cnot", "depth",
+            "op_count", "qubits", "wall_seconds", "cost_model_hash", "error", "config_hash",
+        ]
+        row_3 = [5, 21, 13, "heuristic", 90, 35, 64, 7, 11, 0.0, rec.cost_model_hash, "", h]
+        assert read_as(fields=schema_3, rows=[row_3]) == {}
 
     def test_sweep_uses_cache(self, tmp_path):
         cfg = small_sweep(moduli=(21,), methods=("heuristic",), cache_dir=str(tmp_path))

@@ -180,6 +180,12 @@ class TestSerialization:
             with pytest.raises(InvariantViolation):
                 parse(f"MODULUS 21\nMULTIPLIER 13\nWIDTH {width}\nRESULT R1\nEND\n")
 
+    def test_header_number_must_be_decimal_digits(self):
+        # "2²".isdigit() holds, but int() refuses it
+        text = "MODULUS 2\u00b2\nMULTIPLIER 1\nWIDTH 5\nRESULT R1\nEND\n"
+        with pytest.raises(ParseError, match="line 1: MODULUS takes one decimal value"):
+            parse(text)
+
     def test_parse_error_carries_line_number(self):
         text = "MODULUS 21\nMULTIPLIER 13\nWIDTH 5\nRESULT R1\nFROB R1\nEND\n"
         with pytest.raises(ParseError, match="line 5"):

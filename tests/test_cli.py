@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -207,6 +208,9 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         (["bench", "--bits", "13", "--methods", "optimal", "--out", "unused.csv"], "bit cap"),
         (["bench", "--methods", "heuristic,heuristic", "--out", "unused.csv"], "duplicate methods"),
         (["bench", "--bits", "7,7", "--out", "unused.csv"], "duplicate bits"),
+        (["bench", "--bits", "9..7", "--out", "unused.csv"], "no moduli"),
+        (["bench", "--moduli", os.devnull, "--out", "unused.csv"], "no moduli"),
+        (["bench", "--multiplier-cap", "0", "--out", "unused.csv"], "multiplier cap"),
     ],
     ids=[
         "synth-not-coprime",
@@ -215,6 +219,9 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         "bench-optimal-cap",
         "bench-duplicate-method",
         "bench-duplicate-bits",
+        "bench-empty-bits",
+        "bench-empty-moduli-file",
+        "bench-multiplier-cap-0",
     ],
 )
 def test_invalid_input_exit_code(capsys, argv, message):
