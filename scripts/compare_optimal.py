@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Compare heuristic synthesis against the exact optimum for small widths.
 
-Prints, per bit-width, the floor-violation count (must be 0) and the
-average heuristic/optimal Toffoli ratio (omitted at a width with no
-semiprime modulus, such as 5).
+Prints, per bit-width (6 or more), the floor-violation count (must be 0)
+and the average heuristic/optimal Toffoli ratio.
 
 Example:
     python scripts/compare_optimal.py --bits 7..9
@@ -40,8 +39,10 @@ def main() -> None:
                 h_sum += h
                 o_sum += floor[c]
                 pairs += 1
-        ratio = f" avg_ratio={h_sum / o_sum:.4f}" if pairs else ""
-        print(f"n={n:>2} pairs={pairs:>6} floor_violations={violations}{ratio}")
+        print(
+            f"n={n:>2} pairs={pairs:>6} floor_violations={violations}"
+            f" avg_ratio={h_sum / o_sum:.4f}"
+        )
 
 
 if __name__ == "__main__":

@@ -89,7 +89,7 @@ class MixedModels(ValueError):
     """Aggregation refused: records computed under different cost models."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchRecord:
     bits: int
     modulus: int
@@ -390,7 +390,13 @@ def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
         label = (body["modulus"], body["config_hash"], body["fields"])
         if digest != doc["checksum"] or label != (m, config_hash, _FIELDS):
             return {}
-        records = [BenchRecord(*row) for row in body["rows"]]
+        # equal field values of a shard share one object; the type is part
+        # of the key so that 0, 0.0 and False stay distinct
+        shared: dict = {}
+        records = [
+            BenchRecord(*[shared.setdefault((type(v), v), v) for v in row])
+            for row in body["rows"]
+        ]
     except (OSError, KeyError, TypeError, ValueError):
         return {}  # a missing or unreadable shard is a miss
     return {(r.multiplier, r.method): r for r in records}

@@ -181,10 +181,11 @@ def enumerate_semiprimes(n: int) -> list[Modulus]:
 
     The "distinct primes >= 5" rule pins down the per-width counts
     (7 at n=7, 16 at n=8, ...); admitting a factor of 3 yields a
-    different modulus class.
+    different modulus class. The least such M is 35, so the least width
+    is 6.
     """
-    if not 5 <= n <= 20:
-        raise ValueError(f"bit-width {n} outside practical range [5, 20]")
+    if not 6 <= n <= 20:
+        raise ValueError(f"bit-width {n} outside practical range [6, 20]")
     lo, hi = 1 << (n - 1), 1 << n
     primes = [p for p in _primes_up_to(hi // 5) if p >= 5]
     out = []

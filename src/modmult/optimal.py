@@ -7,6 +7,12 @@ two legal start states -- (1, 1) after a free FANOUT, and (1, 0) for
 single-register circuits that skip it -- yields, for every coprime c, the
 cheapest circuit ending in (c, 0) or (0, c). Edges come from `apply_block`
 on the fly, so memory is the int32 distances, 8 bytes per state.
+
+Each search covers about half its states, by a symmetry of the graph that
+fixes its source: the register swap (a,b) -> (b,a) for (1, 1), under any
+cost model, and (a,b) -> (a,-b) for (1, 0), which swaps ADD and SUB and so
+holds only when the model prices them the same, as the default does. The
+distances, and so every cost and circuit, are those of the full search.
 """
 
 from __future__ import annotations
@@ -95,10 +101,27 @@ class OptimalSearch:
     def _run(self) -> np.ndarray:
         """Dial's bucket Dijkstra (CACM 1969) over positive integer weights,
         one distance row per source; the unreached sentinel leaves room for
-        `dist + w` in int32."""
+        `dist + w` in int32.
+
+        Each row is searched over one representative of each orbit of a
+        weight-preserving automorphism of the graph that fixes its source,
+        and each other state then takes its representative's distance:
+        - (1,1): the register swap (a,b) -> (b,a) maps each op onto the same
+          opcode with the registers swapped; representative (min, max).
+        - (1,0): (a,b) -> (a,-b) maps ADD onto SUB of the same target and
+          commutes with DBL, HLV and NEG, so it applies only when ADD and
+          SUB cost the same; representative (a, min(b, m-b)). Otherwise
+          this row searches every state.
+        Each row equals the full search's, state for state.
+        """
         m = self.m
         dist = np.full((2, m * m), np.iinfo(np.int32).max // 2, dtype=np.int32)
-        for row, source in zip(dist, (m + 1, m)):  # (1,1) post-FANOUT, (1,0) bare
+        add_is_sub = self.model.op_cost(ADD, self.n) == self.model.op_cost(SUB, self.n)
+        rows = (
+            (dist[0], m + 1, lambda a, b: np.minimum(a, b) * m + np.maximum(a, b)),
+            (dist[1], m, lambda a, b: a * m + (np.minimum(b, m - b) if add_is_sub else b)),
+        )
+        for row, source, state in rows:
             row[source] = 0
             buckets = {0: [np.array([source])]}
             while buckets:
@@ -107,12 +130,20 @@ class OptimalSearch:
                 u = u[row[u] == du]  # drop entries lowered since queued
                 a, b = np.divmod(u, m)
                 for op, w in zip(self.ops, self._weights):
-                    na, nb = apply_block(op, a, b, m, self._inv2)
-                    v = na * m + nb
+                    v = state(*apply_block(op, a, b, m, self._inv2))
                     v = v[row[v] > du + w]
                     if v.size:
                         row[v] = du + w
                         buckets.setdefault(du + w, []).append(v)
+        swapped = dist[0].reshape(m, m)
+        # R = min(R, R^T) a band of rows at a time: numpy copies an operand
+        # that overlaps the output, and a whole R^T is M^2 int32
+        for i in range(0, m, 256):
+            band = swapped[i : i + 256]
+            np.minimum(band, swapped[:, i : i + 256].T, out=band)
+        if add_is_sub:
+            negated = dist[1].reshape(m, m)
+            negated[:, m // 2 + 1 :] = negated[:, m // 2 : 0 : -1]
         return dist
 
     def _candidates(self, c: int) -> list[tuple[int, int, str]]:

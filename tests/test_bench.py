@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -241,6 +243,14 @@ class TestCache:
         cache_store(d, 21, rec.cost_model_hash, [rec])
         assert cache_lookup(cache_read(d, 21, rec.cost_model_hash), 13, "heuristic") == rec
 
+    def test_equal_values_of_other_types_stay_apart(self, tmp_path):
+        # 0 == 0.0 == False, so records would compare equal with the types mixed
+        rec = dataclasses.replace(_sample_record(), cnot=0)
+        d = str(tmp_path)
+        cache_store(d, 21, rec.cost_model_hash, [rec])
+        read = cache_lookup(cache_read(d, 21, rec.cost_model_hash), 13, "heuristic")
+        assert (type(read.cnot), type(read.wall_seconds)) == (int, float)
+
     def test_none_dir_is_noop(self):
         cache_store(None, 21, "x", [_sample_record()])
         assert cache_lookup(cache_read(None, 21, "x"), 13, "heuristic") is None
@@ -366,6 +376,34 @@ class TestCache:
         assert lookups["misses"] == 0
         assert warm == cold
         assert hashlib.sha256(cold.encode()).hexdigest()[:16] == "e9e194b058a4358f"
+
+    def test_read_shares_field_values(self, tmp_path):
+        # 400 multipliers of M = 1003 under all four methods: equal field
+        # values of a shard share one object, and records carry no __dict__
+        cfg = SweepConfig(
+            moduli=(1003,), multiplier_start=300, multiplier_cap=400,
+            methods=bench.METHODS, cache_dir=str(tmp_path),
+        )
+        cold = bench_sweep(cfg)
+        gc.collect()  # empties the free lists, so tracemalloc sees every allocation
+        tracemalloc.start()
+        try:
+            shard = cache_read(str(tmp_path), 1003, cfg.config_hash)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        records = list(shard.values())
+        assert len(records) == 1600
+        # the records, their (multiplier, method) keys and the dict: 535 B a
+        # record with a copy of each value and a __dict__ per record
+        assert retained / len(records) <= 260, f"{retained / len(records):.0f} B a record"
+        first, second = records[0], records[4]  # heuristic at C = 300 and 301
+        assert (first.multiplier, second.multiplier) == (300, 301)
+        assert first.method is second.method
+        assert first.cost_model_hash is second.cost_model_hash
+        assert all(type(r.wall_seconds) is float for r in records)
+        assert records_to_csv(records) == records_to_csv(cold)
 
 
 class TestCacheKey:

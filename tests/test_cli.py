@@ -211,6 +211,8 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         (["bench", "--bits", "9..7", "--out", "unused.csv"], "no moduli"),
         (["bench", "--moduli", os.devnull, "--out", "unused.csv"], "no moduli"),
         (["bench", "--multiplier-cap", "0", "--out", "unused.csv"], "multiplier cap"),
+        (["bench", "--bits", "5", "--out", "unused.csv"], "[6, 20]"),
+        (["semiprimes", "--bits", "5"], "[6, 20]"),
     ],
     ids=[
         "synth-not-coprime",
@@ -222,6 +224,8 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         "bench-empty-bits",
         "bench-empty-moduli-file",
         "bench-multiplier-cap-0",
+        "bench-width-5",
+        "semiprimes-width-5",
     ],
 )
 def test_invalid_input_exit_code(capsys, argv, message):

@@ -130,6 +130,15 @@ class TestSemiprimes:
             assert len(sp) == expect
             assert all(1 << (n - 1) <= m.value < 1 << n for m in sp)
 
+    @pytest.mark.parametrize("n", [5, 21])
+    def test_width_outside_range_refused(self, n):
+        # 35 = 5 * 7 has 6 bits: no width-5 modulus exists to enumerate
+        with pytest.raises(ValueError, match=r"\[6, 20\]"):
+            enumerate_semiprimes(n)
+
+    def test_least_width_is_six(self):
+        assert [m.value for m in enumerate_semiprimes(6)] == [35, 55]
+
     def test_n8_range(self):
         vals = [m.value for m in enumerate_semiprimes(8)]
         assert len(vals) == 16 and vals[0] == 133 and vals[-1] == 253

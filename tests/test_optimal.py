@@ -181,14 +181,30 @@ class TestSearch:
         }
         return np.array(rows), costs
 
+    @classmethod
+    def assert_matches_reference(cls, m: int, model: CostModel, include_neg: bool):
+        search = OptimalSearch(m, model, include_neg=include_neg)
+        dist, costs = cls.reference(m, model, include_neg)
+        assert np.array_equal(search._dist, dist)
+        assert search.all_costs() == costs
+
     @pytest.mark.parametrize("include_neg", [True, False])
     @pytest.mark.parametrize("m", [21, 33, 35, 77])
     def test_matches_heapq_reference(self, m, include_neg):
-        model = CostModel()
-        search = OptimalSearch(m, model, include_neg=include_neg)
-        dist, costs = self.reference(m, model, include_neg)
-        assert np.array_equal(search._dist, dist)
-        assert search.all_costs() == costs
+        self.assert_matches_reference(m, CostModel(), include_neg)
+
+    @pytest.mark.parametrize(
+        "prices",
+        [{SUB: (4, 0)}, {HLV: (5, 1)}, {ADD: (1, 1)}],
+        ids=["sub-dearer", "hlv-dearer", "add-cheaper"],
+    )
+    @pytest.mark.parametrize("include_neg", [True, False])
+    @pytest.mark.parametrize("m", [21, 33, 35, 77])
+    def test_matches_heapq_reference_other_prices(self, m, include_neg, prices):
+        # each row is searched over half its states by a symmetry of the op
+        # set; with ADD and SUB priced apart the (1,0) row has none
+        model = CostModel("test", {**CostModel().coeffs, **prices})
+        self.assert_matches_reference(m, model, include_neg)
 
     def test_twelve_bit_cap_fits(self):
         m, c = 4087, 1234  # 61 * 67, the 12-bit cap

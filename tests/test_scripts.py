@@ -21,13 +21,12 @@ def run_script(name: str, *args: str) -> list[str]:
 
 
 def test_compare_optimal():
-    # no 5-bit semiprime qualifies, so n=5 has no pairs and no ratio; the
-    # lines are those of the script before it shared one decision cache
-    # per modulus
-    lines = run_script("compare_optimal.py", "--bits", "5..6")
+    # 6 is the least width with a semiprime modulus (35); its line is the
+    # script's before it shared one decision cache per modulus
+    lines = run_script("compare_optimal.py", "--bits", "6..7")
     assert lines == [
-        "n= 5 pairs=     0 floor_violations=0",
         "n= 6 pairs=    62 floor_violations=0 avg_ratio=1.0614",
+        "n= 7 pairs=   493 floor_violations=0 avg_ratio=1.1227",
     ]
 
 
