@@ -9,6 +9,7 @@ Example:
 """
 
 import argparse
+import sys
 from math import gcd
 
 from modmult.circuit import circuit_cost
@@ -18,16 +19,28 @@ from modmult.optimal import OptimalSearch
 from modmult.synth import DecisionCache, SynthesisConfig, synthesize
 
 
-def main() -> None:
+def main() -> int:
+    """Exit 2 with a one-line message on invalid input, as modmult does."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bits", default="7..9")
     ap.add_argument("--lookahead", type=int, default=3)
     args = ap.parse_args()
+    try:
+        compare(args.bits, args.lookahead)
+    except ValueError as exc:
+        print(f"compare_optimal.py: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
-    cfg = SynthesisConfig(lookahead_depth=args.lookahead)
-    for n in parse_bits(args.bits):
+
+def compare(bits: str, lookahead: int) -> None:
+    cfg = SynthesisConfig(lookahead_depth=lookahead)
+    # every width's moduli first, so a width enumerate_semiprimes refuses
+    # prints no partial table
+    widths = [(n, enumerate_semiprimes(n)) for n in parse_bits(bits)]
+    for n, semiprimes in widths:
         violations = pairs = h_sum = o_sum = 0
-        for sp in enumerate_semiprimes(n):
+        for sp in semiprimes:
             m = sp.value
             floor = OptimalSearch(m, cfg.cost_model).all_costs()
             decisions = DecisionCache()
@@ -46,4 +59,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,6 +10,7 @@ Example:
 """
 
 import argparse
+import sys
 
 from modmult.circuit import DepthModel
 from modmult.cli import parse_bits
@@ -17,21 +18,31 @@ from modmult.modexp import build_modexp
 from modmult.numtheory import nth_largest_prime
 
 
-def main() -> None:
+def main() -> int:
+    """Exit 2 with a one-line message on invalid input, as modmult does."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--widths", default="16,32,64,128")
     ap.add_argument("--base", type=int, default=2)
     args = ap.parse_args()
+    try:
+        table(args.widths, args.base)
+    except ValueError as exc:
+        print(f"modexp_resources.py: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def table(widths: str, base: int) -> None:
+    # every modulus first, so a bad width prints no partial table
+    moduli = [(n, int(nth_largest_prime(n, 1))) for n in parse_bits(widths)]
     header = f"{'n':>4} {'regime':<9} {'toffoli':>12} {'cnot':>12} {'depth':>12} {'ancillae':>9} {'qubits':>7}"
     print(header)
-    for n in parse_bits(args.widths):
-        m = int(nth_largest_prime(n, 1))
+    for n, m in moduli:
         for name, dm in (("ripple", DepthModel.ripple()), ("lookahead", DepthModel.lookahead())):
-            r = build_modexp(m, args.base, depth_model=dm)
+            r = build_modexp(m, base, depth_model=dm)
             print(f"{n:>4} {name:<9} {r.toffoli:>12} {r.cnot:>12} {r.depth:>12} "
                   f"{r.ancilla_count:>9} {r.qubit_count:>7}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,6 +14,11 @@ mislabelled shard is a miss for every record in it. The config hash covers
 a cache schema version (4), so files of an older layout are ignored.
 Records that carry an error are never stored.
 
+A sweep builds a modulus's OptimalSearch only when one of its optimal
+records misses, so a warm sweep builds no search. Every read verifies the
+whole shard; a re-read of an unchanged shard shares the records of the last
+read instead of building new ones.
+
 Output ordering is deterministic (modulus, multiplier, method); with
 timing disabled (the default) two identical sweeps produce byte-identical
 CSV files.
@@ -246,9 +251,7 @@ def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
     cs = _multipliers(m, cfg)
     # the lookahead decisions of every heuristic record of m under cfg
     decisions = DecisionCache()
-    opt = None
-    if "optimal" in cfg.methods:
-        opt = OptimalSearch(m, cfg.cost_model, bit_cap=cfg.optimal_bit_cap)
+    opt = None  # built on the first optimal record the cache misses
     shard = cache_read(cfg.cache_dir, m, cfg.config_hash)
     records = []
     fresh = False
@@ -256,6 +259,10 @@ def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
         for method in cfg.methods:
             rec = cache_lookup(shard, c, method)
             if rec is None:
+                if method == "optimal" and opt is None:
+                    # outside _record, so a search refused at construction
+                    # fails the sweep rather than each record
+                    opt = OptimalSearch(m, cfg.cost_model, bit_cap=cfg.optimal_bit_cap)
                 rec = _record(method, c, m, cfg, opt, decisions)
                 if not rec.error:  # a failure is retried, never served
                     shard[(c, method)] = rec
@@ -376,10 +383,20 @@ def cache_path(cache_dir: str, m: int, config_hash: str) -> str:
     return os.path.join(cache_dir, f"{m}-{config_hash}.json")
 
 
+# (checksum, records) of the last shard whose records cache_read built
+_last_built: tuple[str, tuple[BenchRecord, ...]] = ("", ())
+
+
 def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
     """The shard of modulus m under config_hash; empty when there is none,
     it fails its checksum, or its label names another modulus, config hash
-    or field list."""
+    or field list.
+
+    Every read verifies the whole file. A shard whose checksum equals that
+    of the last shard built hands back that shard's records, in a new dict:
+    equal checksums mean equal canonical bodies, so equal labels, values
+    and value types, and the records are frozen."""
+    global _last_built
     if cache_dir is None:
         return {}
     try:
@@ -390,16 +407,18 @@ def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
         label = (body["modulus"], body["config_hash"], body["fields"])
         if digest != doc["checksum"] or label != (m, config_hash, _FIELDS):
             return {}
-        # equal field values of a shard share one object; the type is part
-        # of the key so that 0, 0.0 and False stay distinct
-        shared: dict = {}
-        records = [
-            BenchRecord(*[shared.setdefault((type(v), v), v) for v in row])
-            for row in body["rows"]
-        ]
+        if digest != _last_built[0]:
+            # equal field values of a shard share one object; the type is
+            # part of the key so that 0, 0.0 and False stay distinct
+            shared: dict = {}
+            records = tuple(
+                BenchRecord(*[shared.setdefault((type(v), v), v) for v in row])
+                for row in body["rows"]
+            )
+            _last_built = (digest, records)
     except (OSError, KeyError, TypeError, ValueError):
         return {}  # a missing or unreadable shard is a miss
-    return {(r.multiplier, r.method): r for r in records}
+    return {(r.multiplier, r.method): r for r in _last_built[1]}
 
 
 def cache_lookup(shard: Shard, c: int, method: str) -> BenchRecord | None:

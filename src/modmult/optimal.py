@@ -111,17 +111,23 @@ class OptimalSearch:
         - (1,0): (a,b) -> (a,-b) maps ADD onto SUB of the same target and
           commutes with DBL, HLV and NEG, so it applies only when ADD and
           SUB cost the same; representative (a, min(b, m-b)). Otherwise
-          this row searches every state.
+          this row searches every state. Folded, it skips NEG R2: that op
+          is the map itself, so it takes each representative onto itself.
         Each row equals the full search's, state for state.
         """
         m = self.m
         dist = np.full((2, m * m), np.iinfo(np.int32).max // 2, dtype=np.int32)
         add_is_sub = self.model.op_cost(ADD, self.n) == self.model.op_cost(SUB, self.n)
+        edges = list(zip(self.ops, self._weights))
+        edges_10 = [e for e in edges if e[0] != BlockOp(NEG, R2)] if add_is_sub else edges
         rows = (
-            (dist[0], m + 1, lambda a, b: np.minimum(a, b) * m + np.maximum(a, b)),
-            (dist[1], m, lambda a, b: a * m + (np.minimum(b, m - b) if add_is_sub else b)),
+            (dist[0], m + 1, edges, lambda a, b: np.minimum(a, b) * m + np.maximum(a, b)),
+            (
+                dist[1], m, edges_10,
+                lambda a, b: a * m + (np.minimum(b, m - b) if add_is_sub else b),
+            ),
         )
-        for row, source, state in rows:
+        for row, source, row_edges, state in rows:
             row[source] = 0
             buckets = {0: [np.array([source])]}
             while buckets:
@@ -129,7 +135,7 @@ class OptimalSearch:
                 u = np.concatenate(buckets.pop(du))
                 u = u[row[u] == du]  # drop entries lowered since queued
                 a, b = np.divmod(u, m)
-                for op, w in zip(self.ops, self._weights):
+                for op, w in row_edges:
                     v = state(*apply_block(op, a, b, m, self._inv2))
                     v = v[row[v] > du + w]
                     if v.size:

@@ -174,6 +174,51 @@ class TestSweep:
         assert any(r.wall_seconds > 0 for r in recs)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The moduli of every OptimalSearch built through the module-global
+    name, the one the benchmark's tracer wraps."""
+    built = []
+    real = bench.OptimalSearch
+
+    def counted(m, *args, **kw):
+        built.append(m)
+        return real(m, *args, **kw)
+
+    monkeypatch.setattr(bench, "OptimalSearch", counted)
+    return built
+
+
+class TestLazySearch:
+    """A sweep builds a modulus's OptimalSearch on its first optimal miss."""
+
+    def test_cold_sweep_builds_one_per_modulus(self, tmp_path, builds):
+        bench_sweep(small_sweep(moduli=(35, 21), methods=bench.METHODS, cache_dir=str(tmp_path)))
+        assert builds == [21, 35]
+
+    def test_cached_sweep_builds_none(self, tmp_path, builds):
+        cfg = small_sweep(moduli=(35, 21), methods=bench.METHODS, cache_dir=str(tmp_path))
+        cold = bench_sweep(cfg)
+        builds.clear()
+        assert bench_sweep(cfg) == cold
+        assert builds == []
+
+    def test_some_optimal_misses_build_one(self, tmp_path, builds):
+        cfg = small_sweep(moduli=(35,), methods=bench.METHODS, cache_dir=str(tmp_path))
+        cold = bench_sweep(cfg)
+        optimal = [r for r in cold if r.method == "optimal"]
+        dropped = optimal[1::3]
+        assert 1 < len(dropped) < len(optimal)
+        cache_store(str(tmp_path), 35, cfg.config_hash, [r for r in cold if r not in dropped])
+        builds.clear()
+        assert bench_sweep(cfg) == cold
+        assert builds == [35]
+
+    def test_sweep_without_optimal_builds_none(self, builds):
+        bench_sweep(small_sweep(moduli=(35, 21), methods=("heuristic", "baseline", "euclid")))
+        assert builds == []
+
+
 class TestAggregate:
     def test_summary_and_ratios(self):
         recs = bench_sweep(small_sweep(methods=("heuristic", "baseline", "optimal")))
@@ -376,6 +421,48 @@ class TestCache:
         assert lookups["misses"] == 0
         assert warm == cold
         assert hashlib.sha256(cold.encode()).hexdigest()[:16] == "e9e194b058a4358f"
+
+    def test_reread_shares_records(self, tmp_path):
+        cfg = small_sweep(moduli=(21,), cache_dir=str(tmp_path))
+        cold = bench_sweep(cfg)
+        first = cache_read(str(tmp_path), 21, cfg.config_hash)
+        second = cache_read(str(tmp_path), 21, cfg.config_hash)
+        assert first is not second
+        assert list(first) == list(second) and len(first) == len(cold)
+        assert all(first[key] is second[key] for key in first)
+        # each read hands back a dict of its own
+        del first[next(iter(first))]
+        first[(1, "heuristic")] = _sample_record()
+        assert cache_read(str(tmp_path), 21, cfg.config_hash) == second
+        assert list(second.values()) == cold
+
+    def test_tamper_after_read_is_all_misses(self, tmp_path, lookups):
+        # the read that builds the records and the reads that reuse them
+        # check the file alike
+        cfg = small_sweep(moduli=(21,), cache_dir=str(tmp_path))
+        cold = records_to_csv(bench_sweep(cfg))
+        path = cache_path(str(tmp_path), 21, cfg.config_hash)
+        assert len(cache_read(str(tmp_path), 21, cfg.config_hash)) == cold.count("\n") - 1
+        doc = json.loads(open(path).read())
+        doc["shard"]["rows"][0][doc["shard"]["fields"].index("toffoli")] += 1
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert cache_read(str(tmp_path), 21, cfg.config_hash) == {}
+        lookups.update(hits=0, misses=0)
+        assert records_to_csv(bench_sweep(cfg)) == cold
+        assert lookups == {"hits": 0, "misses": cold.count("\n") - 1}
+
+    def test_rewritten_shard_reads_new_records(self, tmp_path):
+        cfg = small_sweep(moduli=(21,), cache_dir=str(tmp_path))
+        cold = bench_sweep(cfg)
+        before = cache_read(str(tmp_path), 21, cfg.config_hash)
+        target = cold[0]
+        poisoned = dataclasses.replace(target, toffoli=target.toffoli + 7)
+        cache_store(str(tmp_path), 21, cfg.config_hash, [poisoned, *cold[1:]])
+        after = cache_read(str(tmp_path), 21, cfg.config_hash)
+        key = (target.multiplier, target.method)
+        assert before[key] == target and after[key] == poisoned
+        assert list(after.values()) == [poisoned, *cold[1:]]
 
     def test_read_shares_field_values(self, tmp_path):
         # 400 multipliers of M = 1003 under all four methods: equal field
