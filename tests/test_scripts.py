@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def start_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_process(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -21,7 +21,7 @@ def start_script(name: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def run_script(name: str, *args: str) -> list[str]:
-    proc = start_script(name, *args)
+    proc = run_process(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -65,7 +65,7 @@ def test_modexp_resources_width_range():
 )
 def test_bad_width_exits_2(name, args, message):
     # one line on stderr, no traceback and no partial table, as modmult does
-    proc = start_script(name, *args)
+    proc = run_process(name, *args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
