@@ -13,9 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -333,19 +335,28 @@ def op_cnots(op: BlockOp, n: int) -> int:
     return 0
 
 
+def _opcode_counts(c: BlockCircuit) -> Counter:
+    """Ops per opcode, in order of first use (so the first unpriced opcode
+    raises, as it would op by op)."""
+    return Counter(map(attrgetter("opcode"), c.ops))
+
+
 def circuit_cost(
     c: BlockCircuit, model: CostModel = DEFAULT_COST_MODEL
 ) -> tuple[int, int]:
-    """(toffoli, cnot) totals, additive over the op sequence."""
-    toffoli = sum(model.op_cost(op.opcode, c.width) for op in c.ops)
-    cnot = sum(op_cnots(op, c.width) for op in c.ops)
+    """(toffoli, cnot) totals, additive over the op sequence: each opcode
+    is priced once and weighted by its count."""
+    counts = _opcode_counts(c)
+    toffoli = sum(model.op_cost(code, c.width) * count for code, count in counts.items())
+    cnot = c.width * (counts[FANOUT] + 2 * counts[CSWAP_LAYER])  # as op_cnots, summed
     return toffoli, cnot
 
 
 def circuit_depth(c: BlockCircuit, model: DepthModel) -> int:
     """Total depth: blocks share both registers, so the schedule is the
     sequential chain and depth is the sum of per-op depths."""
-    return sum(model.op_depth(op.opcode, c.width) for op in c.ops)
+    counts = _opcode_counts(c)
+    return sum(model.op_depth(code, c.width) * count for code, count in counts.items())
 
 
 def serialize(c: BlockCircuit) -> str:
@@ -437,22 +448,29 @@ def save_model_file(
 
 def load_model_file(path: str) -> tuple[CostModel, DepthModel]:
     """Load a flat JSON model document: opcode -> {slope, intercept} per
-    metric, plus adder_regime. Missing sections fall back to defaults."""
+    metric, plus adder_regime. Missing sections fall back to defaults; an
+    op entry without slope or intercept is a `ValueError` naming both."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     regime = str(doc.get("adder_regime", "ripple")).upper()
 
-    def to_coeffs(section: Mapping[str, Mapping[str, int]]) -> dict[str, tuple[int, int]]:
-        return {
-            op: (int(v["slope"]), int(v["intercept"])) for op, v in section.items()
-        }
+    def to_coeffs(metric: str) -> dict[str, tuple[int, int]]:
+        coeffs = {}
+        for op, v in doc[metric].items():
+            try:
+                coeffs[op] = (int(v["slope"]), int(v["intercept"]))
+            except KeyError as exc:
+                raise ValueError(
+                    f"model file {path}: {metric} op {op!r} has no {exc.args[0]!r}"
+                ) from None
+        return coeffs
 
     if "toffoli" in doc:
-        cost = CostModel(doc.get("name", "custom"), to_coeffs(doc["toffoli"]))
+        cost = CostModel(doc.get("name", "custom"), to_coeffs("toffoli"))
     else:
         cost = CostModel(doc.get("name", "default"))
     if "depth" in doc:
-        depth = DepthModel(regime, to_coeffs(doc["depth"]))
+        depth = DepthModel(regime, to_coeffs("depth"))
     else:
         depth = DepthModel(regime)
     return cost, depth

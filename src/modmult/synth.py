@@ -167,29 +167,43 @@ def trace_cost(t: GcdTrace, n: int, model: CostModel = DEFAULT_COST_MODEL) -> in
     return sum(_move_cost(mv, n, model) for mv in t.moves)
 
 
-def _completion_cost(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -> int:
-    """Cost of finishing with plain binary-GCD moves; memoized along the
-    reduction path so repeated scoring is cheap."""
+def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -> int:
+    """Binary-GCD completion cost from the odd coprime pair (a, b).
+
+    One step subtracts the smaller value from the larger and halves the
+    difference down to its odd part: one ADD price plus one HLV price per
+    trailing zero, landing on the next odd pair. `memo` holds odd pairs
+    only, filled along the path walked.
+    """
     path: list[tuple[tuple[int, int], int]] = []
     pair = (a, b)
     while (tail := memo.get(pair)) is None:
-        if a == 1 and b == 1:
+        if a == b:  # (1, 1), the only equal coprime pair
             tail = memo[pair] = 0
             break
-        path.append((pair, hlv_cost if not a & 1 or not b & 1 else add_cost))
-        if not a & 1:
-            a >>= 1
-        elif not b & 1:
-            b >>= 1
-        elif a < b:
-            b -= a
+        if a < b:
+            d = b - a
+            z = (d & -d).bit_length() - 1
+            b = d >> z
         else:
-            a -= b
+            d = a - b
+            z = (d & -d).bit_length() - 1
+            a = d >> z
+        path.append((pair, add_cost + z * hlv_cost))
         pair = (a, b)
     for pair, cost in reversed(path):
         tail += cost
         memo[pair] = tail
     return tail
+
+
+def _completion_cost(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -> int:
+    """Cost of finishing the coprime pair (a, b) with plain binary-GCD
+    moves: halve both values to their odd parts, then step odd pair to odd
+    pair. `memo` is keyed by odd pairs."""
+    za = (a & -a).bit_length() - 1
+    zb = (b & -b).bit_length() - 1
+    return hlv_cost * (za + zb) + _odd_completion(a >> za, b >> zb, add_cost, hlv_cost, memo)
 
 
 def _best_sequence(
@@ -198,43 +212,121 @@ def _best_sequence(
     """Least (score, moves) over one lookahead round's sequences from
     (a, b) != (1, 1); `last` is the move committed before (a, b).
 
-    Children are built inline in `Move` order. A child at depth k, or equal
-    to (1, 1), is a leaf and is scored on the spot; only inner nodes go on
-    the explicit stack (a self-referencing closure would form a reference
-    cycle that keeps `memo` alive until a full garbage collection).
-    `anc` holds the pairs on the path from (a, b), for the no-revisit rule.
+    A node's legal children, in `Move` order, are: halving its one even
+    value, subtracting the smaller value from the larger, and the two
+    additions while a + b stays under `cap`. A child at depth k, or equal
+    to (1, 1), is a leaf; only inner nodes go on the explicit stack (a
+    self-referencing closure would form a reference cycle that keeps `memo`
+    alive until a full garbage collection). `anc` holds the pairs on the
+    path from (a, b), for the no-revisit rule.
+
+    The children of a node at depth k - 1 are all leaves, priced from odd
+    parts: oa and ob of the node's values, od of |a - b| and osum of a + b.
+    A child scores the node's cost, its move's price, one HLV price per
+    zero stripped from its pair, and C of an odd pair, C being the
+    odd-pair completion cost:
+      halving child  C(oa, ob): halving the one even value is the binary-GCD
+                     step, so the child scores cost + C(node)
+      SUB child      C(od, ob) or C(oa, od)
+      ADD children   C(osum, ob) and C(oa, osum)
     """
     best: int | None = None
     best_seq: tuple[int, ...] = ()
+    memo_get = memo.get
     stack = [(a, b, (), 0, ((a, b),))]
     while stack:
         pa, pb, seq, cost, anc = stack.pop()
         prev = seq[-1] if seq else last
         undo = -1 if prev is None else _UNDO_OF[prev]
-        at_leaves = len(seq) + 1 == k
-        # halving an odd value gives 0, which the bounds test rejects
-        for mv, na, nb, step in (
-            (0, 0 if pa & 1 else pa >> 1, pb, hlv_cost),
-            (1, pa, 0 if pb & 1 else pb >> 1, hlv_cost),
-            (2, pa - pb, pb, add_cost),
-            (3, pa, pb - pa, add_cost),
-            (4, pa + pb, pb, add_cost),
-            (5, pa, pb + pa, add_cost),
-        ):
-            if mv == undo or not (0 < na < cap and 0 < nb < cap):
-                continue
-            pair = (na, nb)
-            if pair in anc:
-                continue
-            if at_leaves or (na == 1 and nb == 1):
-                score = memo.get(pair)
-                if score is None:
-                    score = _completion_cost(na, nb, add_cost, hlv_cost, memo)
-                score += cost + step
-                if best is None or score < best or (score == best and seq + (mv,) < best_seq):
-                    best, best_seq = score, seq + (mv,)
+        s = pa + pb
+        if len(seq) + 1 < k:
+            if not pa & 1:
+                children = [(0, pa >> 1, pb, hlv_cost)]
+            elif not pb & 1:
+                children = [(1, pa, pb >> 1, hlv_cost)]
             else:
-                stack.append((na, nb, seq + (mv,), cost + step, anc + (pair,)))
+                children = []
+            # pa != pb: the only equal coprime pair is (1, 1), never a node
+            if pa > pb:
+                children.append((2, pa - pb, pb, add_cost))
+            else:
+                children.append((3, pa, pb - pa, add_cost))
+            if s < cap:
+                children.append((4, s, pb, add_cost))
+                children.append((5, pa, s, add_cost))
+            for mv, na, nb, step in children:
+                if mv == undo:
+                    continue
+                pair = (na, nb)
+                if pair in anc:
+                    continue
+                if na == 1 and nb == 1:
+                    score = cost + step
+                    if best is None or score < best or (score == best and seq + (mv,) < best_seq):
+                        best, best_seq = score, seq + (mv,)
+                else:
+                    stack.append((na, nb, seq + (mv,), cost + step, anc + (pair,)))
+            continue
+        # leaf level: the least child in Move order, then one global compare
+        if pa & 1:
+            za, oa = 0, pa
+        else:
+            za = (pa & -pa).bit_length() - 1
+            oa = pa >> za
+        if pb & 1:
+            zb, ob = 0, pb
+        else:
+            zb = (pb & -pb).bit_length() - 1
+            ob = pb >> zb
+        leaf = leaf_mv = None
+        if za and (pa >> 1, pb) not in anc or zb and (pa, pb >> 1) not in anc:
+            tail = memo_get((oa, ob))
+            if tail is None:
+                tail = _odd_completion(oa, ob, add_cost, hlv_cost, memo)
+            leaf, leaf_mv = cost + hlv_cost * (za + zb) + tail, 0 if za else 1
+        if pa > pb:
+            d = pa - pb
+            if undo != 2 and (d, pb) not in anc:
+                zd = (d & -d).bit_length() - 1
+                od = d >> zd
+                tail = memo_get((od, ob))
+                if tail is None:
+                    tail = _odd_completion(od, ob, add_cost, hlv_cost, memo)
+                score = cost + add_cost + hlv_cost * (zd + zb) + tail
+                if leaf is None or score < leaf:
+                    leaf, leaf_mv = score, 2
+        else:
+            d = pb - pa
+            if undo != 3 and (pa, d) not in anc:
+                zd = (d & -d).bit_length() - 1
+                od = d >> zd
+                tail = memo_get((oa, od))
+                if tail is None:
+                    tail = _odd_completion(oa, od, add_cost, hlv_cost, memo)
+                score = cost + add_cost + hlv_cost * (za + zd) + tail
+                if leaf is None or score < leaf:
+                    leaf, leaf_mv = score, 3
+        if s < cap:
+            zs = (s & -s).bit_length() - 1
+            osum = s >> zs
+            if undo != 4 and (s, pb) not in anc:
+                tail = memo_get((osum, ob))
+                if tail is None:
+                    tail = _odd_completion(osum, ob, add_cost, hlv_cost, memo)
+                score = cost + add_cost + hlv_cost * (zs + zb) + tail
+                if leaf is None or score < leaf:
+                    leaf, leaf_mv = score, 4
+            if undo != 5 and (pa, s) not in anc:
+                tail = memo_get((oa, osum))
+                if tail is None:
+                    tail = _odd_completion(oa, osum, add_cost, hlv_cost, memo)
+                score = cost + add_cost + hlv_cost * (za + zs) + tail
+                if leaf is None or score < leaf:
+                    leaf, leaf_mv = score, 5
+        if leaf is not None:
+            leaf_seq = seq + (leaf_mv,)
+            if best is None or leaf < best or (leaf == best and leaf_seq < best_seq):
+                best, best_seq = leaf, leaf_seq
     return None if best is None else (best, best_seq)
 
 

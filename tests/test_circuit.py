@@ -15,6 +15,8 @@ from modmult.circuit import (
     BlockOp,
     CostModel,
     DEFAULT_COST_MODEL,
+    LOOKAHEAD,
+    RIPPLE,
     DepthModel,
     InvariantViolation,
     ParseError,
@@ -22,6 +24,7 @@ from modmult.circuit import (
     circuit_cost,
     circuit_depth,
     load_model_file,
+    op_cnots,
     op_cost,
     parse,
     save_model_file,
@@ -125,6 +128,49 @@ _ops_strategy = st.lists(
     ),
     max_size=30,
 )
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# drawn cost coefficients: opcodes may go unpriced, and prices negative
+_coeffs_strategy = st.dictionaries(
+    st.sampled_from([FANOUT, ADD, SUB, DBL, HLV, NEG, CSWAP_LAYER]),
+    st.tuples(st.integers(0, 5), st.integers(-3, 5)),
+)
+
+
+class TestOpcodeCounts:
+    @given(
+        _ops_strategy,
+        st.booleans(),
+        st.sampled_from([21, 40771, (1 << 127) - 1]),
+        _coeffs_strategy,
+        st.sampled_from([RIPPLE, LOOKAHEAD]),
+    )
+    def test_match_per_op_sums(self, ops, fanout_first, modulus, coeffs, regime):
+        # circuit totals price each opcode once; they equal the per-op sums,
+        # and raise what the first unpriced or negative op raises
+        if fanout_first:
+            ops = [BlockOp(FANOUT)] + ops
+        c = _circuit(ops, modulus=modulus)
+        n = c.width
+
+        def per_op_cost(model):
+            return sum(op_cost(op, n, model) for op in ops), sum(op_cnots(op, n) for op in ops)
+
+        def per_op_depth(model):
+            return sum(model.op_depth(op.opcode, n) for op in ops)
+
+        for model in (DEFAULT_COST_MODEL, CostModel("drawn", coeffs)):
+            assert _outcome(circuit_cost, c, model) == _outcome(per_op_cost, model)
+        for model in (DepthModel(regime), DepthModel(regime, coeffs)):
+            assert _outcome(circuit_depth, c, model) == _outcome(per_op_depth, model)
 
 
 class TestSerialization:

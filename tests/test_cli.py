@@ -213,6 +213,12 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         (["bench", "--multiplier-cap", "0", "--out", "unused.csv"], "multiplier cap"),
         (["bench", "--bits", "5", "--out", "unused.csv"], "[6, 20]"),
         (["semiprimes", "--bits", "5"], "[6, 20]"),
+        (["synth", "--modulus", "21", "--multiplier", "13", "--cost-model", "no-intercept.json"],
+         "toffoli op 'ADD' has no 'intercept'"),
+        (["optimal", "--modulus", "21", "--multiplier", "13", "--cost-model", "no-slope.json"],
+         "depth op 'SUB' has no 'slope'"),
+        (["modexp", "--modulus", "21", "--cost-model", "no-intercept.json"], "has no 'intercept'"),
+        (["bench", "--cost-model", "no-slope.json", "--out", "unused.csv"], "has no 'slope'"),
     ],
     ids=[
         "synth-not-coprime",
@@ -226,11 +232,18 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         "bench-multiplier-cap-0",
         "bench-width-5",
         "semiprimes-width-5",
+        "synth-model-no-intercept",
+        "optimal-model-no-slope",
+        "modexp-model-no-intercept",
+        "bench-model-no-slope",
     ],
 )
-def test_invalid_input_exit_code(capsys, argv, message):
+def test_invalid_input_exit_code(capsys, tmp_path, monkeypatch, argv, message):
     # refused with exit 2 and one line, not a traceback and exit 1
     # (verify's code for a mismatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no-intercept.json").write_text('{"toffoli": {"ADD": {"slope": 3}}}')
+    (tmp_path / "no-slope.json").write_text('{"depth": {"SUB": {"intercept": 4}}}')
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"modmult {argv[0]}: ") and message in err

@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modmult import synth
 from modmult.circuit import (
@@ -339,6 +339,18 @@ class TestGoldenAnchors:
         circuits = (synthesize(c, m) for c in modexp_plan(m, 2).multipliers[:32])
         assert _running_digest(circuits).startswith("04a1135b3a281e2c")
 
+    @pytest.mark.parametrize(
+        "price, digest",
+        [(1, "c9ebfd3b60f7f747"), (2, "ad8abe8c5432e914")],
+        ids=["equal-price", "cheap-halving"],
+    )
+    def test_modexp_multipliers_128_bit_priced(self, price, digest):
+        # the equal-price and cheap-halving models of _PRICES
+        m = ((1 << 64) - 59) * ((1 << 64) - 83)
+        cfg = SynthesisConfig(cost_model=_PRICES[price])
+        circuits = (synthesize(c, m, cfg) for c in modexp_plan(m, 2).multipliers[:32])
+        assert _running_digest(circuits).startswith(digest)
+
 
 # The lookahead round and the completion cost as they stood before leaves
 # were scored in place: the reference for the rewrite. Bodies verbatim; the
@@ -407,6 +419,21 @@ def _priced(add, hlv):
 # (ties between sequences of different move mixes), and cheap halving
 _PRICES = [CostModel(), _priced((3, 0), (3, 0)), _priced((3, 0), (1, 0))]
 
+# completion inputs: wide values, and odd values shifted by long runs of zeros
+_completion_values = st.integers(1, 1 << 130) | st.builds(
+    lambda odd, z: odd << z, st.integers(0, 1 << 90).map(lambda v: 2 * v + 1), st.integers(1, 48)
+)
+
+
+def _wide_pairs(k, bits):
+    """Seeded coprime pairs of one width, and pairs whose values, |a - b| or
+    a + b carry long runs of trailing zeros."""
+    pairs = []
+    for m, c in _seeded_pairs(k, count=2, bits=bits):
+        z = bits // 3
+        pairs += [(m, c), (m, c << z), (c << z, m), (m, m - (1 << z)), (m, (1 << bits + 1) - m)]
+    return pairs
+
 
 def _seeded_pairs(k, count=8, bits=12):
     rng = random.Random(k)
@@ -455,20 +482,33 @@ class TestReferenceEquivalence:
                         got = _best_sequence(*args, {})
                         assert got == _reference_best_sequence(*args, {}), (args, got)
 
+    @pytest.mark.parametrize("bits", [64, 128])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_best_sequence_matches_reference_wide(self, k, bits):
+        # the same rounds on wide values; the smallest cap puts both ADD
+        # children on it
+        for m, c in _wide_pairs(k, bits):
+            for model in _PRICES:
+                add_cost, hlv_cost = model.op_cost(ADD, bits), model.op_cost(HLV, bits)
+                for last in (None, *Move):
+                    for cap in (max(m, c) + 1, 4 * max(m, c)):
+                        args = (m, c, last, k, cap, add_cost, hlv_cost)
+                        got = _best_sequence(*args, {})
+                        assert got == _reference_best_sequence(*args, {}), (args, got)
+
     @given(
         st.lists(
-            st.tuples(st.integers(1, 1 << 130), st.integers(1, 1 << 130)).filter(
-                lambda ab: gcd(*ab) == 1
-            ),
+            st.tuples(_completion_values, _completion_values).filter(lambda ab: gcd(*ab) == 1),
             min_size=1,
             max_size=6,
         ),
         st.sampled_from(_PRICES),
     )
+    @example([(3 << 40, 1), (1, 5 << 44), ((1 << 130) - 1, 7 << 40), (1 << 40, 1)], _PRICES[0])
     @settings(max_examples=80, deadline=None)
     def test_completion_cost_is_binary_trace_cost(self, pairs, model):
         # one memo across the calls, so later calls also take memo hits; the
-        # memo must end up holding what the reference writes
+        # memo holds odd pairs only, each with its own binary-GCD cost
         n = 16
         add_cost, hlv_cost = model.op_cost(ADD, n), model.op_cost(HLV, n)
         memo: dict = {}
@@ -477,7 +517,9 @@ class TestReferenceEquivalence:
             got = _completion_cost(a, b, add_cost, hlv_cost, memo)
             assert got == trace_cost(binary_gcd_trace(a, b), n, model)
             assert got == _reference_completion_cost(a, b, add_cost, hlv_cost, reference_memo)
-            assert memo == reference_memo
+        assert all(a & 1 and b & 1 for a, b in memo)
+        for key, tail in memo.items():
+            assert tail == trace_cost(binary_gcd_trace(*key), n, model), key
 
 
 class TestDecisionCache:
