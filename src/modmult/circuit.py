@@ -449,7 +449,8 @@ def save_model_file(
 def load_model_file(path: str) -> tuple[CostModel, DepthModel]:
     """Load a flat JSON model document: opcode -> {slope, intercept} per
     metric, plus adder_regime. Missing sections fall back to defaults; an
-    op entry without slope or intercept is a `ValueError` naming both."""
+    op entry without slope or intercept is a `ValueError` naming the op
+    and the missing key."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     regime = str(doc.get("adder_regime", "ripple")).upper()

@@ -8,6 +8,11 @@ provided -- plain subtractive Euclid, the binary GCD, and a cost-scored
 k-step lookahead over the generalized move set -- plus the classical
 binary-expansion baseline and shortcut circuits for power-of-two
 multipliers.
+
+The lookahead scores a sequence by its moves' prices plus the cost of
+finishing with the binary GCD (Stein, 1967). That completion is priced
+from odd pair to odd pair: after each subtraction the binary GCD halves
+the even difference once per trailing zero.
 """
 
 from __future__ import annotations
@@ -366,7 +371,9 @@ def lookahead_trace(
     (shorter only when they reach (1, 1)), scores each as the cost of its
     own moves plus the binary-GCD completion cost from its final pair, and
     commits the first move of the best-scoring sequence. Values are kept
-    inside [1, cap*M') where M' is the larger starting value.
+    inside [1, cap*M') where M' is the larger starting value. Completion
+    costs are memoized for the whole trace, keyed by odd pairs (see
+    `_odd_completion`).
 
     With `decisions`, a round whose (a, b, last move) the cache holds
     commits the cached move, and a computed round is stored there; the
