@@ -24,7 +24,7 @@ from .numtheory import (
     mod_inverse,
     nth_largest_prime,
 )
-from .optimal import OptimalSearch, optimal_circuit, optimal_costs
+from .optimal import OptimalSearch
 from .simulate import run_circuit, verify
 from .synth import (
     GcdTrace,

@@ -448,22 +448,42 @@ def save_model_file(
 
 def load_model_file(path: str) -> tuple[CostModel, DepthModel]:
     """Load a flat JSON model document: opcode -> {slope, intercept} per
-    metric, plus adder_regime. Missing sections fall back to defaults; an
-    op entry without slope or intercept is a `ValueError` naming the op
-    and the missing key."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    metric, plus adder_regime. Missing sections fall back to defaults. A
+    file that cannot be read or parsed, a document or section that is not
+    an object, and an op entry that is not an object or whose slope or
+    intercept is missing or not an integer are each a `ValueError` naming
+    the file and what is wrong."""
+
+    def invalid(what: str) -> ValueError:
+        return ValueError(f"model file {path}: {what}")
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise invalid(exc.strerror or str(exc)) from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise invalid(f"not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise invalid("the document is not a JSON object")
     regime = str(doc.get("adder_regime", "ripple")).upper()
 
     def to_coeffs(metric: str) -> dict[str, tuple[int, int]]:
+        if not isinstance(doc[metric], dict):
+            raise invalid(f"{metric} is not a JSON object")
         coeffs = {}
         for op, v in doc[metric].items():
-            try:
-                coeffs[op] = (int(v["slope"]), int(v["intercept"]))
-            except KeyError as exc:
-                raise ValueError(
-                    f"model file {path}: {metric} op {op!r} has no {exc.args[0]!r}"
-                ) from None
+            if not isinstance(v, dict):
+                raise invalid(f"{metric} op {op!r} is not an object of slope and intercept")
+            pair = []
+            for key in ("slope", "intercept"):
+                if key not in v:
+                    raise invalid(f"{metric} op {op!r} has no {key!r}")
+                try:
+                    pair.append(int(v[key]))
+                except (TypeError, ValueError):
+                    raise invalid(f"{metric} op {op!r} {key} {v[key]!r} is not an integer") from None
+            coeffs[op] = tuple(pair)
         return coeffs
 
     if "toffoli" in doc:

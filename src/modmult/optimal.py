@@ -2,17 +2,25 @@
 
 States are residue pairs (a, b) in (Z_M)^2; edges are the block operators
 (ADD/SUB with either target, DBL/HLV/NEG on either register) weighted by
-the cost model, which must price each above 0. A bucket Dijkstra from the
-two legal start states -- (1, 1) after a free FANOUT, and (1, 0) for
-single-register circuits that skip it -- yields, for every coprime c, the
-cheapest circuit ending in (c, 0) or (0, c). Edges come from `apply_block`
-on the fly, so memory is the int32 distances, 8 bytes per state.
+the cost model, which must price each above 0. A circuit starts in (1, 1)
+after a free FANOUT, or in (1, 0) if it keeps to one register, and for
+every coprime c a bucket Dijkstra yields the cheapest one ending in (c, 0)
+or (0, c). Edges come from `apply_block` on the fly, so memory is the int32
+distances, 4 bytes per state and searched source.
+
+A reversible model, one that prices ADD = SUB and DBL = HLV (NEG is its own
+inverse) as the default does, needs the search from (1, 0) only. Every op
+is linear and its inverse costs the same, so scaling a path (1,1) -> (c,0)
+by c^-1 and running it backwards gives a path (1,0) -> (c^-1, c^-1) of equal
+cost, and back. A FANOUT circuit for c is then FANOUT followed by the
+inverses of that path's ops, last op first. Any other model also searches
+from (1, 1).
 
 Each search covers about half its states, by a symmetry of the graph that
 fixes its source: the register swap (a,b) -> (b,a) for (1, 1), under any
 cost model, and (a,b) -> (a,-b) for (1, 0), which swaps ADD and SUB and so
-holds only when the model prices them the same, as the default does. The
-distances, and so every cost and circuit, are those of the full search.
+holds only when the model prices them the same. The distances are those of
+the full search.
 """
 
 from __future__ import annotations
@@ -39,9 +47,7 @@ from .circuit import (
 )
 from .numtheory import Modulus, NotCoprime
 
-__all__ = [
-    "ModulusTooLarge", "NonPositiveCost", "OptimalSearch", "optimal_costs", "optimal_circuit"
-]
+__all__ = ["ModulusTooLarge", "NonPositiveCost", "OptimalSearch"]
 
 DEFAULT_BIT_CAP = 12
 
@@ -95,12 +101,17 @@ class OptimalSearch:
         free = [op.text() for op, w in zip(self.ops, self._weights) if w <= 0]
         if free:
             raise NonPositiveCost(f"{', '.join(free)} must cost > 0 at n={self.n}")
+        # (op, inverse, weight); reconstruction steps back along op by its inverse
+        self._steps = [(op, inverse_op(op), w) for op, w in zip(self.ops, self._weights)]
+        price = {op.opcode: w for op, w in zip(self.ops, self._weights)}
+        self._reversible = price[ADD] == price[SUB] and price[DBL] == price[HLV]
         self._inv2 = (m + 1) // 2
         self._dist = self._run()
 
     def _run(self) -> np.ndarray:
         """Dial's bucket Dijkstra (CACM 1969) over positive integer weights,
-        one distance row per source; the unreached sentinel leaves room for
+        one distance row per source: (1,0) alone for a reversible model,
+        else (1,1) then (1,0). The unreached sentinel leaves room for
         `dist + w` in int32.
 
         Each row is searched over one representative of each orbit of a
@@ -116,18 +127,16 @@ class OptimalSearch:
         Each row equals the full search's, state for state.
         """
         m = self.m
-        dist = np.full((2, m * m), np.iinfo(np.int32).max // 2, dtype=np.int32)
         add_is_sub = self.model.op_cost(ADD, self.n) == self.model.op_cost(SUB, self.n)
         edges = list(zip(self.ops, self._weights))
         edges_10 = [e for e in edges if e[0] != BlockOp(NEG, R2)] if add_is_sub else edges
-        rows = (
-            (dist[0], m + 1, edges, lambda a, b: np.minimum(a, b) * m + np.maximum(a, b)),
-            (
-                dist[1], m, edges_10,
-                lambda a, b: a * m + (np.minimum(b, m - b) if add_is_sub else b),
-            ),
-        )
-        for row, source, row_edges, state in rows:
+        rows = [
+            (m, edges_10, lambda a, b: a * m + (np.minimum(b, m - b) if add_is_sub else b))
+        ]
+        if not self._reversible:
+            rows.insert(0, (m + 1, edges, lambda a, b: np.minimum(a, b) * m + np.maximum(a, b)))
+        dist = np.full((len(rows), m * m), np.iinfo(np.int32).max // 2, dtype=np.int32)
+        for row, (source, row_edges, state) in zip(dist, rows):
             row[source] = 0
             buckets = {0: [np.array([source])]}
             while buckets:
@@ -141,98 +150,75 @@ class OptimalSearch:
                     if v.size:
                         row[v] = du + w
                         buckets.setdefault(du + w, []).append(v)
-        swapped = dist[0].reshape(m, m)
-        # R = min(R, R^T) a band of rows at a time: numpy copies an operand
-        # that overlaps the output, and a whole R^T is M^2 int32
-        for i in range(0, m, 256):
-            band = swapped[i : i + 256]
-            np.minimum(band, swapped[:, i : i + 256].T, out=band)
+        if not self._reversible:
+            swapped = dist[0].reshape(m, m)
+            # R = min(R, R^T) a band of rows at a time: numpy copies an operand
+            # that overlaps the output, and a whole R^T is M^2 int32
+            for i in range(0, m, 256):
+                band = swapped[i : i + 256]
+                np.minimum(band, swapped[:, i : i + 256].T, out=band)
         if add_is_sub:
-            negated = dist[1].reshape(m, m)
+            negated = dist[-1].reshape(m, m)
             negated[:, m // 2 + 1 :] = negated[:, m // 2 : 0 : -1]
         return dist
 
-    def _candidates(self, c: int) -> list[tuple[int, int, str]]:
+    def _best(self, c: int) -> tuple[int, int, str, bool]:
+        """The first of c's candidates (distance row, target index, result
+        register, FANOUT start) at least distance, for c in [0, M). Fixed
+        preference order for ties: bare start first, result in R1 first.
+        The (1,0) row is `_dist[-1]`; (c, 0) sits at c * m, (0, c) at c."""
         m = self.m
-        # (source row, target index, result register); fixed preference
-        # order for ties: bare start first, result in R1 first.
-        return [
-            (1, c * m + 0, R1),
-            (1, 0 * m + c, R2),
-            (0, c * m + 0, R1),
-            (0, 0 * m + c, R2),
-        ]
+        if gcd(c, m) != 1:
+            raise NotCoprime(f"gcd({c}, {m}) != 1")
+        candidates = [(-1, c * m, R1, False), (-1, c, R2, False)]
+        if self._reversible:
+            # dist((1,1) -> (c,0)) = dist((1,0) -> (c^-1, c^-1)); the (0,c)
+            # end ties (c,0) by the register swap, so it is never chosen
+            candidates.append((-1, pow(c, -1, m) * (m + 1), R1, True))
+        else:
+            candidates += [(0, c * m, R1, True), (0, c, R2, True)]
+        return min(candidates, key=lambda k: self._dist[k[0], k[1]])
 
     def cost(self, c: int) -> int:
-        c %= self.m
-        if gcd(c, self.m) != 1:
-            raise NotCoprime(f"gcd({c}, {self.m}) != 1")
-        if c == 1:
-            return 0
-        best = min(self._dist[s, t] for s, t, _ in self._candidates(c))
-        return int(best)
+        row, target, _, _ = self._best(c % self.m)
+        return int(self._dist[row, target])
 
     def all_costs(self) -> dict[int, int]:
         """Minimal cost for every coprime c in [1, M)."""
         m = self.m
-        # (c, 0) sits at c * m, (0, c) at c; least over both rows
+        units = [c for c in range(1, m) if gcd(c, m) == 1]
         best = np.minimum(self._dist[:, : m * m : m], self._dist[:, :m]).min(axis=0)
-        return {c: 0 if c == 1 else int(best[c]) for c in range(1, m) if gcd(c, m) == 1}
+        if self._reversible:  # FANOUT start: (c^-1, c^-1) of the (1,0) row
+            diagonal = self._dist[-1, :: m + 1]
+            best[units] = np.minimum(best[units], diagonal[[pow(c, -1, m) for c in units]])
+        return dict(zip(units, best[units].tolist()))
 
     def circuit(self, c: int) -> BlockCircuit:
         """Reconstruct one least-cost circuit for c; deterministic via the
-        fixed candidate order, then opcode order, then state index."""
+        fixed candidate order, then opcode order, then state index.
+
+        A FANOUT circuit read off the (1,0) row walks back from
+        (c^-1, c^-1) and records each op's inverse, so the walk's order is
+        the circuit's: scaled by c*y, it runs from (y, y) to (c*y, 0)."""
         c %= self.m
-        if gcd(c, self.m) != 1:
-            raise NotCoprime(f"gcd({c}, {self.m}) != 1")
-        m, n = self.m, self.n
-        if c == 1:
-            return BlockCircuit(m, 1, n, ())
-        best = self.cost(c)
-        source_row, target, result = next(
-            (s, t, r)
-            for s, t, r in self._candidates(c)
-            if self._dist[s, t] == best
-        )
-        dist = self._dist[source_row]
-        source_state = (1, 0) if source_row == 1 else (1, 1)
-        inv_ops = [(op, inverse_op(op), w) for op, w in zip(self.ops, self._weights)]
-        ops_rev: list[BlockOp] = []
-        cur = target
+        m = self.m
+        row, cur, result, fanout = self._best(c)
+        dist = self._dist[row]
+        backward = fanout and self._reversible
+        ops: list[BlockOp] = []
         while dist[cur] > 0:
             ca, cb = divmod(cur, m)
-            for op, inv, w in inv_ops:
+            for op, inv, w in self._steps:
                 pa, pb = apply_block(inv, ca, cb, m, self._inv2)
                 prev = pa * m + pb
                 if dist[prev] + w == dist[cur]:
-                    ops_rev.append(op)
+                    ops.append(inv if backward else op)
                     cur = prev
                     break
             else:  # pragma: no cover - distances guarantee a predecessor
                 raise RuntimeError("no predecessor found during reconstruction")
-        assert divmod(cur, m) == source_state
-        ops = list(reversed(ops_rev))
-        if source_state == (1, 1):
+        if not backward:
+            ops.reverse()
+        if fanout:
             ops.insert(0, BlockOp(FANOUT))
-        return BlockCircuit(m, c, n, tuple(ops), result)
-
-
-def optimal_costs(
-    m: int,
-    model: CostModel = DEFAULT_COST_MODEL,
-    include_neg: bool = True,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> dict[int, int]:
-    """Map each coprime c to its minimal circuit cost under the model."""
-    return OptimalSearch(m, model, include_neg, bit_cap).all_costs()
-
-
-def optimal_circuit(
-    c: int,
-    m: int,
-    model: CostModel = DEFAULT_COST_MODEL,
-    include_neg: bool = True,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> BlockCircuit:
-    """One least-cost circuit for (c, m); cost equals optimal_costs[c]."""
-    return OptimalSearch(m, model, include_neg, bit_cap).circuit(c)
+        return BlockCircuit(m, c, self.n, tuple(ops), result)

@@ -219,6 +219,16 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
          "depth op 'SUB' has no 'slope'"),
         (["modexp", "--modulus", "21", "--cost-model", "no-intercept.json"], "has no 'intercept'"),
         (["bench", "--cost-model", "no-slope.json", "--out", "unused.csv"], "has no 'slope'"),
+        (["synth", "--modulus", "21", "--multiplier", "13", "--cost-model", "op-number.json"],
+         "model file op-number.json: toffoli op 'ADD' is not an object"),
+        (["synth", "--modulus", "21", "--multiplier", "13", "--cost-model", "section-list.json"],
+         "model file section-list.json: toffoli is not a JSON object"),
+        (["optimal", "--modulus", "21", "--multiplier", "13", "--cost-model", "doc-list.json"],
+         "model file doc-list.json: the document is not a JSON object"),
+        (["modexp", "--modulus", "21", "--cost-model", "null-slope.json"],
+         "model file null-slope.json: toffoli op 'ADD' slope None is not an integer"),
+        (["bench", "--cost-model", "missing.json", "--out", "unused.csv"],
+         "model file missing.json: No such file or directory"),
     ],
     ids=[
         "synth-not-coprime",
@@ -236,6 +246,11 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         "optimal-model-no-slope",
         "modexp-model-no-intercept",
         "bench-model-no-slope",
+        "synth-model-op-not-object",
+        "synth-model-section-not-object",
+        "optimal-model-document-not-object",
+        "modexp-model-null-slope",
+        "bench-model-missing-file",
     ],
 )
 def test_invalid_input_exit_code(capsys, tmp_path, monkeypatch, argv, message):
@@ -244,6 +259,12 @@ def test_invalid_input_exit_code(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no-intercept.json").write_text('{"toffoli": {"ADD": {"slope": 3}}}')
     (tmp_path / "no-slope.json").write_text('{"depth": {"SUB": {"intercept": 4}}}')
+    (tmp_path / "op-number.json").write_text('{"toffoli": {"ADD": 3}}')
+    (tmp_path / "section-list.json").write_text('{"toffoli": []}')
+    (tmp_path / "doc-list.json").write_text("[]")
+    (tmp_path / "null-slope.json").write_text(
+        '{"toffoli": {"ADD": {"slope": null, "intercept": 0}}}'
+    )
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"modmult {argv[0]}: ") and message in err

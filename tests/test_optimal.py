@@ -17,18 +17,14 @@ from modmult.circuit import (
     SUB,
     BlockOp,
     CostModel,
+    DepthModel,
     apply_block,
     circuit_cost,
+    circuit_depth,
     serialize,
 )
 from modmult.numtheory import NotCoprime
-from modmult.optimal import (
-    ModulusTooLarge,
-    NonPositiveCost,
-    OptimalSearch,
-    optimal_circuit,
-    optimal_costs,
-)
+from modmult.optimal import ModulusTooLarge, NonPositiveCost, OptimalSearch
 from modmult.simulate import verify
 from modmult.synth import SynthesisConfig, synthesize
 
@@ -68,13 +64,10 @@ class TestCosts:
         # NEG is not an edge without include_neg, so its price is irrelevant
         assert OptimalSearch(21, free_neg, include_neg=False).cost(13) > 0
 
-    def test_module_level_wrappers(self):
-        assert optimal_costs(21)[13] == OptimalSearch(21).cost(13)
-
 
 class TestReconstruction:
     def test_identity_circuit_empty(self):
-        assert optimal_circuit(1, 21).ops == ()
+        assert OptimalSearch(21).circuit(1).ops == ()
 
     def test_cost_matches_and_verifies(self):
         for m in (21, 33, 35):
@@ -104,6 +97,16 @@ class TestReconstruction:
         for c in (2, 10, 59, 76):
             assert serialize(a.circuit(c)) == serialize(b.circuit(c))
 
+    @pytest.mark.parametrize("include_neg", [True, False])
+    @pytest.mark.parametrize("m", [21, 33, 35, 77, 221])
+    def test_every_circuit_verifies_at_its_cost(self, m, include_neg):
+        search = OptimalSearch(m, include_neg=include_neg)
+        for c in range(1, m):
+            if gcd(c, m) == 1:
+                circ = search.circuit(c)
+                assert circuit_cost(circ, search.model)[0] == search.cost(c), c
+                assert verify(circ, exhaustive=True).passed, c
+
 
 class TestFloorProperty:
     def test_heuristic_never_beats_optimal(self):
@@ -118,8 +121,8 @@ class TestFloorProperty:
                 assert h >= floor[c], (m, c)
 
     def test_without_neg_costs_no_lower(self):
-        with_neg = optimal_costs(21, include_neg=True)
-        without = optimal_costs(21, include_neg=False)
+        with_neg = OptimalSearch(21, include_neg=True).all_costs()
+        without = OptimalSearch(21, include_neg=False).all_costs()
         for c, cost in with_neg.items():
             assert without[c] >= cost
 
@@ -132,15 +135,53 @@ def _running_digest(search: OptimalSearch) -> str:
     return h.hexdigest()
 
 
+def _measures_digest(search: OptimalSearch) -> str:
+    """Digest of (c, toffoli, ripple depth, lookahead depth, op count) per
+    coprime c: what a bench record keeps of each circuit, not its text."""
+    ripple, lookahead = DepthModel.ripple(), DepthModel.lookahead()
+    h = hashlib.sha256()
+    for c in range(2, search.m):
+        if gcd(c, search.m) == 1:
+            circ = search.circuit(c)
+            row = (
+                c,
+                circuit_cost(circ, search.model)[0],
+                circuit_depth(circ, ripple),
+                circuit_depth(circ, lookahead),
+                len(circ.ops),
+            )
+            h.update(repr(row).encode())
+    return h.hexdigest()
+
+
 class TestSearch:
     def test_golden_1007(self):
-        # digests of the costs and circuits of the CSR-matrix search this replaced
+        # the costs digest is the CSR-matrix search's, which this replaced.
+        # The circuit digests are those of FANOUT circuits read backwards off
+        # the (1,0) row: a tie-break change, same costs (82fabfaf00a50452 and
+        # e0804c0125eb57ff when they came from the (1,1) row)
         search = OptimalSearch(1007)
         costs = repr(sorted(search.all_costs().items())).encode()
         assert hashlib.sha256(costs).hexdigest().startswith("5557e1c1ebd78a01")
-        assert _running_digest(search).startswith("82fabfaf00a50452")
+        assert _running_digest(search).startswith("f5213ed542294c1f")
         no_neg = OptimalSearch(1007, include_neg=False)
-        assert _running_digest(no_neg).startswith("e0804c0125eb57ff")
+        assert _running_digest(no_neg).startswith("3f2d91ed35000909")
+
+    @pytest.mark.parametrize(
+        "include_neg, digest", [(True, "fd105691b21d410b"), (False, "efb2718953e63944")]
+    )
+    def test_golden_1007_measures(self, include_neg, digest):
+        # computed on the two-row search: reading FANOUT circuits off the
+        # (1,0) row moves their text, never a Toffoli count, depth or length
+        assert _measures_digest(OptimalSearch(1007, include_neg=include_neg)).startswith(digest)
+
+    @pytest.mark.parametrize(
+        "include_neg, digest", [(True, "f55c7a31fbd47fdd"), (False, "3c6f8c601cb7bee4")]
+    )
+    def test_golden_221_dearer_halving(self, include_neg, digest):
+        # DBL and HLV priced apart: no reverse edges, so (1,1) keeps its own row
+        model = CostModel("test", {**CostModel().coeffs, HLV: (5, 1)})
+        assert _running_digest(OptimalSearch(221, model, include_neg)).startswith(digest)
 
     @staticmethod
     def reference(m: int, model: CostModel, include_neg: bool):
@@ -185,7 +226,16 @@ class TestSearch:
     def assert_matches_reference(cls, m: int, model: CostModel, include_neg: bool):
         search = OptimalSearch(m, model, include_neg=include_neg)
         dist, costs = cls.reference(m, model, include_neg)
-        assert np.array_equal(search._dist, dist)
+        price = {code: model.op_cost(code, m.bit_length()) for code in (ADD, SUB, DBL, HLV)}
+        if price[ADD] == price[SUB] and price[DBL] == price[HLV]:
+            # every edge has a reverse of equal weight: one row, from (1,0),
+            # whose (c^-1, c^-1) is the (1,1) row's (c, 0) and (0, c)
+            assert np.array_equal(search._dist, dist[1:])
+            for c in costs:
+                diagonal = search._dist[0, pow(c, -1, m) * (m + 1)]
+                assert dist[0, c * m] == dist[0, c] == diagonal, c
+        else:
+            assert np.array_equal(search._dist, dist)
         assert search.all_costs() == costs
 
     @pytest.mark.parametrize("include_neg", [True, False])
