@@ -475,15 +475,12 @@ def load_model_file(path: str) -> tuple[CostModel, DepthModel]:
         for op, v in doc[metric].items():
             if not isinstance(v, dict):
                 raise invalid(f"{metric} op {op!r} is not an object of slope and intercept")
-            pair = []
             for key in ("slope", "intercept"):
                 if key not in v:
                     raise invalid(f"{metric} op {op!r} has no {key!r}")
-                try:
-                    pair.append(int(v[key]))
-                except (TypeError, ValueError):
-                    raise invalid(f"{metric} op {op!r} {key} {v[key]!r} is not an integer") from None
-            coeffs[op] = tuple(pair)
+                if type(v[key]) is not int:  # JSON integers only: not 3.5, "3" or true
+                    raise invalid(f"{metric} op {op!r} {key} {v[key]!r} is not an integer")
+            coeffs[op] = (v["slope"], v["intercept"])
         return coeffs
 
     if "toffoli" in doc:

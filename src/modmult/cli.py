@@ -249,8 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     The library reports invalid input as a `ValueError`: a multiplier or
     base not coprime to the modulus, a modulus past a cap, a lookahead
     depth out of range, a cost model pricing a searched op at <= 0, a model
-    file op entry without slope or intercept, or a circuit file with an
-    invalid header."""
+    file that is missing or malformed, or a circuit file with an invalid
+    header."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

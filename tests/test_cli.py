@@ -229,6 +229,8 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
          "model file null-slope.json: toffoli op 'ADD' slope None is not an integer"),
         (["bench", "--cost-model", "missing.json", "--out", "unused.csv"],
          "model file missing.json: No such file or directory"),
+        (["synth", "--modulus", "21", "--multiplier", "13", "--cost-model", "float-slope.json"],
+         "model file float-slope.json: depth op 'ADD' slope 3.5 is not an integer"),
     ],
     ids=[
         "synth-not-coprime",
@@ -251,6 +253,7 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         "optimal-model-document-not-object",
         "modexp-model-null-slope",
         "bench-model-missing-file",
+        "synth-model-float-slope",
     ],
 )
 def test_invalid_input_exit_code(capsys, tmp_path, monkeypatch, argv, message):
@@ -265,6 +268,7 @@ def test_invalid_input_exit_code(capsys, tmp_path, monkeypatch, argv, message):
     (tmp_path / "null-slope.json").write_text(
         '{"toffoli": {"ADD": {"slope": null, "intercept": 0}}}'
     )
+    (tmp_path / "float-slope.json").write_text('{"depth": {"ADD": {"slope": 3.5, "intercept": 4}}}')
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"modmult {argv[0]}: ") and message in err
