@@ -1,7 +1,6 @@
 """Reversible block-level circuit synthesis for modular multiplication
 and modular exponentiation, with cost/depth models, an exact optimal
-search for small moduli, a verification simulator, and a benchmark
-harness."""
+search for small moduli, verification, and a benchmark harness."""
 
 from .circuit import (
     BlockCircuit,
@@ -25,7 +24,7 @@ from .numtheory import (
     nth_largest_prime,
 )
 from .optimal import OptimalSearch
-from .simulate import run_circuit, verify
+from .simulate import verify
 from .synth import (
     GcdTrace,
     Move,

@@ -3,7 +3,7 @@ multipliers, per-method records, Table-style aggregation, ratio series,
 CSV emission, and a result cache.
 
 Every record's circuit is verified. SweepConfig refuses a sweep that selects
-nothing and a synthesis config under another cost model than its own.
+nothing.
 
 The cache holds one file per (modulus, SweepConfig.config_hash): a shard of
 every stored record of that modulus under that config, labelled with both
@@ -60,7 +60,6 @@ __all__ = [
     "SummaryRow",
     "bench_sweep",
     "aggregate",
-    "ratio_series",
     "records_to_csv",
     "write_records_csv",
     "write_summary_csv",
@@ -127,7 +126,6 @@ class SweepConfig:
     jobs: int = 1  # sweeps run in one process; any other value is refused
     cost_model: CostModel = field(default_factory=CostModel)
     depth_model: DepthModel = field(default_factory=DepthModel.ripple)
-    synthesis: SynthesisConfig | None = None
     cache_dir: str | None = None
     timing: bool = False
     optimal_bit_cap: int = DEFAULT_BIT_CAP
@@ -145,8 +143,6 @@ class SweepConfig:
             raise ValueError("no methods to sweep")
         if self.multiplier_cap is not None and self.multiplier_cap < 1:
             raise ValueError(f"multiplier cap must be >= 1, got {self.multiplier_cap}")
-        if self.synthesis and self.synthesis.cost_model.hash != self.cost_model.hash:
-            raise ValueError("synthesis cost model differs from the sweep's cost model")
         for m in self.moduli or ():
             Modulus(m)  # odd and >= 3, or ValueError
         for method in self.methods:
@@ -158,11 +154,12 @@ class SweepConfig:
                 raise ValueError("optimal method requested beyond its bit cap")
 
     def synthesis_config(self) -> SynthesisConfig:
+        """The defaults under this sweep's cost model, built once."""
         return self._synthesis_config
 
     @cached_property
     def _synthesis_config(self) -> SynthesisConfig:
-        return self.synthesis or SynthesisConfig(cost_model=self.cost_model)
+        return SynthesisConfig(cost_model=self.cost_model)
 
     @cached_property
     def config_hash(self) -> str:
@@ -331,10 +328,6 @@ def aggregate(records: list[BenchRecord]) -> tuple[list[SummaryRow], list[tuple[
         )
         series.append((bits, b_over_h, h_over_o))
     return rows, series
-
-
-def ratio_series(records: list[BenchRecord]) -> list[tuple[int, float | None, float | None]]:
-    return aggregate(records)[1]
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:

@@ -37,14 +37,11 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "apply_block",
     "inverse_op",
-    "op_cost",
-    "op_cnots",
     "circuit_cost",
     "circuit_depth",
     "serialize",
     "parse",
     "load_model_file",
-    "save_model_file",
 ]
 
 R1 = "R1"
@@ -320,21 +317,6 @@ class DepthModel:
         return base - 1 + self.ancillae_per_adder(n)
 
 
-def op_cost(op: BlockOp, n: int, model: CostModel = DEFAULT_COST_MODEL) -> int:
-    """Toffoli count of one block at bit-width n."""
-    return model.op_cost(op.opcode, n)
-
-
-def op_cnots(op: BlockOp, n: int) -> int:
-    """CNOT bookkeeping: FANOUT copies n bits, a CSWAP_LAYER spends 2n
-    CNOTs on control fan-out/clear; arithmetic blocks report 0 here."""
-    if op.opcode == FANOUT:
-        return n
-    if op.opcode == CSWAP_LAYER:
-        return 2 * n
-    return 0
-
-
 def _opcode_counts(c: BlockCircuit) -> Counter:
     """Ops per opcode, in order of first use (so the first unpriced opcode
     raises, as it would op by op)."""
@@ -345,10 +327,12 @@ def circuit_cost(
     c: BlockCircuit, model: CostModel = DEFAULT_COST_MODEL
 ) -> tuple[int, int]:
     """(toffoli, cnot) totals, additive over the op sequence: each opcode
-    is priced once and weighted by its count."""
+    is priced once and weighted by its count. CNOTs are bookkeeping: FANOUT
+    copies n bits and a CSWAP_LAYER spends 2n on control fan-out and clear;
+    arithmetic blocks count none."""
     counts = _opcode_counts(c)
     toffoli = sum(model.op_cost(code, c.width) * count for code, count in counts.items())
-    cnot = c.width * (counts[FANOUT] + 2 * counts[CSWAP_LAYER])  # as op_cnots, summed
+    cnot = c.width * (counts[FANOUT] + 2 * counts[CSWAP_LAYER])
     return toffoli, cnot
 
 
@@ -427,23 +411,6 @@ def parse(text: str) -> BlockCircuit:
         ops=tuple(ops),
         result_register=header["RESULT"],
     )
-
-
-def save_model_file(
-    path: str, cost: CostModel, depth: DepthModel | None = None
-) -> None:
-    doc: dict[str, object] = {
-        "name": cost.name,
-        "toffoli": {op: {"slope": s, "intercept": i} for op, (s, i) in cost.coeffs.items()},
-    }
-    if depth is not None:
-        doc["adder_regime"] = depth.adder_regime.lower()
-        doc["depth"] = {
-            op: {"slope": s, "intercept": i} for op, (s, i) in depth.coeffs.items()
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_model_file(path: str) -> tuple[CostModel, DepthModel]:

@@ -250,11 +250,12 @@ def main(argv: list[str] | None = None) -> int:
     base not coprime to the modulus, a modulus past a cap, a lookahead
     depth out of range, a cost model pricing a searched op at <= 0, a model
     file that is missing or malformed, or a circuit file with an invalid
-    header."""
+    header. A file named on the command line that cannot be read or written
+    raises an `OSError`, handled the same way."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"modmult {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -14,12 +14,11 @@ from math import gcd
 from .circuit import (
     CSWAP_LAYER,
     BlockCircuit,
+    BlockOp,
     CostModel,
     DepthModel,
     circuit_cost,
     circuit_depth,
-    op_cnots,
-    BlockOp,
 )
 from .numtheory import Modulus
 from .synth import SynthesisConfig, synthesize
@@ -40,10 +39,6 @@ class ModExpPlan:
     @property
     def n(self) -> int:
         return self.modulus.bit_length()
-
-    @property
-    def exponent_width(self) -> int:
-        return len(self.multipliers)
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,10 @@ def build_modexp(
             cache[c] = synthesize(c, m, cfg)
         return cache[c]
 
-    cswap = BlockOp(CSWAP_LAYER)
-    cswap_toffoli = model.op_cost(CSWAP_LAYER, n)
-    cswap_cnot = op_cnots(cswap, n)
-    cswap_depth = depth_model.op_depth(CSWAP_LAYER, n)
+    # a position's two CSWAP layers, priced as the identity circuit they form
+    wrap = BlockCircuit(m, 1, n, (BlockOp(CSWAP_LAYER),) * 2)
+    wrap_toffoli, wrap_cnot = circuit_cost(wrap, model)
+    wrap_depth = circuit_depth(wrap, depth_model)
 
     toffoli = cnot = depth = 0
     blocks: list[tuple[BlockCircuit, bool]] = []
@@ -120,9 +115,9 @@ def build_modexp(
         depth += circuit_depth(costed, depth_model)
         blocks.append((block, True))
     positions = len(blocks)
-    toffoli += 2 * positions * cswap_toffoli
-    cnot += 2 * positions * cswap_cnot
-    depth += 2 * positions * cswap_depth
+    toffoli += positions * wrap_toffoli
+    cnot += positions * wrap_cnot
+    depth += positions * wrap_depth
     ancillae = depth_model.modexp_ancillae(n)
     # data register n + exponent register 2n, plus regime ancillae (which
     # include the second multiplication register)

@@ -18,9 +18,7 @@ __all__ = [
     "NotCoprime",
     "NotInvertible",
     "RankOutOfRange",
-    "gcd",
     "mod_inverse",
-    "pow_mod",
     "detect_special",
     "is_prime",
     "enumerate_semiprimes",
@@ -51,10 +49,6 @@ class Modulus:
             raise ValueError(f"modulus must be >= 3, got {self.value}")
         if self.value % 2 == 0:
             raise ValueError(f"modulus must be odd, got {self.value}")
-
-    @property
-    def n(self) -> int:
-        return self.value.bit_length()
 
 
 class SpecialKind(enum.Enum):
@@ -94,13 +88,6 @@ def mod_inverse(c: int, m: int) -> int:
         return pow(c, -1, m)
     except ValueError as exc:
         raise NotInvertible(f"{c} has no inverse mod {m}") from exc
-
-
-def pow_mod(b: int, e: int, m: int) -> int:
-    """b^e mod m for non-negative e (square-and-multiply)."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(b, e, m)
 
 
 def detect_special(c: int, m: int) -> SpecialForm | None:

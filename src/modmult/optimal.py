@@ -3,10 +3,10 @@
 States are residue pairs (a, b) in (Z_M)^2; edges are the block operators
 (ADD/SUB with either target, DBL/HLV/NEG on either register) weighted by
 the cost model, which must price each above 0. A circuit starts in (1, 1)
-after a free FANOUT, or in (1, 0) if it keeps to one register, and for
-every coprime c a bucket Dijkstra yields the cheapest one ending in (c, 0)
-or (0, c). Edges come from `apply_block` on the fly, so memory is the int32
-distances, 4 bytes per state and searched source.
+after a FANOUT, at FANOUT's price, or in (1, 0) if it keeps to one
+register, and for every coprime c a bucket Dijkstra yields the cheapest
+one ending in (c, 0) or (0, c). Edges come from `apply_block` on the fly,
+so memory is the int32 distances, 4 bytes per state and searched source.
 
 A reversible model, one that prices ADD = SUB and DBL = HLV (NEG is its own
 inverse) as the default does, needs the search from (1, 0) only. Every op
@@ -105,6 +105,7 @@ class OptimalSearch:
         self._steps = [(op, inverse_op(op), w) for op, w in zip(self.ops, self._weights)]
         price = {op.opcode: w for op, w in zip(self.ops, self._weights)}
         self._reversible = price[ADD] == price[SUB] and price[DBL] == price[HLV]
+        self._fanout = model.op_cost(FANOUT, self.n)  # added to each FANOUT start
         self._inv2 = (m + 1) // 2
         self._dist = self._run()
 
@@ -164,9 +165,10 @@ class OptimalSearch:
 
     def _best(self, c: int) -> tuple[int, int, str, bool]:
         """The first of c's candidates (distance row, target index, result
-        register, FANOUT start) at least distance, for c in [0, M). Fixed
-        preference order for ties: bare start first, result in R1 first.
-        The (1,0) row is `_dist[-1]`; (c, 0) sits at c * m, (0, c) at c."""
+        register, FANOUT start) at least cost, for c in [0, M): its distance,
+        plus FANOUT's price for a FANOUT start. Fixed preference order for
+        ties: bare start first, result in R1 first. The (1,0) row is
+        `_dist[-1]`; (c, 0) sits at c * m, (0, c) at c."""
         m = self.m
         if gcd(c, m) != 1:
             raise NotCoprime(f"gcd({c}, {m}) != 1")
@@ -177,20 +179,23 @@ class OptimalSearch:
             candidates.append((-1, pow(c, -1, m) * (m + 1), R1, True))
         else:
             candidates += [(0, c * m, R1, True), (0, c, R2, True)]
-        return min(candidates, key=lambda k: self._dist[k[0], k[1]])
+        return min(candidates, key=lambda k: self._dist[k[0], k[1]] + self._fanout * k[3])
 
     def cost(self, c: int) -> int:
-        row, target, _, _ = self._best(c % self.m)
-        return int(self._dist[row, target])
+        row, target, _, fanout = self._best(c % self.m)
+        return int(self._dist[row, target]) + self._fanout * fanout
 
     def all_costs(self) -> dict[int, int]:
         """Minimal cost for every coprime c in [1, M)."""
         m = self.m
         units = [c for c in range(1, m) if gcd(c, m) == 1]
-        best = np.minimum(self._dist[:, : m * m : m], self._dist[:, :m]).min(axis=0)
+        ends = np.minimum(self._dist[:, : m * m : m], self._dist[:, :m])
         if self._reversible:  # FANOUT start: (c^-1, c^-1) of the (1,0) row
-            diagonal = self._dist[-1, :: m + 1]
+            best = ends[0]
+            diagonal = self._dist[-1, :: m + 1] + self._fanout
             best[units] = np.minimum(best[units], diagonal[[pow(c, -1, m) for c in units]])
+        else:  # row 0 is the FANOUT start (1,1)
+            best = np.minimum(ends[0] + self._fanout, ends[1])
         return dict(zip(units, best[units].tolist()))
 
     def circuit(self, c: int) -> BlockCircuit:

@@ -1,4 +1,4 @@
-"""Classical block-semantics simulator and verification oracle.
+"""Verification of a circuit against C*x mod M.
 
 A circuit is correct when, for each tested x, the result register holds
 C*x mod M and the other register returns to 0. Every block is linear over
@@ -11,54 +11,15 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
-from .circuit import (
-    R1,
-    BlockCircuit,
-    BlockOp,
-    FanoutOnNonzero,
-    apply_block,
-    inverse_op,
-)
+from .circuit import R1, BlockCircuit, apply_block
 
-__all__ = [
-    "MachineState",
-    "FanoutOnNonzero",
-    "VerifyReport",
-    "apply_op",
-    "inverse_op",
-    "run_circuit",
-    "verify",
-]
+__all__ = ["VerifyReport", "verify"]
 
 # Fixed 64-bit linear congruential generator for sampled verification
 # (Knuth's MMIX multiplier); the seed is echoed in the report.
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class MachineState:
-    r1: int
-    r2: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.r1 < self.modulus and 0 <= self.r2 < self.modulus):
-            raise ValueError("register values must lie in [0, M)")
-
-
-def apply_op(s: MachineState, op: BlockOp) -> MachineState:
-    m = s.modulus
-    return MachineState(*apply_block(op, s.r1, s.r2, m, (m + 1) // 2), m)
-
-
-def run_circuit(c: BlockCircuit, x: int) -> MachineState:
-    """Fold apply_op over the circuit starting from (x, 0)."""
-    s = MachineState(x % c.modulus, 0, c.modulus)
-    for op in c.ops:
-        s = apply_op(s, op)
-    return s
 
 
 @dataclass(frozen=True)

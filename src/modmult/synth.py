@@ -33,7 +33,6 @@ from .circuit import (
     BlockCircuit,
     BlockOp,
     CostModel,
-    DEFAULT_COST_MODEL,
     inverse_op,
 )
 from .numtheory import NotCoprime, SpecialForm, SpecialKind, detect_special, mod_inverse
@@ -50,7 +49,6 @@ __all__ = [
     "baseline_synthesize",
     "special_synthesize",
     "synthesize",
-    "trace_cost",
 ]
 
 
@@ -159,17 +157,6 @@ def binary_gcd_trace(a: int, b: int) -> GcdTrace:
         moves.append(mv)
         pairs.append((a, b))
     return GcdTrace(tuple(pairs), tuple(moves))
-
-
-def _move_cost(mv: Move, n: int, model: CostModel) -> int:
-    # ADD/SUB moves become ADD/SUB blocks, HALVE moves become DBL blocks;
-    # under symmetric models this is the block cost either way.
-    return model.op_cost(HLV if mv <= Move.HALVE_B else ADD, n)
-
-
-def trace_cost(t: GcdTrace, n: int, model: CostModel = DEFAULT_COST_MODEL) -> int:
-    """Block cost of the circuit this trace maps to (FANOUT excluded)."""
-    return sum(_move_cost(mv, n, model) for mv in t.moves)
 
 
 def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -> int:

@@ -31,13 +31,14 @@ from modmult.circuit import (
     DepthModel,
     circuit_cost,
     circuit_depth,
+    inverse_op,
     parse,
     serialize,
 )
 from modmult.modexp import build_modexp, modexp_plan
 from modmult.numtheory import enumerate_semiprimes, nth_largest_prime
 from modmult.optimal import OptimalSearch
-from modmult.simulate import MachineState, apply_op, inverse_op, run_circuit, verify
+from modmult.simulate import verify
 from modmult.synth import (
     Move,
     SynthesisConfig,
@@ -47,6 +48,8 @@ from modmult.synth import (
     lookahead_trace,
     synthesize,
 )
+
+from blocks import fold, step
 
 CFG = SynthesisConfig()
 MODEL = CFG.cost_model
@@ -74,11 +77,11 @@ def test_criterion_1_golden_traces():
     )
     # baseline Horner chain for 13 = 0b1101: x, 2x, 3x, 6x, 12x, 13x
     circ = baseline_synthesize(13, 21)
-    s = MachineState(1, 0, 21)
+    s = (1, 0)
     chain = []
     for op in circ.ops:
-        s = apply_op(s, op)
-        chain.append(s.r1)
+        s = step(op, *s, 21)
+        chain.append(s[0])
     checks.append(chain[:6] == [1, 2, 3, 6, 12, 13])
     t = lookahead_trace(1017, 7)
     checks.append(t.pairs[1] == (1024, 7) and t.moves[0] == Move.ADD_A)
@@ -215,8 +218,8 @@ def test_criterion_6_modexp_structure():
         acc, e = 1, z
         for block, _ in circ.blocks:
             if e & 1 and block.ops:
-                s = run_circuit(block, acc)
-                acc = s.r1 if block.result_register == R1 else s.r2
+                r1, r2 = fold(block, acc)
+                acc = r1 if block.result_register == R1 else r2
             e >>= 1
         if acc != pow(2, z, 21):
             ok = False
@@ -276,9 +279,9 @@ def test_criterion_9_property_suites():
     ok = True
     for _ in range(500):
         m = rng.randrange(3, 4000) | 1
-        s = MachineState(rng.randrange(m), rng.randrange(m), m)
+        s = (rng.randrange(m), rng.randrange(m))
         op = rng.choice(ops)
-        ok &= apply_op(apply_op(s, op), inverse_op(op)) == s
+        ok &= step(inverse_op(op), *step(op, *s, m), m) == s
     checks["bijectivity"] = ok
     # serialize/parse round-trip and byte-identical determinism
     texts = {serialize(synthesize(123, 49447, CFG)) for _ in range(3)}

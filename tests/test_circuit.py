@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,10 +26,7 @@ from modmult.circuit import (
     circuit_cost,
     circuit_depth,
     load_model_file,
-    op_cnots,
-    op_cost,
     parse,
-    save_model_file,
     serialize,
 )
 
@@ -53,13 +52,13 @@ class TestBlockOp:
 class TestCost:
     def test_fanout_free(self):
         for n in (3, 7, 64):
-            assert op_cost(BlockOp(FANOUT), n) == 0
+            assert DEFAULT_COST_MODEL.op_cost(FANOUT, n) == 0
 
     def test_add_default(self):
-        assert op_cost(BlockOp(ADD, R1, R2), 7) == 21
+        assert DEFAULT_COST_MODEL.op_cost(ADD, 7) == 21
 
     def test_dbl_default(self):
-        assert op_cost(BlockOp(DBL, R1), 7) == 23
+        assert DEFAULT_COST_MODEL.op_cost(DBL, 7) == 23
 
     def test_empty_circuit(self):
         assert circuit_cost(_circuit([])) == (0, 0)
@@ -75,7 +74,7 @@ class TestCost:
         ops = [BlockOp(FANOUT), BlockOp(ADD, R1, R2), BlockOp(DBL, R2), BlockOp(NEG, R1)]
         c = _circuit(ops)
         toffoli, cnot = circuit_cost(c)
-        assert toffoli == sum(op_cost(op, c.width) for op in ops)
+        assert toffoli == sum(DEFAULT_COST_MODEL.op_cost(op.opcode, c.width) for op in ops)
 
     def test_concatenation_additive(self):
         a = [BlockOp(ADD, R1, R2), BlockOp(DBL, R1)]
@@ -144,6 +143,10 @@ _coeffs_strategy = st.dictionaries(
     st.tuples(st.integers(0, 5), st.integers(-3, 5)),
 )
 
+# CNOT bookkeeping per bit of width: FANOUT copies the register, a
+# CSWAP_LAYER fans its control out and clears it; arithmetic blocks count none
+_CNOTS_PER_BIT = {FANOUT: 1, CSWAP_LAYER: 2}
+
 
 class TestOpcodeCounts:
     @given(
@@ -162,7 +165,8 @@ class TestOpcodeCounts:
         n = c.width
 
         def per_op_cost(model):
-            return sum(op_cost(op, n, model) for op in ops), sum(op_cnots(op, n) for op in ops)
+            toffoli = sum(model.op_cost(op.opcode, n) for op in ops)
+            return toffoli, sum(_CNOTS_PER_BIT.get(op.opcode, 0) * n for op in ops)
 
         def per_op_depth(model):
             return sum(model.op_depth(op.opcode, n) for op in ops)
@@ -249,9 +253,15 @@ class TestModelFile:
     def test_round_trip(self, tmp_path):
         cost = CostModel("custom", {**CostModel().coeffs, ADD: (5, 1), SUB: (5, 1)})
         depth = DepthModel.lookahead()
-        path = str(tmp_path / "model.json")
-        save_model_file(path, cost, depth)
-        cost2, depth2 = load_model_file(path)
+        path = tmp_path / "model.json"
+        doc = {
+            "name": cost.name,
+            "adder_regime": "lookahead",
+            "toffoli": {op: {"slope": s, "intercept": i} for op, (s, i) in cost.coeffs.items()},
+            "depth": {op: {"slope": s, "intercept": i} for op, (s, i) in depth.coeffs.items()},
+        }
+        path.write_text(json.dumps(doc))
+        cost2, depth2 = load_model_file(str(path))
         assert cost2.coeffs == cost.coeffs
         assert cost2.hash == cost.hash
         assert depth2.adder_regime == "LOOKAHEAD"

@@ -5,7 +5,7 @@ import pytest
 
 from modmult import bench
 from modmult.cli import main
-from modmult.circuit import NEG, CostModel, parse, save_model_file
+from modmult.circuit import NEG, CostModel, parse
 from modmult.simulate import verify
 
 
@@ -162,7 +162,9 @@ def test_bits_range_spec(capsys, tmp_path):
 def test_optimal_free_op_exit_code(capsys, tmp_path):
     # NEG priced at 0 would give the search a zero-cost edge
     model = tmp_path / "free_neg.json"
-    save_model_file(str(model), CostModel("free-neg", {**CostModel().coeffs, NEG: (0, 0)}))
+    coeffs = {**CostModel().coeffs, NEG: (0, 0)}
+    toffoli = {op: {"slope": s, "intercept": i} for op, (s, i) in coeffs.items()}
+    model.write_text(json.dumps({"name": "free-neg", "toffoli": toffoli}))
     args = ["optimal", "--modulus", "21", "--multiplier", "13", "--cost-model", str(model)]
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -231,6 +233,15 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
          "model file missing.json: No such file or directory"),
         (["synth", "--modulus", "21", "--multiplier", "13", "--cost-model", "float-slope.json"],
          "model file float-slope.json: depth op 'ADD' slope 3.5 is not an integer"),
+        (["verify", "--circuit", "missing.txt"], "No such file or directory: 'missing.txt'"),
+        (["bench", "--moduli", "missing.txt", "--out", "unused.csv"],
+         "No such file or directory: 'missing.txt'"),
+        (["bench", "--moduli", "mods.txt", "--out", "nodir/x.csv"],
+         "No such file or directory: 'nodir/x.csv'"),
+        (["synth", "--modulus", "21", "--multiplier", "13", "-o", "nodir/c.txt"],
+         "No such file or directory: 'nodir/c.txt'"),
+        (["bench", "--moduli", "mods.txt", "--cache", "mods.txt", "--out", "unused.csv"],
+         "File exists: 'mods.txt'"),
     ],
     ids=[
         "synth-not-coprime",
@@ -254,6 +265,11 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
         "modexp-model-null-slope",
         "bench-model-missing-file",
         "synth-model-float-slope",
+        "verify-missing-circuit",
+        "bench-missing-moduli-file",
+        "bench-out-in-missing-dir",
+        "synth-output-in-missing-dir",
+        "bench-cache-is-a-file",
     ],
 )
 def test_invalid_input_exit_code(capsys, tmp_path, monkeypatch, argv, message):
@@ -269,6 +285,7 @@ def test_invalid_input_exit_code(capsys, tmp_path, monkeypatch, argv, message):
         '{"toffoli": {"ADD": {"slope": null, "intercept": 0}}}'
     )
     (tmp_path / "float-slope.json").write_text('{"depth": {"ADD": {"slope": 3.5, "intercept": 4}}}')
+    (tmp_path / "mods.txt").write_text("21\n")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"modmult {argv[0]}: ") and message in err

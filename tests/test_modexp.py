@@ -4,22 +4,21 @@ import pytest
 
 from modmult.circuit import (
     CSWAP_LAYER,
-    BlockOp,
+    DEFAULT_COST_MODEL,
     DepthModel,
     circuit_cost,
     circuit_depth,
-    op_cnots,
-    op_cost,
 )
 from modmult.modexp import BaseNotCoprime, ModExpCircuit, build_modexp, modexp_plan
-from modmult.simulate import run_circuit
 from modmult.synth import SynthesisConfig, synthesize
+
+from blocks import fold
 
 
 class TestPlan:
     def test_m21_base2(self):
         plan = modexp_plan(21, 2)
-        assert plan.n == 5 and plan.exponent_width == 10
+        assert plan.n == 5 and len(plan.multipliers) == 10
         assert plan.multipliers[:4] == (2, 4, 16, 4)
         # squaring cycles with period 2 after the third position
         assert plan.multipliers[4:] == (16, 4) * 3
@@ -42,25 +41,26 @@ class TestBuild:
     def test_end_to_end_composition(self):
         # composing the per-position permutations must realize b^z mod M
         circ = build_modexp(21, 2)
-        for z in range(1 << circ.plan.exponent_width):
+        for z in range(1 << len(circ.plan.multipliers)):
             acc, e = 1, z
             for block, _ in circ.blocks:
                 if e & 1 and block.ops:
-                    s = run_circuit(block, acc)
-                    acc = s.r1 if block.result_register == "R1" else s.r2
+                    r1, r2 = fold(block, acc)
+                    acc = r1 if block.result_register == "R1" else r2
                 e >>= 1
             assert acc == pow(2, z, 21), z
 
     def test_cache_transparent(self):
         a = build_modexp(21, 2)
-        # the same totals from a fresh synthesis per position
-        ripple, cswap = DepthModel.ripple(), BlockOp(CSWAP_LAYER)
+        # the same totals from a fresh synthesis per position; each CSWAP
+        # layer spends 2n CNOTs
+        ripple = DepthModel.ripple()
         toffoli = cnot = depth = 0
         for c in modexp_plan(21, 2).multipliers:
             block = synthesize(c, 21)
             t, k = circuit_cost(block)
-            toffoli += t + 2 * op_cost(cswap, 5)
-            cnot += k + 2 * op_cnots(cswap, 5)
+            toffoli += t + 2 * DEFAULT_COST_MODEL.op_cost(CSWAP_LAYER, 5)
+            cnot += k + 2 * (2 * 5)
             depth += circuit_depth(block, ripple) + 2 * ripple.op_depth(CSWAP_LAYER, 5)
         assert (a.toffoli, a.cnot, a.depth) == (toffoli, cnot, depth)
         assert a.distinct_blocks == 3  # {2, 4, 16}

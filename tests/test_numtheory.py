@@ -16,7 +16,6 @@ from modmult.numtheory import (
     is_prime,
     mod_inverse,
     nth_largest_prime,
-    pow_mod,
 )
 
 
@@ -72,17 +71,6 @@ class TestModInverse:
                 continue
             assert (c * mod_inverse(c, m)) % m == 1
             done += 1
-
-
-class TestPowMod:
-    def test_examples(self):
-        assert pow_mod(2, 8, 21) == 4
-        assert pow_mod(2, 0, 21) == 1
-        assert pow_mod(2, 2, 21) == 4
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            pow_mod(2, -1, 21)
 
 
 class TestDetectSpecial:
@@ -173,10 +161,6 @@ class TestNthLargestPrime:
 
 
 class TestModulus:
-    def test_bit_width(self):
-        assert Modulus(21).n == 5
-        assert Modulus(1011113).n == 20
-
     @pytest.mark.parametrize("bad", [1, 2, 4, 20])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -100,12 +100,22 @@ class TestReconstruction:
     @pytest.mark.parametrize("include_neg", [True, False])
     @pytest.mark.parametrize("m", [21, 33, 35, 77, 221])
     def test_every_circuit_verifies_at_its_cost(self, m, include_neg):
-        search = OptimalSearch(m, include_neg=include_neg)
-        for c in range(1, m):
-            if gcd(c, m) == 1:
-                circ = search.circuit(c)
-                assert circuit_cost(circ, search.model)[0] == search.cost(c), c
-                assert verify(circ, exhaustive=True).passed, c
+        # the default model, and a reversible and a non-reversible model that
+        # price FANOUT, which every FANOUT candidate must pay
+        default = CostModel().coeffs
+        models = [
+            CostModel(),
+            CostModel("fan", {**default, FANOUT: (1, 0)}),
+            CostModel("fan-dear-halving", {**default, HLV: (5, 1), FANOUT: (1, 0)}),
+        ]
+        for model in models:
+            search = OptimalSearch(m, model, include_neg=include_neg)
+            costs = search.all_costs()
+            for c in range(1, m):
+                if gcd(c, m) == 1:
+                    circ = search.circuit(c)
+                    assert circuit_cost(circ, model)[0] == search.cost(c) == costs[c], (model, c)
+                    assert verify(circ, exhaustive=True).passed, (model, c)
 
 
 class TestFloorProperty:

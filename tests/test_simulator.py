@@ -20,44 +20,34 @@ from modmult.circuit import (
     SUB,
     BlockCircuit,
     BlockOp,
+    FanoutOnNonzero,
     apply_block,
+    inverse_op,
 )
 from modmult import simulate
-from modmult.simulate import (
-    _EXHAUSTIVE_CAP,
-    FanoutOnNonzero,
-    MachineState,
-    VerifyReport,
-    _lcg_samples,
-    apply_op,
-    inverse_op,
-    run_circuit,
-    verify,
-)
+from modmult.simulate import _EXHAUSTIVE_CAP, VerifyReport, _lcg_samples, verify
 from modmult.synth import baseline_synthesize, synthesize
+
+from blocks import fold, step
 
 
 def test_add_collapses_to_zero():
     # last step of the (13x mod 21) trace circuit at x = 1
-    s = apply_op(MachineState(8, 13, 21), BlockOp(ADD, R1, R2))
-    assert (s.r1, s.r2) == (0, 13)
+    assert step(BlockOp(ADD, R1, R2), 8, 13, 21) == (0, 13)
 
 
 def test_dbl_preserves_zero():
-    s = apply_op(MachineState(0, 17, 21), BlockOp(DBL, R1))
-    assert (s.r1, s.r2) == (0, 17)
+    assert step(BlockOp(DBL, R1), 0, 17, 21) == (0, 17)
 
 
 def test_hlv_odd_value():
-    s = apply_op(MachineState(11, 0, 21), BlockOp(HLV, R1))
-    assert s.r1 == 16  # (11 + 21) / 2; 2 * 16 = 32 = 11 (mod 21)
+    assert step(BlockOp(HLV, R1), 11, 0, 21)[0] == 16  # (11 + 21) / 2; 2 * 16 = 32 = 11 (mod 21)
 
 
 def test_fanout_requires_zero():
-    s = apply_op(MachineState(5, 0, 21), BlockOp(FANOUT))
-    assert (s.r1, s.r2) == (5, 5)
+    assert step(BlockOp(FANOUT), 5, 0, 21) == (5, 5)
     with pytest.raises(FanoutOnNonzero):
-        apply_op(MachineState(5, 1, 21), BlockOp(FANOUT))
+        step(BlockOp(FANOUT), 5, 1, 21)
 
 
 _invertible_ops = [
@@ -78,9 +68,9 @@ def test_bijectivity_inverse_pairs():
     rng = random.Random(99)
     for _ in range(1000):
         m = rng.randrange(3, 5000) | 1
-        s = MachineState(rng.randrange(m), rng.randrange(m), m)
+        s = (rng.randrange(m), rng.randrange(m))
         op = rng.choice(_invertible_ops)
-        assert apply_op(apply_op(s, op), inverse_op(op)) == s
+        assert step(inverse_op(op), *step(op, *s, m), m) == s
 
 
 @given(st.integers(0, 10**6))
@@ -88,17 +78,14 @@ def test_hlv_consistency(seed):
     rng = random.Random(seed)
     m = rng.randrange(3, 10**6) | 1
     a = rng.randrange(m)
-    s = apply_op(MachineState(a, 0, m), BlockOp(HLV, R1))
-    assert (2 * s.r1) % m == a
+    assert (2 * step(BlockOp(HLV, R1), a, 0, m)[0]) % m == a
 
 
 def test_run_circuit_examples():
     c = synthesize(13, 21)
     for x, expect in [(1, 13), (0, 0), (2, 5)]:
-        s = run_circuit(c, x)
-        res = s.r1 if c.result_register == R1 else s.r2
-        other = s.r2 if c.result_register == R1 else s.r1
-        assert (res, other) == (expect, 0)
+        r1, r2 = fold(c, x)
+        assert ((r1, r2) if c.result_register == R1 else (r2, r1)) == (expect, 0)
 
 
 def test_verify_exhaustive_passes():
@@ -133,13 +120,13 @@ def _one_op_mutant(c: BlockCircuit, i: int, op: BlockOp) -> BlockCircuit:
 
 
 def _fold_reports(c: BlockCircuit, xs, mode="exhaustive", seed=None):
-    """Fold run_circuit over every x in xs; returns verify's expected
+    """Fold every x in xs through the circuit; returns verify's expected
     report as a function of max_failures, and the number of failing x."""
     m = c.modulus
     bad, results = [], set()
     for x in xs:
-        s = run_circuit(c, x)
-        res, other = (s.r1, s.r2) if c.result_register == R1 else (s.r2, s.r1)
+        r1, r2 = fold(c, x)
+        res, other = (r1, r2) if c.result_register == R1 else (r2, r1)
         if res != c.multiplier * x % m or other != 0:
             bad.append((x, res, other))
         results.add(res)
@@ -256,8 +243,7 @@ def test_vectorized_matches_scalar():
             for op in circ.ops:
                 r1, r2 = apply_block(op, r1, r2, m, (m + 1) // 2)
             for x in range(m):
-                s = run_circuit(circ, x)
-                assert (s.r1, s.r2) == (int(r1[x]), int(r2[x]))
+                assert fold(circ, x) == (int(r1[x]), int(r2[x]))
 
 
 def test_verify_all_methods_small_moduli():
@@ -273,7 +259,7 @@ def test_verify_all_methods_small_moduli():
 
 
 def _reference_verify(c, exhaustive=True, samples=1000, seed=2024, max_failures=32):
-    """verify as it stood before the bare fold: run_circuit on x = 1, the
+    """verify as it stood before the bare fold: a scalar fold on x = 1, the
     samples always drawn, sampled injectivity by set comparison. Body
     verbatim."""
     m, cmul = c.modulus, c.multiplier % c.modulus
@@ -285,8 +271,8 @@ def _reference_verify(c, exhaustive=True, samples=1000, seed=2024, max_failures=
         raise ValueError(f"samples must be >= 1, got {samples}")
     else:
         xs, mode = _lcg_samples(seed, samples, m), f"sampled({samples})"
-    s = run_circuit(c, 1)
-    a, b = (s.r1, s.r2) if c.result_register == R1 else (s.r2, s.r1)
+    r1, r2 = fold(c, 1)
+    a, b = (r1, r2) if c.result_register == R1 else (r2, r1)
     q = m // gcd(a - cmul, b, m)
     bad = () if q == 1 else (x for x in xs if x % q)
     failures = [(x, a * x % m, b * x % m) for x in islice(bad, max_failures)]

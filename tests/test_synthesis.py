@@ -22,7 +22,7 @@ from modmult.circuit import (
 )
 from modmult.modexp import modexp_plan
 from modmult.numtheory import NotCoprime, SpecialForm, SpecialKind, mod_inverse
-from modmult.simulate import run_circuit, verify
+from modmult.simulate import verify
 from modmult.synth import (
     DecisionCache,
     Move,
@@ -37,9 +37,10 @@ from modmult.synth import (
     lookahead_trace,
     special_synthesize,
     synthesize,
-    trace_cost,
     trace_to_circuit,
 )
+
+from blocks import fold, step
 
 coprime_pairs = st.tuples(st.integers(3, 1500), st.integers(1, 1500)).filter(
     lambda ab: gcd(ab[0], ab[1]) == 1
@@ -90,6 +91,13 @@ def _check_trace(t):
         assert a1 >= 1 and b1 >= 1
 
 
+def _trace_cost(t, n, model=CostModel()):
+    """Block cost of a trace's moves, FANOUT excluded: one HLV price per
+    halving and one ADD price per addition or subtraction."""
+    halvings = sum(mv <= Move.HALVE_B for mv in t.moves)
+    return halvings * model.op_cost(HLV, n) + (len(t.moves) - halvings) * model.op_cost(ADD, n)
+
+
 class TestBinaryGcdTrace:
     def test_reference_trace_21_11(self):
         t = binary_gcd_trace(21, 11)
@@ -119,7 +127,7 @@ class TestLookaheadTrace:
         assert len(t.moves) <= 7
         # reference trace: 4 subtractions + 3 halvings
         reference_cost = 4 * 15 + 3 * 17
-        assert trace_cost(t, 5) <= reference_cost
+        assert _trace_cost(t, 5) <= reference_cost
         _check_trace(t)
 
     def test_1017_7_opening(self):
@@ -168,8 +176,8 @@ class TestLookaheadTrace:
                 if gcd(c, m) != 1:
                     continue
                 n = m.bit_length()
-                la = trace_cost(lookahead_trace(m, c, cfg), n, cfg.cost_model)
-                bi = trace_cost(binary_gcd_trace(m, c), n, cfg.cost_model)
+                la = _trace_cost(lookahead_trace(m, c, cfg), n, cfg.cost_model)
+                bi = _trace_cost(binary_gcd_trace(m, c), n, cfg.cost_model)
                 assert la <= bi, (m, c)
 
 
@@ -180,8 +188,7 @@ class TestTraceToCircuit:
         assert [op.opcode for op in c.ops] == [FANOUT] + [ADD] * 6
         targets = [op.target for op in c.ops[1:]]
         assert targets == [R2, R1, R2, R1, R2, R1]
-        s = run_circuit(c, 1)
-        assert (s.r1, s.r2) == (0, 13)
+        assert fold(c, 1) == (0, 13)
 
     def test_trivial_trace(self):
         c = trace_to_circuit(lookahead_trace(1, 1), 21)
@@ -197,7 +204,6 @@ class TestTraceToCircuit:
         import random
 
         from modmult.numtheory import enumerate_semiprimes
-        from modmult.simulate import MachineState, apply_op
 
         rng = random.Random(42)
         for bits in (8, 16):
@@ -210,27 +216,24 @@ class TestTraceToCircuit:
                 t = lookahead_trace(m, c)
                 circ = trace_to_circuit(t, m)
                 x = rng.randrange(m)
-                s = MachineState(x, 0, m)
                 rev = list(reversed(t.pairs))
-                s = apply_op(s, circ.ops[0])  # FANOUT matches (1, 1)
-                assert (s.r1, s.r2) == ((rev[0][0] * x) % m, (rev[0][1] * x) % m)
+                s = step(circ.ops[0], x, 0, m)  # FANOUT matches (1, 1)
+                assert s == ((rev[0][0] * x) % m, (rev[0][1] * x) % m)
                 for op, (pa, pb) in zip(circ.ops[1:], rev[1:]):
-                    s = apply_op(s, op)
-                    assert (s.r1, s.r2) == ((pa * x) % m, (pb * x) % m)
+                    s = step(op, *s, m)
+                    assert s == ((pa * x) % m, (pb * x) % m)
 
 
 class TestBaseline:
     def test_reference_chain_states(self):
         c = baseline_synthesize(13, 21)
         # compute side visits x,2x,3x,6x,12x,13x on R1
-        from modmult.simulate import MachineState, apply_op
-
-        s = MachineState(1, 0, 21)
+        s = (1, 0)
         seen = [1]
         for op in c.ops:
-            s = apply_op(s, op)
+            s = step(op, *s, 21)
             if op.target == R1 or op.opcode == FANOUT:
-                seen.append(s.r1)
+                seen.append(s[0])
         assert seen[:6] == [1, 1, 2, 3, 6, 12]
         assert 13 in seen
         assert verify(c).passed
@@ -267,8 +270,7 @@ class TestSpecial:
         c = special_synthesize(SpecialForm(SpecialKind.POWER_OF_TWO, 3), 21)
         assert [op.opcode for op in c.ops] == [DBL, DBL, DBL]
         assert c.result_register == R1 and c.multiplier == 8
-        s = run_circuit(c, 2)
-        assert (s.r1, s.r2) == (16, 0)
+        assert fold(c, 2) == (16, 0)
 
     def test_inverse_power_of_two(self):
         c = special_synthesize(SpecialForm(SpecialKind.INVERSE_POWER_OF_TWO, 1), 21)
@@ -515,11 +517,11 @@ class TestReferenceEquivalence:
         reference_memo: dict = {}
         for a, b in pairs:
             got = _completion_cost(a, b, add_cost, hlv_cost, memo)
-            assert got == trace_cost(binary_gcd_trace(a, b), n, model)
+            assert got == _trace_cost(binary_gcd_trace(a, b), n, model)
             assert got == _reference_completion_cost(a, b, add_cost, hlv_cost, reference_memo)
         assert all(a & 1 and b & 1 for a, b in memo)
         for key, tail in memo.items():
-            assert tail == trace_cost(binary_gcd_trace(*key), n, model), key
+            assert tail == _trace_cost(binary_gcd_trace(*key), n, model), key
 
 
 class TestDecisionCache:
