@@ -14,15 +14,7 @@ from .circuit import (
     serialize,
 )
 from .modexp import build_modexp, modexp_plan
-from .numtheory import (
-    Modulus,
-    SpecialForm,
-    SpecialKind,
-    detect_special,
-    enumerate_semiprimes,
-    mod_inverse,
-    nth_largest_prime,
-)
+from .numtheory import Modulus, enumerate_semiprimes, nth_largest_prime
 from .optimal import OptimalSearch
 from .simulate import verify
 from .synth import (

@@ -1,6 +1,6 @@
 """Benchmark harness: sweeps over semiprime moduli and coprime
-multipliers, per-method records, Table-style aggregation, ratio series,
-CSV emission, and a result cache.
+multipliers, per-method records, Table-style aggregation, CSV emission,
+and a result cache.
 
 Every record's circuit is verified. SweepConfig refuses a sweep that selects
 nothing.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from statistics import mean
-from typing import Iterable
+from typing import IO, Iterable
 
 from .circuit import CostModel, DepthModel, circuit_cost, circuit_depth
 from .numtheory import Modulus, enumerate_semiprimes
@@ -61,9 +61,7 @@ __all__ = [
     "bench_sweep",
     "aggregate",
     "records_to_csv",
-    "write_records_csv",
     "write_summary_csv",
-    "write_ratio_csv",
     "cache_path",
     "cache_read",
     "cache_lookup",
@@ -296,38 +294,22 @@ class SummaryRow:
     avg_toffoli: float
 
 
-def aggregate(records: list[BenchRecord]) -> tuple[list[SummaryRow], list[tuple[int, float | None, float | None]]]:
-    """Per-width max/avg per method, plus the ratio-vs-bits series
-    (baseline/heuristic and heuristic/optimal). Uniform per-(M, C)
+def aggregate(records: list[BenchRecord]) -> list[SummaryRow]:
+    """Per-width max/avg Toffoli count per method. Uniform per-(M, C)
     averaging across all moduli of a bit-width."""
     hashes = {r.cost_model_hash for r in records}
     if len(hashes) > 1:
         raise MixedModels(f"records mix cost models: {sorted(hashes)}")
-    ok = [r for r in records if not r.error]
     by_bits: dict[int, dict[str, list[int]]] = {}
-    for r in ok:
-        by_bits.setdefault(r.bits, {}).setdefault(r.method, []).append(r.toffoli)
-    rows: list[SummaryRow] = []
-    series: list[tuple[int, float | None, float | None]] = []
-    for bits in sorted(by_bits):
-        methods = by_bits[bits]
-        for method in METHODS:
-            if method in methods:
-                vals = methods[method]
-                rows.append(SummaryRow(bits, method, len(vals), max(vals), mean(vals)))
-        avg = {m: mean(v) for m, v in methods.items()}
-        b_over_h = (
-            avg["baseline"] / avg["heuristic"]
-            if "baseline" in avg and avg.get("heuristic")
-            else None
-        )
-        h_over_o = (
-            avg["heuristic"] / avg["optimal"]
-            if "heuristic" in avg and avg.get("optimal")
-            else None
-        )
-        series.append((bits, b_over_h, h_over_o))
-    return rows, series
+    for r in records:
+        if not r.error:
+            by_bits.setdefault(r.bits, {}).setdefault(r.method, []).append(r.toffoli)
+    return [
+        SummaryRow(bits, method, len(vals), max(vals), mean(vals))
+        for bits, methods in sorted(by_bits.items())
+        for method in METHODS
+        if (vals := methods.get(method))
+    ]
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
@@ -338,27 +320,14 @@ def records_to_csv(records: list[BenchRecord]) -> str:
     return buf.getvalue()
 
 
-def write_records_csv(records: list[BenchRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(records_to_csv(records))
-
-
-def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bits", "method", "count", "max_toffoli", "avg_toffoli"])
-        for row in rows:
-            writer.writerow(
-                [row.bits, row.method, row.count, row.max_toffoli, f"{row.avg_toffoli:.4f}"]
-            )
-
-
-def write_ratio_csv(series: list[tuple[int, float | None, float | None]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("bits,baseline_over_heuristic,heuristic_over_optimal\n")
-        for bits, boh, hoo in series:
-            fmt = lambda v: f"{v:.6f}" if v is not None else ""
-            fh.write(f"{bits},{fmt(boh)},{fmt(hoo)}\n")
+def write_summary_csv(rows: list[SummaryRow], fh: IO[str]) -> None:
+    """Write the summary rows as CSV to a text file opened with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(["bits", "method", "count", "max_toffoli", "avg_toffoli"])
+    for row in rows:
+        writer.writerow(
+            [row.bits, row.method, row.count, row.max_toffoli, f"{row.avg_toffoli:.4f}"]
+        )
 
 
 # --- result cache -----------------------------------------------------------

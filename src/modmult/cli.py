@@ -6,6 +6,7 @@ Subcommands: primes, semiprimes, synth, optimal, verify, modexp, bench.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -69,7 +70,7 @@ def _cmd_synth(args) -> int:
         circ = baseline_synthesize(args.multiplier, args.modulus)
     elif args.method == "euclid":
         circ = trace_to_circuit(euclid_trace(args.modulus, args.multiplier), args.modulus)
-    else:  # heuristic / auto both dispatch through synthesize
+    else:
         circ = synthesize(args.multiplier, args.modulus, cfg)
     _write_or_print(serialize(circ), args.output)
     return 0
@@ -107,9 +108,7 @@ def _cmd_modexp(args) -> int:
     cost, _ = _models(args.cost_model)
     depth = DepthModel.lookahead() if args.adder == "lookahead" else DepthModel.ripple()
     cfg = SynthesisConfig(cost_model=cost)
-    result = build_modexp(
-        args.modulus, args.base, cfg, depth, keep_identity_gates=args.keep_identity_gates
-    )
+    result = build_modexp(args.modulus, args.base, cfg, depth)
     summary = {
         "toffoli": result.toffoli,
         "cnot": result.cnot,
@@ -146,6 +145,8 @@ def parse_bits(spec: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args) -> int:
+    """Open --out and --summary before the sweep, so that an unwritable
+    path is refused before any modulus is swept."""
     cost, depth = _models(args.cost_model)
     moduli = None
     if args.moduli:
@@ -161,13 +162,14 @@ def _cmd_bench(args) -> int:
         cache_dir=args.cache,
         timing=args.timing,
     )
-    records = bench_mod.bench_sweep(cfg)
-    bench_mod.write_records_csv(records, args.out)
-    rows, series = bench_mod.aggregate(records)
-    if args.summary:
-        bench_mod.write_summary_csv(rows, args.summary)
-    ratio_path = os.path.join(os.path.dirname(os.path.abspath(args.out)), "ratio_vs_bits.csv")
-    bench_mod.write_ratio_csv(series, ratio_path)
+    write = {"mode": "w", "encoding": "utf-8", "newline": ""}
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(args.out, **write))
+        summary = stack.enter_context(open(args.summary, **write)) if args.summary else None
+        records = bench_mod.bench_sweep(cfg)
+        out.write(bench_mod.records_to_csv(records))
+        if summary:
+            bench_mod.write_summary_csv(bench_mod.aggregate(records), summary)
     errors = [r for r in records if r.error]
     if errors:
         print(f"{len(errors)} records carry errors", file=sys.stderr)
@@ -193,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplier", type=int, required=True)
     p.add_argument(
         "--method",
-        choices=["heuristic", "baseline", "euclid", "auto"],
-        default="auto",
+        choices=["heuristic", "baseline", "euclid"],
+        default="heuristic",
     )
     p.add_argument("--lookahead", type=int, default=3)
     p.add_argument("--cost-model", dest="cost_model")
@@ -223,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=2)
     p.add_argument("--adder", choices=["ripple", "lookahead"], default="ripple")
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--keep-identity-gates", action="store_true")
     p.add_argument("--cost-model", dest="cost_model")
     p.add_argument("-o", "--output-dir", dest="output_dir")
     p.set_defaults(func=_cmd_modexp)

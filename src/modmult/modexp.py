@@ -76,13 +76,11 @@ def build_modexp(
     b: int = 2,
     cfg: SynthesisConfig | None = None,
     depth_model: DepthModel | None = None,
-    keep_identity_gates: bool = False,
 ) -> ModExpCircuit:
     """Synthesize the 2n conditional positions and total the resources.
 
     Positions whose multiplier collapses to 1 keep their two CSWAP_LAYER
-    wrappers but carry an empty block; `keep_identity_gates` instead prices
-    them like a C=2 block for conservative comparisons.
+    wrappers but carry an empty block.
     """
     cfg = cfg or SynthesisConfig()
     depth_model = depth_model or DepthModel.ripple()
@@ -90,29 +88,22 @@ def build_modexp(
     n = plan.n
     model: CostModel = cfg.cost_model
 
-    cache: dict[int, BlockCircuit] = {}
-
-    def block_for(c: int) -> BlockCircuit:
-        if c not in cache:
-            cache[c] = synthesize(c, m, cfg)
-        return cache[c]
-
     # a position's two CSWAP layers, priced as the identity circuit they form
     wrap = BlockCircuit(m, 1, n, (BlockOp(CSWAP_LAYER),) * 2)
     wrap_toffoli, wrap_cnot = circuit_cost(wrap, model)
     wrap_depth = circuit_depth(wrap, depth_model)
 
+    cache: dict[int, BlockCircuit] = {}  # distinct multipliers, synthesized once
     toffoli = cnot = depth = 0
     blocks: list[tuple[BlockCircuit, bool]] = []
     for c in plan.multipliers:
-        block = block_for(c)
-        costed = block
-        if c == 1 and keep_identity_gates:
-            costed = block_for(2 % m)
-        t, k = circuit_cost(costed, model)
+        if c not in cache:
+            cache[c] = synthesize(c, m, cfg)
+        block = cache[c]
+        t, k = circuit_cost(block, model)
         toffoli += t
         cnot += k
-        depth += circuit_depth(costed, depth_model)
+        depth += circuit_depth(block, depth_model)
         blocks.append((block, True))
     positions = len(blocks)
     toffoli += positions * wrap_toffoli

@@ -1,5 +1,5 @@
-"""Exact integer utilities: GCD, modular inverses, special-form detection,
-and generation of benchmark instances (semiprime moduli, ranked primes).
+"""Exact integer utilities: the modulus check, the not-coprime error, and
+generation of benchmark instances (semiprime moduli, ranked primes).
 
 Everything here is pure and deterministic; primality testing uses a fixed
 witness schedule so results are reproducible bit-for-bit.
@@ -7,19 +7,12 @@ witness schedule so results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from math import gcd
 
 __all__ = [
     "Modulus",
-    "SpecialKind",
-    "SpecialForm",
     "NotCoprime",
-    "NotInvertible",
     "RankOutOfRange",
-    "mod_inverse",
-    "detect_special",
     "is_prime",
     "enumerate_semiprimes",
     "nth_largest_prime",
@@ -28,10 +21,6 @@ __all__ = [
 
 class NotCoprime(ValueError):
     """The two integers share a nontrivial factor."""
-
-
-class NotInvertible(ValueError):
-    """No modular inverse exists (inputs not coprime)."""
 
 
 class RankOutOfRange(ValueError):
@@ -51,73 +40,8 @@ class Modulus:
             raise ValueError(f"modulus must be odd, got {self.value}")
 
 
-class SpecialKind(enum.Enum):
-    POWER_OF_TWO = "PowerOfTwo"
-    INVERSE_POWER_OF_TWO = "InversePowerOfTwo"
-    NEG_POWER_OF_TWO = "NegPowerOfTwo"
-    NEG_INVERSE_POWER_OF_TWO = "NegInversePowerOfTwo"
-
-
-@dataclass(frozen=True)
-class SpecialForm:
-    """A multiplier that is (+/-) a modular power of two or its inverse.
-
-    POWER_OF_TWO(k):             C = 2^k mod M
-    INVERSE_POWER_OF_TWO(k):     C * 2^k = 1 (mod M)
-    NEG_* variants:              same congruence with -C.
-    """
-
-    kind: SpecialKind
-    k: int
-
-    def multiplier(self, m: int) -> int:
-        """Re-derive the multiplier C this form denotes, mod M."""
-        p = pow(2, self.k, m)
-        if self.kind is SpecialKind.POWER_OF_TWO:
-            return p
-        if self.kind is SpecialKind.INVERSE_POWER_OF_TWO:
-            return mod_inverse(p, m)
-        if self.kind is SpecialKind.NEG_POWER_OF_TWO:
-            return (-p) % m
-        return (-mod_inverse(p, m)) % m
-
-
-def mod_inverse(c: int, m: int) -> int:
-    """Least positive d with c*d = 1 (mod m). Raises NotInvertible."""
-    try:
-        return pow(c, -1, m)
-    except ValueError as exc:
-        raise NotInvertible(f"{c} has no inverse mod {m}") from exc
-
-
-def detect_special(c: int, m: int) -> SpecialForm | None:
-    """Scan k = 0 .. 2n-1 for a power-of-two special form of C.
-
-    For each k (ascending) the four kinds are checked in declaration order;
-    the first hit wins. Returns None when no form matches below the cap --
-    such multipliers fall through to GCD-trace synthesis.
-    """
-    if gcd(c, m) != 1:
-        raise NotCoprime(f"gcd({c}, {m}) != 1")
-    n = m.bit_length()
-    inv2 = mod_inverse(2, m)
-    p = 1  # 2^k mod M
-    ip = 1  # 2^-k mod M
-    for k in range(2 * n):
-        if c == p:
-            return SpecialForm(SpecialKind.POWER_OF_TWO, k)
-        if c == ip:
-            return SpecialForm(SpecialKind.INVERSE_POWER_OF_TWO, k)
-        if c == m - p:
-            return SpecialForm(SpecialKind.NEG_POWER_OF_TWO, k)
-        if c == m - ip:
-            return SpecialForm(SpecialKind.NEG_INVERSE_POWER_OF_TWO, k)
-        p = (p * 2) % m
-        ip = (ip * inv2) % m
-    return None
-
-
-# Deterministic Miller-Rabin below 2^64 (this witness set is exact there);
+# The trial divisors, and the witnesses of a deterministic Miller-Rabin
+# below 2^64 (this witness set is exact there);
 # the same fixed schedule is reused above 2^64 as a strong probable-prime
 # test, so prime generation is reproducible.
 _WITNESSES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -129,7 +53,7 @@ _WITNESSES_LARGE = _WITNESSES_SMALL + (
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _WITNESSES_SMALL:
         if p % small == 0:
             return p == small
     d = p - 1

@@ -60,21 +60,19 @@ class NonPositiveCost(ValueError):
     """An edge op costs <= 0 at this width; least-cost search needs > 0."""
 
 
-def _edge_ops(include_neg: bool) -> list[BlockOp]:
-    # Fixed opcode order; path reconstruction tie-breaks along this list.
-    ops = [
-        BlockOp(ADD, R1, R2),
-        BlockOp(ADD, R2, R1),
-        BlockOp(SUB, R1, R2),
-        BlockOp(SUB, R2, R1),
-        BlockOp(DBL, R1),
-        BlockOp(DBL, R2),
-        BlockOp(HLV, R1),
-        BlockOp(HLV, R2),
-    ]
-    if include_neg:
-        ops.extend([BlockOp(NEG, R1), BlockOp(NEG, R2)])
-    return ops
+# Fixed opcode order; path reconstruction tie-breaks along this list.
+_EDGE_OPS = (
+    BlockOp(ADD, R1, R2),
+    BlockOp(ADD, R2, R1),
+    BlockOp(SUB, R1, R2),
+    BlockOp(SUB, R2, R1),
+    BlockOp(DBL, R1),
+    BlockOp(DBL, R2),
+    BlockOp(HLV, R1),
+    BlockOp(HLV, R2),
+    BlockOp(NEG, R1),
+    BlockOp(NEG, R2),
+)
 
 
 class OptimalSearch:
@@ -85,7 +83,6 @@ class OptimalSearch:
         self,
         m: int,
         model: CostModel = DEFAULT_COST_MODEL,
-        include_neg: bool = True,
         bit_cap: int = DEFAULT_BIT_CAP,
     ):
         Modulus(m)  # validate
@@ -96,14 +93,13 @@ class OptimalSearch:
                 f"{m} has {self.n} bits; cap is {bit_cap} (state space M^2)"
             )
         self.model = model
-        self.ops = _edge_ops(include_neg)
-        self._weights = [model.op_cost(op.opcode, self.n) for op in self.ops]
-        free = [op.text() for op, w in zip(self.ops, self._weights) if w <= 0]
+        self._edges = [(op, model.op_cost(op.opcode, self.n)) for op in _EDGE_OPS]
+        free = [op.text() for op, w in self._edges if w <= 0]
         if free:
             raise NonPositiveCost(f"{', '.join(free)} must cost > 0 at n={self.n}")
         # (op, inverse, weight); reconstruction steps back along op by its inverse
-        self._steps = [(op, inverse_op(op), w) for op, w in zip(self.ops, self._weights)]
-        price = {op.opcode: w for op, w in zip(self.ops, self._weights)}
+        self._steps = [(op, inverse_op(op), w) for op, w in self._edges]
+        price = {op.opcode: w for op, w in self._edges}
         self._reversible = price[ADD] == price[SUB] and price[DBL] == price[HLV]
         self._fanout = model.op_cost(FANOUT, self.n)  # added to each FANOUT start
         self._inv2 = (m + 1) // 2
@@ -129,7 +125,7 @@ class OptimalSearch:
         """
         m = self.m
         add_is_sub = self.model.op_cost(ADD, self.n) == self.model.op_cost(SUB, self.n)
-        edges = list(zip(self.ops, self._weights))
+        edges = self._edges
         edges_10 = [e for e in edges if e[0] != BlockOp(NEG, R2)] if add_is_sub else edges
         rows = [
             (m, edges_10, lambda a, b: a * m + (np.minimum(b, m - b) if add_is_sub else b))

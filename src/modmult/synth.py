@@ -35,7 +35,7 @@ from .circuit import (
     CostModel,
     inverse_op,
 )
-from .numtheory import NotCoprime, SpecialForm, SpecialKind, detect_special, mod_inverse
+from .numtheory import NotCoprime
 
 __all__ = [
     "Move",
@@ -456,7 +456,7 @@ def baseline_synthesize(c: int, m: int) -> BlockCircuit:
     n = m.bit_length()
     if c == 1:
         return BlockCircuit(m, 1, n, ())
-    d = mod_inverse(c, m)
+    d = pow(c, -1, m)
     ops = [BlockOp(FANOUT)]
     for add_step in _horner_steps(c):
         ops.append(BlockOp(DBL, R1))
@@ -473,17 +473,39 @@ def baseline_synthesize(c: int, m: int) -> BlockCircuit:
     return BlockCircuit(m, c, n, tuple(ops), R1)
 
 
-def special_synthesize(f: SpecialForm, m: int) -> BlockCircuit:
-    """Single-register shortcut: k doublings (or halvings), plus one
-    negation for the negated kinds. No FANOUT is needed."""
+def special_synthesize(c: int, m: int) -> BlockCircuit | None:
+    """Single-register shortcut for C = +-2^k or +-2^-k mod M, k < 2n:
+    k doublings (or halvings) of R1, plus one negation for -C. No FANOUT
+    is needed.
+
+    For each k (ascending) the forms 2^k, 2^-k, -2^k and -2^-k are checked
+    in that order; the first hit wins. Returns None when no form matches
+    below the cap -- such multipliers fall through to GCD-trace synthesis.
+    """
+    if gcd(c, m) != 1:
+        raise NotCoprime(f"gcd({c}, {m}) != 1")
     n = m.bit_length()
-    if f.kind in (SpecialKind.POWER_OF_TWO, SpecialKind.NEG_POWER_OF_TWO):
-        ops = [BlockOp(DBL, R1)] * f.k
-    else:
-        ops = [BlockOp(HLV, R1)] * f.k
-    if f.kind in (SpecialKind.NEG_POWER_OF_TWO, SpecialKind.NEG_INVERSE_POWER_OF_TWO):
-        ops.append(BlockOp(NEG, R1))
-    return BlockCircuit(m, f.multiplier(m), n, tuple(ops), R1)
+    inv2 = (m + 1) // 2  # 2^-1 mod M for odd M; BlockCircuit refuses an even M
+    p = 1  # 2^k mod M
+    ip = 1  # 2^-k mod M
+    for k in range(2 * n):
+        if c == p:
+            shift, negate = DBL, False
+        elif c == ip:
+            shift, negate = HLV, False
+        elif c == m - p:
+            shift, negate = DBL, True
+        elif c == m - ip:
+            shift, negate = HLV, True
+        else:
+            p = (p * 2) % m
+            ip = (ip * inv2) % m
+            continue
+        ops = [BlockOp(shift, R1)] * k
+        if negate:
+            ops.append(BlockOp(NEG, R1))
+        return BlockCircuit(m, c, n, tuple(ops), R1)
+    return None
 
 
 def synthesize(
@@ -503,8 +525,6 @@ def synthesize(
     n = m.bit_length()
     if c == 1:
         return BlockCircuit(m, 1, n, ())
-    if cfg.use_special_cases:
-        form = detect_special(c, m)
-        if form is not None:
-            return special_synthesize(form, m)
+    if cfg.use_special_cases and (circ := special_synthesize(c, m)) is not None:
+        return circ
     return trace_to_circuit(lookahead_trace(m, c, cfg, decisions), m)

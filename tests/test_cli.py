@@ -43,6 +43,12 @@ def test_synth_stdout_and_file(capsys, tmp_path):
     assert code == 0 and verify(parse(path.read_text())).passed
 
 
+def test_synth_default_method_is_heuristic(capsys):
+    for c in ("13", "2"):  # a GCD-trace circuit and a special-form one
+        argv = ["synth", "--modulus", "21", "--multiplier", c]
+        assert run(capsys, *argv) == run(capsys, *argv, "--method", "heuristic")
+
+
 def test_synth_no_special_flag(capsys):
     _, plain = run(capsys, "synth", "--modulus", "21", "--multiplier", "2")
     _, nospec = run(capsys, "synth", "--modulus", "21", "--multiplier", "2", "--no-special")
@@ -127,9 +133,31 @@ def test_bench_end_to_end(capsys, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("bits,modulus,multiplier,method,")
     assert summary.read_text().startswith("bits,method,count,")
-    ratio = (tmp_path / "ratio_vs_bits.csv").read_text().strip().split("\n")
-    assert ratio[0] == "bits,baseline_over_heuristic,heuristic_over_optimal"
-    assert ratio[1].startswith("7,")
+
+
+def test_bench_writes_only_its_outputs(capsys, tmp_path):
+    out, summary = tmp_path / "records.csv", tmp_path / "summary.csv"
+    argv = ["bench", "--bits", "7", "--multiplier-cap", "3", "--out", str(out)]
+    assert main([*argv, "--summary", str(summary)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["records.csv", "summary.csv"]
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [["--out", "nodir/r.csv"], ["--out", "r.csv", "--summary", "nodir/r.csv"]],
+    ids=["out", "summary"],
+)
+def test_bench_opens_outputs_before_sweep(capsys, tmp_path, monkeypatch, outputs):
+    # an unwritable output is refused before any modulus is swept
+    def sweep(cfg):
+        raise AssertionError("swept before its outputs were opened")
+
+    monkeypatch.setattr(bench, "bench_sweep", sweep)
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--bits", "8", "--methods", "heuristic,baseline,optimal", *outputs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "modmult bench: [Errno 2] No such file or directory: 'nodir/r.csv'\n"
 
 
 def test_bench_moduli_file_and_cache(capsys, tmp_path):
@@ -205,6 +233,7 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
     "argv, message",
     [
         (["synth", "--modulus", "21", "--multiplier", "7"], "gcd(7, 21)"),
+        (["synth", "--modulus", "22", "--multiplier", "3"], "modulus must be odd"),
         (["synth", "--modulus", "21", "--multiplier", "13", "--lookahead", "9"], "lookahead depth"),
         (["modexp", "--modulus", "21", "--base", "7"], "gcd(7, 21)"),
         (["bench", "--bits", "13", "--methods", "optimal", "--out", "unused.csv"], "bit cap"),
@@ -245,6 +274,7 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
     ],
     ids=[
         "synth-not-coprime",
+        "synth-even-modulus",
         "synth-lookahead",
         "modexp-base",
         "bench-optimal-cap",

@@ -65,14 +65,6 @@ class TestBuild:
         assert (a.toffoli, a.cnot, a.depth) == (toffoli, cnot, depth)
         assert a.distinct_blocks == 3  # {2, 4, 16}
 
-    def test_keep_identity_gates_costs_more(self):
-        # ord_15(2) = 4, so repeated squaring reaches 1 and stays there
-        plan = modexp_plan(15, 2)
-        assert 1 in plan.multipliers
-        lean = build_modexp(15, 2)
-        fat = build_modexp(15, 2, keep_identity_gates=True)
-        assert fat.toffoli > lean.toffoli
-
     def test_ripple_ancillae(self):
         circ = build_modexp(21, 2, depth_model=DepthModel.ripple())
         n = 5

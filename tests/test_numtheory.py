@@ -1,4 +1,3 @@
-import random
 from math import gcd
 
 import pytest
@@ -6,15 +5,9 @@ from hypothesis import given, strategies as st
 
 from modmult.numtheory import (
     Modulus,
-    NotCoprime,
-    NotInvertible,
     RankOutOfRange,
-    SpecialForm,
-    SpecialKind,
-    detect_special,
     enumerate_semiprimes,
     is_prime,
-    mod_inverse,
     nth_largest_prime,
 )
 
@@ -43,67 +36,6 @@ class TestGcd:
         g = gcd(a, b)
         assert gcd(a, b) == gcd(b, a % b if b else a)
         assert a % g == 0 and b % g == 0
-
-
-class TestModInverse:
-    def test_known_inverse_of_13(self):
-        assert 569 * 1777 == 1011113
-        assert mod_inverse(13, 1011113) == 77778
-
-    def test_identity(self):
-        assert mod_inverse(1, 21) == 1
-
-    def test_self_inverse(self):
-        assert mod_inverse(13, 21) == 13  # 13*13 = 169 = 8*21 + 1
-
-    def test_not_invertible(self):
-        with pytest.raises(NotInvertible):
-            mod_inverse(7, 21)
-
-    @pytest.mark.parametrize("bits", [8, 32, 64, 256])
-    def test_round_trip_random(self, bits):
-        rng = random.Random(1234 + bits)
-        done = 0
-        while done < 1000:
-            m = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-            c = rng.randrange(1, m)
-            if gcd(c, m) != 1:
-                continue
-            assert (c * mod_inverse(c, m)) % m == 1
-            done += 1
-
-
-class TestDetectSpecial:
-    def test_power_of_two(self):
-        assert detect_special(2, 21) == SpecialForm(SpecialKind.POWER_OF_TWO, 1)
-
-    def test_inverse_power_of_two(self):
-        # 2 * 11 = 22 = 1 (mod 21)
-        assert detect_special(11, 21) == SpecialForm(SpecialKind.INVERSE_POWER_OF_TWO, 1)
-
-    def test_neg_power_of_two(self):
-        # 13 = 21 - 8 = -2^3 (mod 21)
-        assert detect_special(13, 21) == SpecialForm(SpecialKind.NEG_POWER_OF_TWO, 3)
-
-    def test_no_form(self):
-        # 5 is not +-2^k or +-2^-k mod 103 for k < 14
-        assert detect_special(5, 103) is None
-
-    def test_requires_coprime(self):
-        with pytest.raises(NotCoprime):
-            detect_special(6, 21)
-
-    def test_soundness_exhaustive_small(self):
-        for m in (21, 35, 65, 77, 91):
-            n = m.bit_length()
-            for c in range(1, m):
-                if gcd(c, m) != 1:
-                    continue
-                form = detect_special(c, m)
-                if form is None:
-                    continue
-                assert form.k < 2 * n
-                assert form.multiplier(m) == c
 
 
 class TestSemiprimes:
@@ -140,6 +72,14 @@ class TestSemiprimes:
             q = v // p
             assert p != q and is_prime(p) and is_prime(q)
             assert p >= 5 and q >= 5
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        # below 37^2 the trial divisors alone decide; above, Miller-Rabin
+        for p in range(3000):
+            expect = p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+            assert is_prime(p) == expect, p
 
 
 class TestNthLargestPrime:

@@ -1,6 +1,8 @@
+import enum
 import gc
 import hashlib
 import random
+from dataclasses import dataclass
 from math import gcd
 
 import pytest
@@ -16,12 +18,14 @@ from modmult.circuit import (
     R1,
     R2,
     SUB,
+    BlockCircuit,
+    BlockOp,
     CostModel,
     circuit_cost,
     serialize,
 )
 from modmult.modexp import modexp_plan
-from modmult.numtheory import NotCoprime, SpecialForm, SpecialKind, mod_inverse
+from modmult.numtheory import NotCoprime
 from modmult.simulate import verify
 from modmult.synth import (
     DecisionCache,
@@ -237,7 +241,7 @@ class TestBaseline:
         assert seen[:6] == [1, 1, 2, 3, 6, 12]
         assert 13 in seen
         assert verify(c).passed
-        assert mod_inverse(13, 21) == 13
+        assert pow(13, -1, 21) == 13
 
     def test_c1_empty(self):
         assert baseline_synthesize(1, 21).ops == ()
@@ -254,7 +258,7 @@ class TestBaseline:
             c = rng.randrange(2, m)
             if gcd(c, m) != 1:
                 continue
-            d = mod_inverse(c, m)
+            d = pow(c, -1, m)
             circ = baseline_synthesize(c, m)
             arith = len(circ.ops) - 1  # minus FANOUT
             expect = (c.bit_length() - 1 + bin(c).count("1") - 1) + (
@@ -267,22 +271,151 @@ class TestBaseline:
 
 class TestSpecial:
     def test_power_of_two(self):
-        c = special_synthesize(SpecialForm(SpecialKind.POWER_OF_TWO, 3), 21)
+        assert special_synthesize(2, 21).ops == (BlockOp(DBL, R1),)
+        c = special_synthesize(8, 21)
         assert [op.opcode for op in c.ops] == [DBL, DBL, DBL]
         assert c.result_register == R1 and c.multiplier == 8
         assert fold(c, 2) == (16, 0)
 
     def test_inverse_power_of_two(self):
-        c = special_synthesize(SpecialForm(SpecialKind.INVERSE_POWER_OF_TWO, 1), 21)
-        assert [op.opcode for op in c.ops] == [HLV]
+        # 2 * 11 = 22 = 1 (mod 21)
+        c = special_synthesize(11, 21)
+        assert c.ops == (BlockOp(HLV, R1),)
         assert c.multiplier == 11
         assert verify(c).passed
 
+    def test_neg_power_of_two(self):
+        # 13 = 21 - 8 = -2^3 (mod 21)
+        assert special_synthesize(13, 21).ops == (BlockOp(DBL, R1),) * 3 + (BlockOp(NEG, R1),)
+
     def test_negation(self):
-        c = special_synthesize(SpecialForm(SpecialKind.NEG_POWER_OF_TWO, 0), 21)
+        c = special_synthesize(20, 21)
         assert [op.opcode for op in c.ops] == [NEG]
         assert c.multiplier == 20
         assert verify(c).passed
+
+    def test_no_form(self):
+        # 5 is not +-2^k or +-2^-k mod 103 for k < 14
+        assert special_synthesize(5, 103) is None
+
+    def test_requires_coprime(self):
+        with pytest.raises(NotCoprime):
+            special_synthesize(6, 21)
+
+    def test_soundness_exhaustive_small(self):
+        for m in (21, 35, 65, 77, 91):
+            n = m.bit_length()
+            for c in range(1, m):
+                if gcd(c, m) != 1:
+                    continue
+                circ = special_synthesize(c, m)
+                if circ is None:
+                    continue
+                assert sum(op.opcode in (DBL, HLV) for op in circ.ops) < 2 * n
+                assert circ.multiplier == c
+                assert verify(circ).passed, (m, c)
+
+
+# The two-step special path that `special_synthesize(c, m)` replaced, copied
+# verbatim as the reference: `detect_special` named C's form, and
+# `special_synthesize(form, m)` built it, re-deriving C from the form.
+# `mod_inverse` stands in for the helper it called (its refusal is never
+# reached: the scan checks coprimality first).
+
+
+def mod_inverse(c, m):
+    return pow(c, -1, m)
+
+
+class SpecialKind(enum.Enum):
+    POWER_OF_TWO = "PowerOfTwo"
+    INVERSE_POWER_OF_TWO = "InversePowerOfTwo"
+    NEG_POWER_OF_TWO = "NegPowerOfTwo"
+    NEG_INVERSE_POWER_OF_TWO = "NegInversePowerOfTwo"
+
+
+@dataclass(frozen=True)
+class SpecialForm:
+    """A multiplier that is (+/-) a modular power of two or its inverse.
+
+    POWER_OF_TWO(k):             C = 2^k mod M
+    INVERSE_POWER_OF_TWO(k):     C * 2^k = 1 (mod M)
+    NEG_* variants:              same congruence with -C.
+    """
+
+    kind: SpecialKind
+    k: int
+
+    def multiplier(self, m: int) -> int:
+        """Re-derive the multiplier C this form denotes, mod M."""
+        p = pow(2, self.k, m)
+        if self.kind is SpecialKind.POWER_OF_TWO:
+            return p
+        if self.kind is SpecialKind.INVERSE_POWER_OF_TWO:
+            return mod_inverse(p, m)
+        if self.kind is SpecialKind.NEG_POWER_OF_TWO:
+            return (-p) % m
+        return (-mod_inverse(p, m)) % m
+
+
+def detect_special(c: int, m: int) -> SpecialForm | None:
+    """Scan k = 0 .. 2n-1 for a power-of-two special form of C.
+
+    For each k (ascending) the four kinds are checked in declaration order;
+    the first hit wins. Returns None when no form matches below the cap --
+    such multipliers fall through to GCD-trace synthesis.
+    """
+    if gcd(c, m) != 1:
+        raise NotCoprime(f"gcd({c}, {m}) != 1")
+    n = m.bit_length()
+    inv2 = mod_inverse(2, m)
+    p = 1  # 2^k mod M
+    ip = 1  # 2^-k mod M
+    for k in range(2 * n):
+        if c == p:
+            return SpecialForm(SpecialKind.POWER_OF_TWO, k)
+        if c == ip:
+            return SpecialForm(SpecialKind.INVERSE_POWER_OF_TWO, k)
+        if c == m - p:
+            return SpecialForm(SpecialKind.NEG_POWER_OF_TWO, k)
+        if c == m - ip:
+            return SpecialForm(SpecialKind.NEG_INVERSE_POWER_OF_TWO, k)
+        p = (p * 2) % m
+        ip = (ip * inv2) % m
+    return None
+
+
+def reference_special_synthesize(f: SpecialForm, m: int) -> BlockCircuit:
+    """Single-register shortcut: k doublings (or halvings), plus one
+    negation for the negated kinds. No FANOUT is needed."""
+    n = m.bit_length()
+    if f.kind in (SpecialKind.POWER_OF_TWO, SpecialKind.NEG_POWER_OF_TWO):
+        ops = [BlockOp(DBL, R1)] * f.k
+    else:
+        ops = [BlockOp(HLV, R1)] * f.k
+    if f.kind in (SpecialKind.NEG_POWER_OF_TWO, SpecialKind.NEG_INVERSE_POWER_OF_TWO):
+        ops.append(BlockOp(NEG, R1))
+    return BlockCircuit(m, f.multiplier(m), n, tuple(ops), R1)
+
+
+class TestSpecialReference:
+    def test_matches_two_step_reference(self):
+        # every coprime C of every odd M < 600: the same circuit text, or
+        # None from both
+        special = 0
+        for m in range(3, 600, 2):
+            for c in range(1, m):
+                if gcd(c, m) != 1:
+                    continue
+                form = detect_special(c, m)
+                circ = special_synthesize(c, m)
+                if form is None:
+                    assert circ is None, (m, c)
+                else:
+                    special += 1
+                    expect = serialize(reference_special_synthesize(form, m))
+                    assert circ is not None and serialize(circ) == expect, (m, c)
+        assert special > 0
 
 
 class TestSynthesize:
