@@ -1,15 +1,20 @@
+import random
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from modmult.circuit import DBL, HLV, NEG, R1, SUB, BlockCircuit, BlockOp
 from modmult.numtheory import (
     Modulus,
+    NotCoprime,
     RankOutOfRange,
     enumerate_semiprimes,
     is_prime,
     nth_largest_prime,
 )
+from modmult.simulate import verify
+from modmult.synth import baseline_synthesize, special_synthesize
 
 
 def brute_gcd(a, b):
@@ -36,6 +41,90 @@ class TestGcd:
         g = gcd(a, b)
         assert gcd(a, b) == gcd(b, a % b if b else a)
         assert a % g == 0 and b % g == 0
+
+
+def uncompute_inverse(circ: BlockCircuit) -> int:
+    """The D whose Horner chain the baseline's HLV/SUB tail undoes, read
+    back off the circuit: 1 for the leading SUB, then x2 per HLV and +1 per
+    SUB. The compute side uses only DBL and ADD."""
+    d = 0
+    for op in reversed(circ.ops):
+        if op.opcode == HLV:
+            d *= 2
+        elif op.opcode == SUB:
+            d += 1
+    return d
+
+
+class TestModInverse:
+    """The baseline clears its copy register with C^-1 mod M (a wrong
+    inverse leaves R2 dirty); these read that inverse off its circuit."""
+
+    def test_known_inverse_of_13(self):
+        assert 569 * 1777 == 1011113
+        assert uncompute_inverse(baseline_synthesize(13, 1011113)) == 77778
+
+    def test_identity(self):
+        # C = 22 = 1 (mod 21) is its own inverse: nothing to copy or clear
+        assert baseline_synthesize(22, 21).ops == ()
+
+    def test_self_inverse(self):
+        # 13*13 = 169 = 8*21 + 1
+        assert uncompute_inverse(baseline_synthesize(13, 21)) == 13
+
+    def test_not_invertible(self):
+        with pytest.raises(NotCoprime):
+            baseline_synthesize(7, 21)
+
+    @pytest.mark.parametrize("bits", [8, 32, 64, 256])
+    def test_round_trip_random(self, bits):
+        rng = random.Random(1234 + bits)
+        done = 0
+        while done < 1000:
+            m = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            c = rng.randrange(2, m)
+            if gcd(c, m) != 1:
+                continue
+            assert (c * uncompute_inverse(baseline_synthesize(c, m))) % m == 1
+            done += 1
+
+
+class TestDetectSpecial:
+    """Special-form detection, done by `synth.special_synthesize`: C = +-2^k
+    or +-2^-k mod M with k < 2n, built as k DBL or HLV ops on R1 plus NEG
+    for -C; None for any other C."""
+
+    def test_power_of_two(self):
+        assert special_synthesize(2, 21).ops == (BlockOp(DBL, R1),)
+
+    def test_inverse_power_of_two(self):
+        # 2 * 11 = 22 = 1 (mod 21)
+        assert special_synthesize(11, 21).ops == (BlockOp(HLV, R1),)
+
+    def test_neg_power_of_two(self):
+        # 13 = 21 - 8 = -2^3 (mod 21)
+        assert special_synthesize(13, 21).ops == (BlockOp(DBL, R1),) * 3 + (BlockOp(NEG, R1),)
+
+    def test_no_form(self):
+        # 5 is not +-2^k or +-2^-k mod 103 for k < 14
+        assert special_synthesize(5, 103) is None
+
+    def test_requires_coprime(self):
+        with pytest.raises(NotCoprime):
+            special_synthesize(6, 21)
+
+    def test_soundness_exhaustive_small(self):
+        for m in (21, 35, 65, 77, 91):
+            n = m.bit_length()
+            for c in range(1, m):
+                if gcd(c, m) != 1:
+                    continue
+                circ = special_synthesize(c, m)
+                if circ is None:
+                    continue
+                assert sum(op.opcode in (DBL, HLV) for op in circ.ops) < 2 * n
+                assert circ.multiplier == c
+                assert verify(circ).passed, (m, c)
 
 
 class TestSemiprimes:

@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import tracemalloc
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,23 @@ from modmult.circuit import (
     circuit_depth,
     serialize,
 )
+from modmult import optimal
 from modmult.numtheory import NotCoprime
 from modmult.optimal import ModulusTooLarge, NonPositiveCost, OptimalSearch
 from modmult.simulate import verify
 from modmult.synth import SynthesisConfig, synthesize
+
+
+def _search(m: int, model: CostModel = CostModel(), include_neg: bool = True) -> OptimalSearch:
+    """The exact search over its edge list, or over that list less the two
+    NEG ops. The search is generic over its edges; the graph without NEG is
+    a second graph on which it must match the heapq reference and its
+    goldens."""
+    if include_neg:
+        return OptimalSearch(m, model)
+    no_neg = tuple(op for op in optimal._EDGE_OPS if op.opcode != NEG)
+    with mock.patch.object(optimal, "_EDGE_OPS", no_neg):
+        return OptimalSearch(m, model)
 
 
 class TestCosts:
@@ -61,6 +75,8 @@ class TestCosts:
         free_neg = CostModel("free-neg", {**CostModel().coeffs, NEG: (0, 0)})
         with pytest.raises(NonPositiveCost, match="NEG"):
             OptimalSearch(21, free_neg)
+        # NEG is not an edge of the graph without it, so its price is irrelevant
+        assert _search(21, free_neg, include_neg=False).cost(13) > 0
 
 
 class TestReconstruction:
@@ -95,8 +111,9 @@ class TestReconstruction:
         for c in (2, 10, 59, 76):
             assert serialize(a.circuit(c)) == serialize(b.circuit(c))
 
+    @pytest.mark.parametrize("include_neg", [True, False])
     @pytest.mark.parametrize("m", [21, 33, 35, 77, 221])
-    def test_every_circuit_verifies_at_its_cost(self, m):
+    def test_every_circuit_verifies_at_its_cost(self, m, include_neg):
         # the default model, and a reversible and a non-reversible model that
         # price FANOUT, which every FANOUT candidate must pay
         default = CostModel().coeffs
@@ -106,7 +123,7 @@ class TestReconstruction:
             CostModel("fan-dear-halving", {**default, HLV: (5, 1), FANOUT: (1, 0)}),
         ]
         for model in models:
-            search = OptimalSearch(m, model)
+            search = _search(m, model, include_neg)
             costs = search.all_costs()
             for c in range(1, m):
                 if gcd(c, m) == 1:
@@ -126,6 +143,12 @@ class TestFloorProperty:
                     continue
                 h = circuit_cost(synthesize(c, m, cfg), cfg.cost_model)[0]
                 assert h >= floor[c], (m, c)
+
+    def test_without_neg_costs_no_lower(self):
+        with_neg = _search(21, include_neg=True).all_costs()
+        without = _search(21, include_neg=False).all_costs()
+        for c, cost in with_neg.items():
+            assert without[c] >= cost
 
 
 def _running_digest(search: OptimalSearch) -> str:
@@ -165,24 +188,33 @@ class TestSearch:
         costs = repr(sorted(search.all_costs().items())).encode()
         assert hashlib.sha256(costs).hexdigest().startswith("5557e1c1ebd78a01")
         assert _running_digest(search).startswith("f5213ed542294c1f")
+        no_neg = _search(1007, include_neg=False)
+        assert _running_digest(no_neg).startswith("3f2d91ed35000909")
 
-    def test_golden_1007_measures(self):
+    @pytest.mark.parametrize(
+        "include_neg, digest", [(True, "fd105691b21d410b"), (False, "efb2718953e63944")]
+    )
+    def test_golden_1007_measures(self, include_neg, digest):
         # computed on the two-row search: reading FANOUT circuits off the
         # (1,0) row moves their text, never a Toffoli count, depth or length
-        assert _measures_digest(OptimalSearch(1007)).startswith("fd105691b21d410b")
+        assert _measures_digest(_search(1007, include_neg=include_neg)).startswith(digest)
 
-    def test_golden_221_dearer_halving(self):
+    @pytest.mark.parametrize(
+        "include_neg, digest", [(True, "f55c7a31fbd47fdd"), (False, "3c6f8c601cb7bee4")]
+    )
+    def test_golden_221_dearer_halving(self, include_neg, digest):
         # DBL and HLV priced apart: no reverse edges, so (1,1) keeps its own row
         model = CostModel("test", {**CostModel().coeffs, HLV: (5, 1)})
-        assert _running_digest(OptimalSearch(221, model)).startswith("f55c7a31fbd47fdd")
+        assert _running_digest(_search(221, model, include_neg)).startswith(digest)
 
     @staticmethod
-    def reference(m: int, model: CostModel):
+    def reference(m: int, model: CostModel, include_neg: bool):
         """Distance rows and all_costs from a heapq Dijkstra over an
         explicit edge list."""
         n = m.bit_length()
+        codes = (DBL, HLV, NEG) if include_neg else (DBL, HLV)
         ops = [BlockOp(code, t, s) for code in (ADD, SUB) for t, s in ((R1, R2), (R2, R1))]
-        ops += [BlockOp(code, t) for code in (DBL, HLV, NEG) for t in (R1, R2)]
+        ops += [BlockOp(code, t) for code in codes for t in (R1, R2)]
         edges = []
         for state in range(m * m):
             a, b = divmod(state, m)
@@ -215,9 +247,9 @@ class TestSearch:
         return np.array(rows), costs
 
     @classmethod
-    def assert_matches_reference(cls, m: int, model: CostModel):
-        search = OptimalSearch(m, model)
-        dist, costs = cls.reference(m, model)
+    def assert_matches_reference(cls, m: int, model: CostModel, include_neg: bool):
+        search = _search(m, model, include_neg)
+        dist, costs = cls.reference(m, model, include_neg)
         price = {code: model.op_cost(code, m.bit_length()) for code in (ADD, SUB, DBL, HLV)}
         if price[ADD] == price[SUB] and price[DBL] == price[HLV]:
             # every edge has a reverse of equal weight: one row, from (1,0),
@@ -230,21 +262,23 @@ class TestSearch:
             assert np.array_equal(search._dist, dist)
         assert search.all_costs() == costs
 
+    @pytest.mark.parametrize("include_neg", [True, False])
     @pytest.mark.parametrize("m", [21, 33, 35, 77])
-    def test_matches_heapq_reference(self, m):
-        self.assert_matches_reference(m, CostModel())
+    def test_matches_heapq_reference(self, m, include_neg):
+        self.assert_matches_reference(m, CostModel(), include_neg)
 
     @pytest.mark.parametrize(
         "prices",
         [{SUB: (4, 0)}, {HLV: (5, 1)}, {ADD: (1, 1)}],
         ids=["sub-dearer", "hlv-dearer", "add-cheaper"],
     )
+    @pytest.mark.parametrize("include_neg", [True, False])
     @pytest.mark.parametrize("m", [21, 33, 35, 77])
-    def test_matches_heapq_reference_other_prices(self, m, prices):
+    def test_matches_heapq_reference_other_prices(self, m, include_neg, prices):
         # each row is searched over half its states by a symmetry of the op
         # set; with ADD and SUB priced apart the (1,0) row has none
         model = CostModel("test", {**CostModel().coeffs, **prices})
-        self.assert_matches_reference(m, model)
+        self.assert_matches_reference(m, model, include_neg)
 
     def test_twelve_bit_cap_fits(self):
         m, c = 4087, 1234  # 61 * 67, the 12-bit cap
