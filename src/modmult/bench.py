@@ -3,7 +3,7 @@ multipliers, per-method records, Table-style aggregation, CSV emission,
 and a result cache.
 
 Every record's circuit is verified. SweepConfig refuses a sweep that selects
-nothing.
+nothing, or a width that `enumerate_semiprimes` does not serve.
 
 The cache holds one file per (modulus, SweepConfig.config_hash): a shard of
 every stored record of that modulus under that config, labelled with both
@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from statistics import mean
-from typing import IO, Iterable
+from typing import IO, ClassVar, Iterable
 
 from .circuit import CostModel, DepthModel, circuit_cost, circuit_depth
-from .numtheory import Modulus, enumerate_semiprimes
+from .numtheory import Modulus, check_semiprime_width, enumerate_semiprimes
 from .optimal import DEFAULT_BIT_CAP, OptimalSearch
 from .simulate import verify
 from .synth import (
@@ -126,7 +126,7 @@ class SweepConfig:
     depth_model: DepthModel = field(default_factory=DepthModel.ripple)
     cache_dir: str | None = None
     timing: bool = False
-    optimal_bit_cap: int = DEFAULT_BIT_CAP
+    optimal_bit_cap: ClassVar[int] = DEFAULT_BIT_CAP
 
     def __post_init__(self) -> None:
         if self.jobs != 1:
@@ -141,6 +141,8 @@ class SweepConfig:
             raise ValueError("no methods to sweep")
         if self.multiplier_cap is not None and self.multiplier_cap < 1:
             raise ValueError(f"multiplier cap must be >= 1, got {self.multiplier_cap}")
+        for bits in () if self.moduli else self.bits:
+            check_semiprime_width(bits)
         for m in self.moduli or ():
             Modulus(m)  # odd and >= 3, or ValueError
         for method in self.methods:
@@ -197,8 +199,6 @@ def _synthesize_method(
     if method == "baseline":
         return baseline_synthesize(c, m)
     if method == "euclid":
-        if c == 1:
-            return synthesize(1, m, scfg)
         return trace_to_circuit(euclid_trace(m, c), m)
     assert opt is not None
     return opt.circuit(c)

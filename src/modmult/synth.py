@@ -422,17 +422,20 @@ def trace_to_circuit(t: GcdTrace, m: int) -> BlockCircuit:
     """FANOUT followed by the reversed move list as blocks.
 
     The trace side holding M becomes the register that ends at M*x = 0;
-    the other side (starting at C) is the result register.
+    the other side (starting at C) is the result register. A trace for
+    C = 1 mod M, the (1, 1) trace included, gives the empty circuit.
     """
     first_a, first_b = t.pairs[0]
-    if (first_a, first_b) == (1, 1):
-        return BlockCircuit(m, 1, m.bit_length(), ())
     if first_a == m:
         result, c = R2, first_b
     elif first_b == m:
         result, c = R1, first_a
+    elif (first_a, first_b) == (1, 1):
+        result, c = R1, 1
     else:
         raise ValueError(f"trace does not start from modulus {m}")
+    if c % m == 1:
+        return BlockCircuit(m, 1, m.bit_length(), ())
     ops = (BlockOp(FANOUT), *(_MOVE_OPS[move] for move in reversed(t.moves)))
     return BlockCircuit(m, c % m, m.bit_length(), ops, result)
 

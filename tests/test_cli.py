@@ -5,7 +5,7 @@ import pytest
 
 from modmult import bench
 from modmult.cli import main
-from modmult.circuit import NEG, CostModel, parse
+from modmult.circuit import NEG, CostModel, circuit_cost, parse
 from modmult.simulate import verify
 
 
@@ -227,6 +227,28 @@ def test_bench_invalid_moduli_exit_code(capsys, tmp_path, modulus):
     err = capsys.readouterr().err
     assert err.startswith("modmult bench: modulus must be") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bits", ["5", "21", "7,5"])
+def test_bench_invalid_width_writes_nothing(capsys, tmp_path, monkeypatch, bits):
+    # refused by SweepConfig, before --out is opened: no empty CSV
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--bits", bits, "--out", "r.csv"]) == 2
+    assert "outside practical range [6, 20]" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("c", [1, 13, 22])
+def test_synth_euclid_matches_bench(capsys, c):
+    # one rule for the euclid circuit: `synth` prints the circuit that
+    # `bench` records, the empty one for C = 1 mod M included
+    code, text = run(capsys, "synth", "--method", "euclid", "--modulus", "21", "--multiplier", str(c))
+    circ = parse(text)
+    cfg = bench.SweepConfig(moduli=(21,), multiplier_cap=1, multiplier_start=c % 21, methods=("euclid",))
+    [rec] = bench.bench_sweep(cfg)
+    assert code == 0 and not rec.error
+    assert (rec.toffoli, rec.op_count) == (circuit_cost(circ, CostModel())[0], len(circ.ops))
+    assert (c % 21 == 1) == (circ.ops == ())
 
 
 @pytest.mark.parametrize(

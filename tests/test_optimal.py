@@ -114,13 +114,16 @@ class TestReconstruction:
     @pytest.mark.parametrize("include_neg", [True, False])
     @pytest.mark.parametrize("m", [21, 33, 35, 77, 221])
     def test_every_circuit_verifies_at_its_cost(self, m, include_neg):
-        # the default model, and a reversible and a non-reversible model that
-        # price FANOUT, which every FANOUT candidate must pay
+        # the default model, a reversible and two non-reversible models that
+        # price FANOUT, which every FANOUT candidate must pay, and one with
+        # ADD and SUB priced apart, whose rows are not folded
         default = CostModel().coeffs
         models = [
             CostModel(),
             CostModel("fan", {**default, FANOUT: (1, 0)}),
             CostModel("fan-dear-halving", {**default, HLV: (5, 1), FANOUT: (1, 0)}),
+            CostModel("dear-sub", {**default, SUB: (4, 0)}),
+            CostModel("fan-dear-sub", {**default, SUB: (4, 0), FANOUT: (1, 0)}),
         ]
         for model in models:
             search = _search(m, model, include_neg)
@@ -200,32 +203,52 @@ class TestSearch:
         assert _measures_digest(_search(1007, include_neg=include_neg)).startswith(digest)
 
     @pytest.mark.parametrize(
-        "include_neg, digest", [(True, "f55c7a31fbd47fdd"), (False, "3c6f8c601cb7bee4")]
+        "include_neg, digest", [(True, "c1fb79c91515b7b8"), (False, "e0320ebac312bccb")]
     )
     def test_golden_221_dearer_halving(self, include_neg, digest):
-        # DBL and HLV priced apart: no reverse edges, so (1,1) keeps its own row
+        # DBL and HLV priced apart: FANOUT circuits come off the reversed
+        # graph's row, a tie-break change, same costs (f55c7a31fbd47fdd and
+        # 3c6f8c601cb7bee4 when they came from a search from (1,1))
         model = CostModel("test", {**CostModel().coeffs, HLV: (5, 1)})
         assert _running_digest(_search(221, model, include_neg)).startswith(digest)
+
+    @pytest.mark.parametrize(
+        "prices, m, digest",
+        [
+            ({HLV: (5, 1)}, 221, "591d662b130aaede"),
+            ({HLV: (5, 1)}, 1007, "6d7235d428c8d623"),
+            ({SUB: (4, 0)}, 221, "18daf51bb3690c8b"),
+            ({SUB: (4, 0)}, 1007, "536380eeb73a052e"),
+        ],
+        ids=["hlv-dearer-221", "hlv-dearer-1007", "sub-dearer-221", "sub-dearer-1007"],
+    )
+    def test_golden_costs_other_prices(self, prices, m, digest):
+        # taken on the search from (1,1), which the reversed graph replaced
+        search = OptimalSearch(m, CostModel("test", {**CostModel().coeffs, **prices}))
+        costs = repr(sorted(search.all_costs().items())).encode()
+        assert hashlib.sha256(costs).hexdigest().startswith(digest)
 
     @staticmethod
     def reference(m: int, model: CostModel, include_neg: bool):
         """Distance rows and all_costs from a heapq Dijkstra over an
-        explicit edge list."""
+        explicit edge list: the graph from (1,1) and from (1,0), and its
+        transpose, the reversed graph, from (1,0)."""
         n = m.bit_length()
         codes = (DBL, HLV, NEG) if include_neg else (DBL, HLV)
         ops = [BlockOp(code, t, s) for code in (ADD, SUB) for t, s in ((R1, R2), (R2, R1))]
         ops += [BlockOp(code, t) for code in codes for t in (R1, R2)]
-        edges = []
+        edges = [[] for _ in range(m * m)]
+        reversed_edges = [[] for _ in range(m * m)]
         for state in range(m * m):
             a, b = divmod(state, m)
-            out = []
             for op in ops:
                 na, nb = apply_block(op, a, b, m, (m + 1) // 2)
-                out.append((na * m + nb, model.op_cost(op.opcode, n)))
-            edges.append(out)
+                w = model.op_cost(op.opcode, n)
+                edges[state].append((na * m + nb, w))
+                reversed_edges[na * m + nb].append((state, w))
         unreached = np.iinfo(np.int32).max // 2
         rows = []
-        for source in ((1, 1), (1, 0)):
+        for source, graph in (((1, 1), edges), ((1, 0), edges), ((1, 0), reversed_edges)):
             dist = [unreached] * (m * m)
             start = source[0] * m + source[1]
             dist[start] = 0
@@ -234,13 +257,13 @@ class TestSearch:
                 d, u = heapq.heappop(heap)
                 if d > dist[u]:
                     continue
-                for v, w in edges[u]:
+                for v, w in graph[u]:
                     if d + w < dist[v]:
                         dist[v] = d + w
                         heapq.heappush(heap, (d + w, v))
             rows.append(dist)
         costs = {
-            c: 0 if c == 1 else min(row[i] for row in rows for i in (c * m, c))
+            c: 0 if c == 1 else min(row[i] for row in rows[:2] for i in (c * m, c))
             for c in range(1, m)
             if gcd(c, m) == 1
         }
@@ -249,17 +272,19 @@ class TestSearch:
     @classmethod
     def assert_matches_reference(cls, m: int, model: CostModel, include_neg: bool):
         search = _search(m, model, include_neg)
-        dist, costs = cls.reference(m, model, include_neg)
+        (from_11, from_10, reversed_10), costs = cls.reference(m, model, include_neg)
+        # every model: the (1,1) row's (c, 0) and (0, c) are the reversed
+        # row's (c^-1, c^-1), which the FANOUT candidate reads
+        for c in costs:
+            assert from_11[c * m] == from_11[c] == reversed_10[pow(c, -1, m) * (m + 1)], c
         price = {code: model.op_cost(code, m.bit_length()) for code in (ADD, SUB, DBL, HLV)}
-        if price[ADD] == price[SUB] and price[DBL] == price[HLV]:
-            # every edge has a reverse of equal weight: one row, from (1,0),
-            # whose (c^-1, c^-1) is the (1,1) row's (c, 0) and (0, c)
-            assert np.array_equal(search._dist, dist[1:])
-            for c in costs:
-                diagonal = search._dist[0, pow(c, -1, m) * (m + 1)]
-                assert dist[0, c * m] == dist[0, c] == diagonal, c
-        else:
-            assert np.array_equal(search._dist, dist)
+        # every edge with a reverse of equal weight: the reversed graph is
+        # the graph, and one row serves both
+        reversible = price[ADD] == price[SUB] and price[DBL] == price[HLV]
+        assert len(search._dist) == (1 if reversible else 2)
+        # state for state, unreached states included
+        assert np.array_equal(search._dist[0], from_10)
+        assert np.array_equal(search._dist[-1], reversed_10)
         assert search.all_costs() == costs
 
     @pytest.mark.parametrize("include_neg", [True, False])
@@ -275,8 +300,7 @@ class TestSearch:
     @pytest.mark.parametrize("include_neg", [True, False])
     @pytest.mark.parametrize("m", [21, 33, 35, 77])
     def test_matches_heapq_reference_other_prices(self, m, include_neg, prices):
-        # each row is searched over half its states by a symmetry of the op
-        # set; with ADD and SUB priced apart the (1,0) row has none
+        # with ADD and SUB priced apart, neither row is folded by (a,b) -> (a,-b)
         model = CostModel("test", {**CostModel().coeffs, **prices})
         self.assert_matches_reference(m, model, include_neg)
 
