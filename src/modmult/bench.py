@@ -2,8 +2,10 @@
 multipliers, per-method records, Table-style aggregation, CSV emission,
 and a result cache.
 
-Every record's circuit is verified. SweepConfig refuses a sweep that selects
-nothing, or a width that `enumerate_semiprimes` does not serve.
+Every record's circuit is verified. SweepConfig fills in the moduli of its
+widths at construction, and refuses a sweep that selects nothing, or a width
+that `enumerate_semiprimes` does not serve. `method_circuit` maps a method
+name to its circuit for C mod M, for sweeps and `modmult synth` alike.
 
 The cache holds one file per (modulus, SweepConfig.config_hash): a shard of
 every stored record of that modulus under that config, labelled with both
@@ -39,8 +41,8 @@ from math import gcd
 from statistics import mean
 from typing import IO, ClassVar, Iterable
 
-from .circuit import CostModel, DepthModel, circuit_cost, circuit_depth
-from .numtheory import Modulus, check_semiprime_width, enumerate_semiprimes
+from .circuit import BlockCircuit, CostModel, DepthModel, circuit_cost, circuit_depth
+from .numtheory import Modulus, enumerate_semiprimes
 from .optimal import DEFAULT_BIT_CAP, OptimalSearch
 from .simulate import verify
 from .synth import (
@@ -58,6 +60,7 @@ __all__ = [
     "SweepConfig",
     "MixedModels",
     "SummaryRow",
+    "method_circuit",
     "bench_sweep",
     "aggregate",
     "records_to_csv",
@@ -117,7 +120,7 @@ class BenchRecord:
 @dataclass(frozen=True)
 class SweepConfig:
     bits: tuple[int, ...] = (7,)
-    moduli: tuple[int, ...] | None = None  # explicit list overrides bits
+    moduli: tuple[int, ...] | None = None  # None: every semiprime of the widths
     multiplier_cap: int | None = None  # None = width-based default
     multiplier_start: int = 2
     methods: tuple[str, ...] = ("heuristic", "baseline")
@@ -135,22 +138,24 @@ class SweepConfig:
             values = getattr(self, name) or ()
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} in {values}: each would be swept twice")
-        if not (self.bits if self.moduli is None else self.moduli):
+        if self.moduli is None:  # a width outside [6, 20] is refused here
+            moduli = [m.value for bits in self.bits for m in enumerate_semiprimes(bits)]
+            object.__setattr__(self, "moduli", tuple(moduli))
+        if not self.moduli:
             raise ValueError("no moduli to sweep: the widths or moduli given are empty")
         if not self.methods:
             raise ValueError("no methods to sweep")
         if self.multiplier_cap is not None and self.multiplier_cap < 1:
             raise ValueError(f"multiplier cap must be >= 1, got {self.multiplier_cap}")
-        for bits in () if self.moduli else self.bits:
-            check_semiprime_width(bits)
-        for m in self.moduli or ():
+        if self.multiplier_start < 1:
+            raise ValueError(f"multiplier start must be >= 1, got {self.multiplier_start}")
+        for m in self.moduli:
             Modulus(m)  # odd and >= 3, or ValueError
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
         if "optimal" in self.methods:
-            widths = [m.bit_length() for m in self.moduli] if self.moduli else self.bits
-            if max(widths, default=0) > self.optimal_bit_cap:
+            if max(m.bit_length() for m in self.moduli) > self.optimal_bit_cap:
                 raise ValueError("optimal method requested beyond its bit cap")
 
     def synthesis_config(self) -> SynthesisConfig:
@@ -190,12 +195,20 @@ def _multipliers(m: int, cfg: SweepConfig) -> list[int]:
     return out
 
 
-def _synthesize_method(
-    method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | None, decisions: DecisionCache
-):
-    scfg = cfg.synthesis_config()
+def method_circuit(
+    method: str,
+    c: int,
+    m: int,
+    cfg: SynthesisConfig,
+    opt: OptimalSearch | None = None,
+    decisions: DecisionCache | None = None,
+) -> BlockCircuit:
+    """The circuit that `method`, one of METHODS, builds for C mod M. The
+    heuristic shares `decisions` (see `synthesize`); the optimal method
+    reads `opt`, a search of M that the caller builds."""
+    c %= m
     if method == "heuristic":
-        return synthesize(c, m, scfg, decisions)
+        return synthesize(c, m, cfg, decisions)
     if method == "baseline":
         return baseline_synthesize(c, m)
     if method == "euclid":
@@ -212,7 +225,7 @@ def _record(
     error = ""
     toffoli = cnot = depth = ops = 0
     try:
-        circ = _synthesize_method(method, c, m, cfg, opt, decisions)
+        circ = method_circuit(method, c, m, cfg.synthesis_config(), opt, decisions)
         toffoli, cnot = circuit_cost(circ, cfg.cost_model)
         depth = circuit_depth(circ, cfg.depth_model)
         ops = len(circ.ops)
@@ -268,18 +281,9 @@ def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
     return records
 
 
-def _moduli_for(cfg: SweepConfig) -> list[int]:
-    if cfg.moduli is not None:
-        return sorted(cfg.moduli)
-    out: list[int] = []
-    for bits in sorted(cfg.bits):
-        out.extend(m.value for m in enumerate_semiprimes(bits))
-    return out
-
-
 def bench_sweep(cfg: SweepConfig) -> list[BenchRecord]:
     """Run the sweep; records come back ordered by (M, C, method)."""
-    records = [r for m in _moduli_for(cfg) for r in _sweep_modulus(m, cfg)]
+    records = [r for m in sorted(cfg.moduli) for r in _sweep_modulus(m, cfg)]
     method_rank = {name: i for i, name in enumerate(METHODS)}
     records.sort(key=lambda r: (r.modulus, r.multiplier, method_rank[r.method]))
     return records

@@ -122,9 +122,12 @@ class BlockCircuit:
 
     modulus: int
     multiplier: int
-    width: int
     ops: tuple[BlockOp, ...]
     result_register: str = R1
+
+    @property
+    def width(self) -> int:
+        return self.modulus.bit_length()
 
     def __post_init__(self) -> None:
         m = self.modulus
@@ -132,8 +135,6 @@ class BlockCircuit:
             raise InvariantViolation(f"modulus must be odd and >= 3, got {m}")
         if not 0 < self.multiplier < m:
             raise InvariantViolation(f"multiplier {self.multiplier} outside [1, {m - 1}]")
-        if self.width != m.bit_length():
-            raise InvariantViolation(f"width {self.width} != bit length {m.bit_length()} of {m}")
         if self.result_register not in _REGISTERS:
             raise InvariantViolation(f"bad result register {self.result_register!r}")
         for i, op in enumerate(self.ops):
@@ -363,7 +364,8 @@ def _parse_register(tok: str, line_no: int) -> str:
 
 def parse(text: str) -> BlockCircuit:
     """Inverse of serialize. Raises ParseError (with line number) on
-    malformed text and InvariantViolation on structurally illegal ops."""
+    malformed text and InvariantViolation on structurally illegal ops or a
+    WIDTH that is not the modulus's bit length."""
     header: dict[str, object] = {}
     header_order = ["MODULUS", "MULTIPLIER", "WIDTH", "RESULT"]
     ops: list[BlockOp] = []
@@ -404,13 +406,11 @@ def parse(text: str) -> BlockCircuit:
         raise ParseError(0, "incomplete header")
     if not ended:
         raise ParseError(0, "missing END")
-    return BlockCircuit(
-        modulus=header["MODULUS"],
-        multiplier=header["MULTIPLIER"],
-        width=header["WIDTH"],
-        ops=tuple(ops),
-        result_register=header["RESULT"],
-    )
+    circ = BlockCircuit(header["MODULUS"], header["MULTIPLIER"], tuple(ops), header["RESULT"])
+    width = header["WIDTH"]
+    if width != circ.width:
+        raise InvariantViolation(f"width {width} != bit length {circ.width} of {circ.modulus}")
+    return circ
 
 
 def load_model_file(path: str) -> tuple[CostModel, DepthModel]:

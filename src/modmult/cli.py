@@ -22,16 +22,10 @@ from .circuit import (
     serialize,
 )
 from .modexp import build_modexp
-from .numtheory import enumerate_semiprimes, nth_largest_prime
+from .numtheory import Modulus, enumerate_semiprimes, nth_largest_prime
 from .optimal import OptimalSearch
 from .simulate import verify
-from .synth import (
-    SynthesisConfig,
-    baseline_synthesize,
-    euclid_trace,
-    synthesize,
-    trace_to_circuit,
-)
+from .synth import SynthesisConfig
 
 
 def _models(path: str | None) -> tuple[CostModel, DepthModel]:
@@ -66,12 +60,8 @@ def _cmd_synth(args) -> int:
         cost_model=cost,
         use_special_cases=not args.no_special,
     )
-    if args.method == "baseline":
-        circ = baseline_synthesize(args.multiplier, args.modulus)
-    elif args.method == "euclid":
-        circ = trace_to_circuit(euclid_trace(args.modulus, args.multiplier), args.modulus)
-    else:
-        circ = synthesize(args.multiplier, args.modulus, cfg)
+    Modulus(args.modulus)  # odd and >= 3, or ValueError
+    circ = bench_mod.method_circuit(args.method, args.multiplier, args.modulus, cfg)
     _write_or_print(serialize(circ), args.output)
     return 0
 

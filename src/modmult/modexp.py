@@ -89,7 +89,7 @@ def build_modexp(
     model: CostModel = cfg.cost_model
 
     # a position's two CSWAP layers, priced as the identity circuit they form
-    wrap = BlockCircuit(m, 1, n, (BlockOp(CSWAP_LAYER),) * 2)
+    wrap = BlockCircuit(m, 1, (BlockOp(CSWAP_LAYER),) * 2)
     wrap_toffoli, wrap_cnot = circuit_cost(wrap, model)
     wrap_depth = circuit_depth(wrap, depth_model)
 

@@ -14,7 +14,6 @@ __all__ = [
     "NotCoprime",
     "RankOutOfRange",
     "is_prime",
-    "check_semiprime_width",
     "enumerate_semiprimes",
     "nth_largest_prime",
 ]
@@ -88,22 +87,16 @@ def _primes_up_to(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if sieve[i]]
 
 
-def check_semiprime_width(n: int) -> None:
-    """Refuse a bit-width outside [6, 20], the widths enumerate_semiprimes
-    serves."""
-    if not 6 <= n <= 20:
-        raise ValueError(f"bit-width {n} outside practical range [6, 20]")
-
-
 def enumerate_semiprimes(n: int) -> list[Modulus]:
     """All M = p*q with distinct primes p, q >= 5 and bit-width exactly n.
 
     The "distinct primes >= 5" rule pins down the per-width counts
     (7 at n=7, 16 at n=8, ...); admitting a factor of 3 yields a
     different modulus class. The least such M is 35, so the least width
-    is 6.
+    is 6; a width outside [6, 20] is refused.
     """
-    check_semiprime_width(n)
+    if not 6 <= n <= 20:
+        raise ValueError(f"bit-width {n} outside practical range [6, 20]")
     lo, hi = 1 << (n - 1), 1 << n
     primes = [p for p in _primes_up_to(hi // 5) if p >= 5]
     out = []

@@ -196,4 +196,4 @@ class OptimalSearch:
             else:  # pragma: no cover - distances guarantee a predecessor
                 raise RuntimeError("no predecessor found during reconstruction")
         ops = [BlockOp(FANOUT), *ops] if fanout else ops[::-1]
-        return BlockCircuit(m, c, self.n, tuple(ops), result)
+        return BlockCircuit(m, c, tuple(ops), result)

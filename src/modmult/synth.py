@@ -89,14 +89,16 @@ class GcdTrace:
 class SynthesisConfig:
     lookahead_depth: int = 3
     cost_model: CostModel = field(default_factory=CostModel)
-    value_cap_multiplier: int = 4
     use_special_cases: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.lookahead_depth <= 5:
             raise ValueError("lookahead depth must be in [1, 5]")
-        if self.value_cap_multiplier < 2:
-            raise ValueError("value cap multiplier must be >= 2")
+
+
+# the lookahead keeps every value below _VALUE_CAP times the larger
+# starting value
+_VALUE_CAP = 4
 
 
 def _apply_move(mv: Move, a: int, b: int) -> tuple[int, int]:
@@ -114,10 +116,10 @@ def _apply_move(mv: Move, a: int, b: int) -> tuple[int, int]:
 
 
 def _check_coprime(a: int, b: int) -> None:
-    if a < 1 or b < 1:
-        raise ValueError("trace inputs must be positive")
     if gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) = {gcd(a, b)} != 1")
+    if a < 1 or b < 1:
+        raise ValueError("trace inputs must be positive")
 
 
 def euclid_trace(a: int, b: int) -> GcdTrace:
@@ -187,15 +189,6 @@ def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) ->
         tail += cost
         memo[pair] = tail
     return tail
-
-
-def _completion_cost(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -> int:
-    """Cost of finishing the coprime pair (a, b) with plain binary-GCD
-    moves: halve both values to their odd parts, then step odd pair to odd
-    pair. `memo` is keyed by odd pairs."""
-    za = (a & -a).bit_length() - 1
-    zb = (b & -b).bit_length() - 1
-    return hlv_cost * (za + zb) + _odd_completion(a >> za, b >> zb, add_cost, hlv_cost, memo)
 
 
 def _best_sequence(
@@ -358,7 +351,7 @@ def lookahead_trace(
     (shorter only when they reach (1, 1)), scores each as the cost of its
     own moves plus the binary-GCD completion cost from its final pair, and
     commits the first move of the best-scoring sequence. Values are kept
-    inside [1, cap*M') where M' is the larger starting value. Completion
+    inside [1, _VALUE_CAP*M') where M' is the larger starting value. Completion
     costs are memoized for the whole trace, keyed by odd pairs (see
     `_odd_completion`).
 
@@ -373,7 +366,7 @@ def lookahead_trace(
     model = cfg.cost_model
     add_cost = model.op_cost(ADD, n)
     hlv_cost = model.op_cost(HLV, n)
-    cap = cfg.value_cap_multiplier * max(a, b)
+    cap = _VALUE_CAP * max(a, b)
     memo: dict[tuple[int, int], int] = {}
     decided = None
     if decisions is not None:
@@ -435,9 +428,9 @@ def trace_to_circuit(t: GcdTrace, m: int) -> BlockCircuit:
     else:
         raise ValueError(f"trace does not start from modulus {m}")
     if c % m == 1:
-        return BlockCircuit(m, 1, m.bit_length(), ())
+        return BlockCircuit(m, 1, ())
     ops = (BlockOp(FANOUT), *(_MOVE_OPS[move] for move in reversed(t.moves)))
-    return BlockCircuit(m, c % m, m.bit_length(), ops, result)
+    return BlockCircuit(m, c % m, ops, result)
 
 
 def _horner_steps(value: int) -> list[bool]:
@@ -455,10 +448,9 @@ def baseline_synthesize(c: int, m: int) -> BlockCircuit:
     double/add per remaining bit), emitted as HLV/SUB blocks in reverse.
     """
     c %= m
-    _check_coprime(c if c else m, m)
-    n = m.bit_length()
+    _check_coprime(c, m)
     if c == 1:
-        return BlockCircuit(m, 1, n, ())
+        return BlockCircuit(m, 1, ())
     d = pow(c, -1, m)
     ops = [BlockOp(FANOUT)]
     for add_step in _horner_steps(c):
@@ -473,11 +465,11 @@ def baseline_synthesize(c: int, m: int) -> BlockCircuit:
         if add_step:
             forward.append(BlockOp(ADD, R2, R1))
     ops.extend(inverse_op(op) for op in reversed(forward))
-    return BlockCircuit(m, c, n, tuple(ops), R1)
+    return BlockCircuit(m, c, tuple(ops), R1)
 
 
 def special_synthesize(c: int, m: int) -> BlockCircuit | None:
-    """Single-register shortcut for C = +-2^k or +-2^-k mod M, k < 2n:
+    """Single-register shortcut for C mod M = +-2^k or +-2^-k, k < 2n:
     k doublings (or halvings) of R1, plus one negation for -C. No FANOUT
     is needed.
 
@@ -485,8 +477,8 @@ def special_synthesize(c: int, m: int) -> BlockCircuit | None:
     in that order; the first hit wins. Returns None when no form matches
     below the cap -- such multipliers fall through to GCD-trace synthesis.
     """
-    if gcd(c, m) != 1:
-        raise NotCoprime(f"gcd({c}, {m}) != 1")
+    c %= m
+    _check_coprime(c, m)
     n = m.bit_length()
     inv2 = (m + 1) // 2  # 2^-1 mod M for odd M; BlockCircuit refuses an even M
     p = 1  # 2^k mod M
@@ -507,7 +499,7 @@ def special_synthesize(c: int, m: int) -> BlockCircuit | None:
         ops = [BlockOp(shift, R1)] * k
         if negate:
             ops.append(BlockOp(NEG, R1))
-        return BlockCircuit(m, c, n, tuple(ops), R1)
+        return BlockCircuit(m, c, tuple(ops), R1)
     return None
 
 
@@ -517,17 +509,13 @@ def synthesize(
     cfg: SynthesisConfig | None = None,
     decisions: DecisionCache | None = None,
 ) -> BlockCircuit:
-    """Dispatch: identity, special-form shortcut, or lookahead GCD trace.
+    """Dispatch: the special-form shortcut (the identity for C = 1
+    included), else the lookahead GCD trace.
 
     `decisions` is passed to `lookahead_trace`: one cache serves every
     multiplier of modulus m under one cfg."""
     cfg = cfg or SynthesisConfig()
     c %= m
-    if c == 0 or gcd(c, m) != 1:
-        raise NotCoprime(f"gcd({c}, {m}) != 1")
-    n = m.bit_length()
-    if c == 1:
-        return BlockCircuit(m, 1, n, ())
     if cfg.use_special_cases and (circ := special_synthesize(c, m)) is not None:
         return circ
     return trace_to_circuit(lookahead_trace(m, c, cfg, decisions), m)

@@ -229,8 +229,8 @@ def test_criterion_6_modexp_structure():
 
 def test_criterion_7_depth_model():
     la = DepthModel.lookahead()
-    add16 = circuit_depth(BlockCircuit(40771, 3, 16, (BlockOp(ADD, R1, R2),)), la)
-    dbl16 = circuit_depth(BlockCircuit(40771, 3, 16, (BlockOp(DBL, R1),)), la)
+    add16 = circuit_depth(BlockCircuit(40771, 3, (BlockOp(ADD, R1, R2),)), la)
+    dbl16 = circuit_depth(BlockCircuit(40771, 3, (BlockOp(DBL, R1),)), la)
     anc128 = la.modexp_ancillae(128)
     depth_ok = True
     for n_bits in (32, 64):
@@ -294,7 +294,7 @@ def test_criterion_9_property_suites():
     )
     flipped = BlockOp("SUB" if op.opcode == ADD else ADD, op.target, op.source)
     mutant = BlockCircuit(
-        base.modulus, base.multiplier, base.width,
+        base.modulus, base.multiplier,
         base.ops[:idx] + (flipped,) + base.ops[idx + 1:], base.result_register,
     )
     checks["mutation_detected"] = not verify(mutant).passed

@@ -23,8 +23,9 @@ from modmult.bench import (
     records_to_csv,
     write_summary_csv,
 )
-from modmult.circuit import ADD, NEG, CostModel, DepthModel
-from modmult.optimal import NonPositiveCost
+from modmult.circuit import ADD, NEG, CostModel, DepthModel, serialize
+from modmult.numtheory import enumerate_semiprimes
+from modmult.optimal import NonPositiveCost, OptimalSearch
 from modmult.synth import DecisionCache, SynthesisConfig
 
 
@@ -82,6 +83,30 @@ class TestConfig:
         # each would write a header-only CSV and report success
         with pytest.raises(ValueError, match=message):
             SweepConfig(**kw)
+
+    @pytest.mark.parametrize("start", [0, -3])
+    def test_multiplier_start_below_one_refused(self, start):
+        # from -3, the records of 35 would carry multipliers -3, -2 and -1
+        # for the circuits of 32, 33 and 34
+        with pytest.raises(ValueError, match="multiplier start must be >= 1"):
+            SweepConfig(
+                moduli=(35,), multiplier_start=start, multiplier_cap=4, methods=("heuristic", "euclid")
+            )
+
+    def test_widths_become_moduli(self):
+        # decided once, at construction: a sweep reads cfg.moduli alone, and
+        # an explicit list of moduli overrides the widths
+        cfg = SweepConfig(bits=(8, 7))
+        want = tuple(m.value for n in (8, 7) for m in enumerate_semiprimes(n))
+        assert cfg.moduli == want and len(want) == 16 + 7
+        recs = bench_sweep(dataclasses.replace(cfg, multiplier_cap=1, methods=("euclid",)))
+        assert [r.modulus for r in recs] == sorted(want)
+        assert SweepConfig(bits=(9,), moduli=(21,)).moduli == (21,)
+
+    def test_default_config_hash(self):
+        # the hash keys every cache file; it moves when a record's settings
+        # or the cache schema change, and with it every shard becomes a miss
+        assert SweepConfig().config_hash == "0e0f6e9f07ed33d9"
 
     def test_synthesis_config_built_once(self):
         cfg = SweepConfig()
@@ -145,6 +170,18 @@ class TestSweep:
         assert records_to_csv(recs) == records_to_csv(
             bench_sweep(small_sweep(moduli=(65, 21), methods=("heuristic",)))
         )
+
+    def test_method_circuit_for_c_mod_m(self):
+        # the one map from a method name to a circuit; C, C + M and C - M
+        # give one circuit under every method
+        cfg = SynthesisConfig()
+        opt = OptimalSearch(21)
+        for method in bench.METHODS:
+            for c in (2, 5, 13, 20):
+                texts = {
+                    serialize(bench.method_circuit(method, x, 21, cfg, opt)) for x in (c, c + 21, c - 21)
+                }
+                assert len(texts) == 1, (method, c)
 
     def test_multiplier_cap(self):
         recs = bench_sweep(small_sweep(moduli=(91,), multiplier_cap=5, methods=("heuristic",)))
@@ -499,20 +536,20 @@ class TestCacheKey:
         def broken(*args):
             raise RuntimeError("synthesis failed")
 
-        monkeypatch.setattr(bench, "_synthesize_method", broken)
+        monkeypatch.setattr(bench, "method_circuit", broken)
         recs = bench_sweep(small_sweep(moduli=(21,), cache_dir=str(tmp_path)))
         assert recs and all(r.error for r in recs)
         assert os.listdir(tmp_path) == []
 
     def test_error_records_left_out_of_shard(self, tmp_path, monkeypatch):
-        real = bench._synthesize_method
+        real = bench.method_circuit
 
         def baseline_broken(method, *args):
             if method == "baseline":
                 raise RuntimeError("synthesis failed")
             return real(method, *args)
 
-        monkeypatch.setattr(bench, "_synthesize_method", baseline_broken)
+        monkeypatch.setattr(bench, "method_circuit", baseline_broken)
         cfg = small_sweep(moduli=(21,), cache_dir=str(tmp_path))
         recs = bench_sweep(cfg)
         assert {r.method for r in recs if r.error} == {"baseline"}

@@ -32,7 +32,7 @@ from modmult.circuit import (
 
 
 def _circuit(ops, modulus=21, multiplier=13, result=R1):
-    return BlockCircuit(modulus, multiplier, modulus.bit_length(), tuple(ops), result)
+    return BlockCircuit(modulus, multiplier, tuple(ops), result)
 
 
 class TestBlockOp:
@@ -97,17 +97,17 @@ class TestDepth:
         assert circuit_depth(_circuit([]), DepthModel.lookahead()) == 0
 
     def test_lookahead_add_n16(self):
-        c = BlockCircuit(40771, 3, 16, (BlockOp(ADD, R1, R2),))
+        c = BlockCircuit(40771, 3, (BlockOp(ADD, R1, R2),))
         assert circuit_depth(c, DepthModel.lookahead()) == 19  # 4*4 + 3
 
     def test_lookahead_dbl_n16(self):
-        c = BlockCircuit(40771, 3, 16, (BlockOp(DBL, R1),))
+        c = BlockCircuit(40771, 3, (BlockOp(DBL, R1),))
         assert circuit_depth(c, DepthModel.lookahead()) == 36  # 6*4 + 12
 
     @pytest.mark.parametrize("n", [32, 64, 128, 500])
     def test_lookahead_beats_ripple_wide(self, n):
         ops = (BlockOp(ADD, R1, R2), BlockOp(DBL, R1), BlockOp(CSWAP_LAYER))
-        c = BlockCircuit((1 << n) - 1, 3, n, ops)
+        c = BlockCircuit((1 << n) - 1, 3, ops)
         assert circuit_depth(c, DepthModel.lookahead()) < circuit_depth(c, DepthModel.ripple())
 
     def test_lookahead_adder_ancillae(self):

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 
 import pytest
 
@@ -209,7 +211,7 @@ def test_bench_errors_exit_code(capsys, tmp_path, monkeypatch):
     def broken(*args):
         raise RuntimeError("synthesis failed")
 
-    monkeypatch.setattr(bench, "_synthesize_method", broken)
+    monkeypatch.setattr(bench, "method_circuit", broken)
     mods = tmp_path / "mods.txt"
     mods.write_text("21\n")
     out = tmp_path / "r.csv"
@@ -249,6 +251,32 @@ def test_synth_euclid_matches_bench(capsys, c):
     assert code == 0 and not rec.error
     assert (rec.toffoli, rec.op_count) == (circuit_cost(circ, CostModel())[0], len(circ.ops))
     assert (c % 21 == 1) == (circ.ops == ())
+
+
+def _units_and_sample():
+    """Every unit of 21, and a seeded sample of the units of 1007."""
+    units = {m: [c for c in range(1, m) if math.gcd(c, m) == 1] for m in (21, 1007)}
+    return [(21, c) for c in units[21]] + [(1007, c) for c in random.Random(1007).sample(units[1007], 24)]
+
+
+@pytest.mark.parametrize("method", ["heuristic", "baseline", "euclid"])
+def test_synth_builds_the_circuit_for_c_mod_m(capsys, method):
+    # C, C + M and C - M are one residue, so one circuit, byte for byte
+    for m, c in _units_and_sample():
+        texts = {
+            run(capsys, "synth", "--method", method, "--modulus", str(m), "--multiplier", str(x))
+            for x in (c, c + m, c - m)
+        }
+        assert len(texts) == 1 and {code for code, _ in texts} == {0}, (method, m, c)
+
+
+@pytest.mark.parametrize("method", ["heuristic", "baseline", "euclid"])
+@pytest.mark.parametrize("modulus", ["0", "1", "-21"])
+def test_synth_modulus_below_3_refused(capsys, method, modulus):
+    # refused before C is reduced mod M: no division by zero, no trace
+    argv = ["synth", "--method", method, "--modulus", modulus, "--multiplier", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"modmult synth: modulus must be >= 3, got {modulus}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import random
 import tracemalloc
 from math import gcd
 from unittest import mock
@@ -93,6 +94,15 @@ class TestReconstruction:
                 assert circuit_cost(circ, search.model)[0] == search.cost(c), (m, c)
                 report = verify(circ)
                 assert report.passed, (m, c, report.summary())
+
+    def test_circuit_for_c_mod_m(self):
+        # C, C + M and C - M are one residue, so one circuit, byte for byte
+        for m, count in ((21, None), (1007, 24)):
+            search = OptimalSearch(m)
+            units = [c for c in range(1, m) if gcd(c, m) == 1]
+            for c in random.Random(m).sample(units, count) if count else units:
+                texts = {serialize(search.circuit(x)) for x in (c, c + m, c - m)}
+                assert len(texts) == 1, (m, c)
 
     def test_single_register_special_skips_fanout(self):
         circ = OptimalSearch(35).circuit(2)

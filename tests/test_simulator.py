@@ -104,7 +104,7 @@ def test_verify_catches_mutation():
         if op.opcode in (ADD, SUB):
             swap = BlockOp(SUB if op.opcode == ADD else ADD, op.target, op.source)
             flipped = BlockCircuit(
-                c.modulus, c.multiplier, c.width,
+                c.modulus, c.multiplier,
                 c.ops[:i] + (swap,) + c.ops[i + 1 :], c.result_register,
             )
             break
@@ -115,7 +115,7 @@ def test_verify_catches_mutation():
 
 def _one_op_mutant(c: BlockCircuit, i: int, op: BlockOp) -> BlockCircuit:
     return BlockCircuit(
-        c.modulus, c.multiplier, c.width, c.ops[:i] + (op,) + c.ops[i + 1 :], c.result_register
+        c.modulus, c.multiplier, c.ops[:i] + (op,) + c.ops[i + 1 :], c.result_register
     )
 
 
@@ -188,7 +188,7 @@ def test_verify_matches_exhaustive_fold():
         (35, zero + (BlockOp(ADD, R1, R2),) * 5, False, 34),
         (21, (BlockOp(FANOUT), *[BlockOp(DBL, R2)] * 3, BlockOp(SUB, R2, R1)), True, 14),
     ]:
-        report, total = _check_against_fold(BlockCircuit(m, 1, m.bit_length(), ops))
+        report, total = _check_against_fold(BlockCircuit(m, 1, ops))
         assert (report.injective, total) == (injective, failing)
 
 
@@ -233,7 +233,7 @@ def test_vectorized_matches_scalar():
     # apply_block's array form, which OptimalSearch uses: every opcode on
     # every target, plus FANOUT and CSWAP_LAYER
     every_block = BlockCircuit(
-        35, 2, 6, (BlockOp(FANOUT), *_invertible_ops, BlockOp(CSWAP_LAYER))
+        35, 2, (BlockOp(FANOUT), *_invertible_ops, BlockOp(CSWAP_LAYER))
     )
     circuits = [synthesize(c, m) for m, c in [(21, 13), (35, 12), (91, 5)]]
     for circ in circuits + [baseline_synthesize(12, 35), every_block]:
@@ -293,10 +293,10 @@ def _non_unit_circuits():
     triple = (BlockOp(FANOUT), BlockOp(ADD, R1, R2), BlockOp(ADD, R1, R2))
     big = 3 * ((1 << 61) - 1)
     return [
-        BlockCircuit(35, 1, 6, zero),
-        BlockCircuit(35, 1, 6, zero + (BlockOp(ADD, R1, R2),) * 5),
-        BlockCircuit(21, 3, 5, triple),
-        BlockCircuit(big, 3, big.bit_length(), triple),
+        BlockCircuit(35, 1, zero),
+        BlockCircuit(35, 1, zero + (BlockOp(ADD, R1, R2),) * 5),
+        BlockCircuit(21, 3, triple),
+        BlockCircuit(big, 3, triple),
     ]
 
 

@@ -33,7 +33,7 @@ from modmult.synth import (
     _apply_move,
     _best_sequence,
     _binary_step,
-    _completion_cost,
+    _odd_completion,
     SynthesisConfig,
     baseline_synthesize,
     binary_gcd_trace,
@@ -282,6 +282,11 @@ class TestSpecial:
         assert c.multiplier == 11
         assert verify(c).passed
 
+    def test_multiplier_reduced_mod_m(self):
+        # 23 = 2 and -19 = 2 (mod 21): all three are one doubling
+        assert special_synthesize(23, 21) == special_synthesize(2, 21)
+        assert special_synthesize(-19, 21) == special_synthesize(2, 21)
+
     def test_negation(self):
         c = special_synthesize(20, 21)
         assert [op.opcode for op in c.ops] == [NEG]
@@ -361,14 +366,13 @@ def detect_special(c: int, m: int) -> SpecialForm | None:
 def reference_special_synthesize(f: SpecialForm, m: int) -> BlockCircuit:
     """Single-register shortcut: k doublings (or halvings), plus one
     negation for the negated kinds. No FANOUT is needed."""
-    n = m.bit_length()
     if f.kind in (SpecialKind.POWER_OF_TWO, SpecialKind.NEG_POWER_OF_TWO):
         ops = [BlockOp(DBL, R1)] * f.k
     else:
         ops = [BlockOp(HLV, R1)] * f.k
     if f.kind in (SpecialKind.NEG_POWER_OF_TWO, SpecialKind.NEG_INVERSE_POWER_OF_TWO):
         ops.append(BlockOp(NEG, R1))
-    return BlockCircuit(m, f.multiplier(m), n, tuple(ops), R1)
+    return BlockCircuit(m, f.multiplier(m), tuple(ops), R1)
 
 
 class TestSpecialReference:
@@ -558,8 +562,9 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("cap", [2, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_lookahead_trace_matches_reference(self, k, cap, monkeypatch):
+        monkeypatch.setattr(synth, "_VALUE_CAP", cap)
         cases = [
-            (m, c, SynthesisConfig(lookahead_depth=k, cost_model=model, value_cap_multiplier=cap))
+            (m, c, SynthesisConfig(lookahead_depth=k, cost_model=model))
             for m, c in _seeded_pairs(k)
             for model in _PRICES
         ]
@@ -615,14 +620,17 @@ class TestReferenceEquivalence:
     @example([(3 << 40, 1), (1, 5 << 44), ((1 << 130) - 1, 7 << 40), (1 << 40, 1)], _PRICES[0])
     @settings(max_examples=80, deadline=None)
     def test_completion_cost_is_binary_trace_cost(self, pairs, model):
-        # one memo across the calls, so later calls also take memo hits; the
-        # memo holds odd pairs only, each with its own binary-GCD cost
+        # finishing (a, b) halves both values to their odd parts, then steps
+        # odd pair to odd pair; one memo across the calls, so later calls
+        # also take memo hits; the memo holds odd pairs only, each with its
+        # own binary-GCD cost
         n = 16
         add_cost, hlv_cost = model.op_cost(ADD, n), model.op_cost(HLV, n)
         memo: dict = {}
         reference_memo: dict = {}
         for a, b in pairs:
-            got = _completion_cost(a, b, add_cost, hlv_cost, memo)
+            za, zb = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
+            got = hlv_cost * (za + zb) + _odd_completion(a >> za, b >> zb, add_cost, hlv_cost, memo)
             assert got == _trace_cost(binary_gcd_trace(a, b), n, model)
             assert got == _reference_completion_cost(a, b, add_cost, hlv_cost, reference_memo)
         assert all(a & 1 and b & 1 for a, b in memo)
@@ -647,11 +655,10 @@ class TestDecisionCache:
         "other",
         [
             dict(lookahead_depth=2),
-            dict(value_cap_multiplier=2),
             dict(cost_model=_PRICES[1]),
             dict(cost_model=_PRICES[2]),
         ],
-        ids=["k", "cap", "add-price", "hlv-price"],
+        ids=["k", "add-price", "hlv-price"],
     )
     def test_refused_under_another_config(self, other):
         decisions = DecisionCache()
@@ -664,7 +671,7 @@ class TestDecisionCache:
         assert decisions.moves == filled  # nothing served, nothing stored
 
     def test_refused_for_another_modulus_cap(self):
-        # the cap is value_cap_multiplier * M, so another modulus differs
+        # the cap is synth._VALUE_CAP * M, so another modulus differs
         decisions = DecisionCache()
         synthesize(13, 1007, None, decisions)
         with pytest.raises(ValueError, match="decision cache"):
@@ -675,12 +682,13 @@ class TestDecisionCache:
     def test_shared_cache_matches_reference(self, k, cap, monkeypatch):
         # one cache per (modulus, config), shared by that modulus's
         # multipliers, against uncached traces of the reference round
+        monkeypatch.setattr(synth, "_VALUE_CAP", cap)
         rng = random.Random(100 + k)
         cases, caches = [], []
         for m in (rng.randrange(1 << 8, 1 << 9) | 1, rng.randrange(1 << 9, 1 << 10) | 1):
             cs = [c for c in range(2, m) if gcd(c, m) == 1]
             for model in _PRICES:
-                cfg = SynthesisConfig(lookahead_depth=k, cost_model=model, value_cap_multiplier=cap)
+                cfg = SynthesisConfig(lookahead_depth=k, cost_model=model)
                 caches.append(DecisionCache())
                 cases += [(m, c, cfg, caches[-1]) for c in rng.sample(cs, 6)]
         got = [lookahead_trace(m, c, cfg, decisions) for m, c, cfg, decisions in cases]
