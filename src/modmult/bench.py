@@ -2,10 +2,10 @@
 multipliers, per-method records, Table-style aggregation, CSV emission,
 and a result cache.
 
-Every record's circuit is verified. SweepConfig fills in the moduli of its
-widths at construction, and refuses a sweep that selects nothing, or a width
-that `enumerate_semiprimes` does not serve. `method_circuit` maps a method
-name to its circuit for C mod M, for sweeps and `modmult synth` alike.
+Every record's circuit is verified, over every input. SweepConfig holds
+the moduli it sweeps and refuses a sweep that selects nothing.
+`method_circuit` maps a method name to its circuit for C mod M, for sweeps
+and `modmult synth` alike.
 
 The cache holds one file per (modulus, SweepConfig.config_hash): a shard of
 every stored record of that modulus under that config, labelled with both
@@ -42,7 +42,7 @@ from statistics import mean
 from typing import IO, ClassVar, Iterable
 
 from .circuit import BlockCircuit, CostModel, DepthModel, circuit_cost, circuit_depth
-from .numtheory import Modulus, enumerate_semiprimes
+from .numtheory import Modulus
 from .optimal import DEFAULT_BIT_CAP, OptimalSearch
 from .simulate import verify
 from .synth import (
@@ -80,10 +80,6 @@ CSV_HEADER = "bits,modulus,multiplier,method,toffoli,cnot,depth,ops,qubits,secon
 _ALL_C_BIT_CAP = 12
 _LARGE_C_CAP = 5000
 
-_EXHAUSTIVE_BIT_CAP = 12
-_SAMPLE_COUNT = 1000
-_SAMPLE_SEED = 2024
-
 # part of every config hash, so of every cache file name; bump it when a
 # record's fields, their meaning or the cache layout change, so files written
 # before are misses
@@ -119,8 +115,7 @@ class BenchRecord:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    bits: tuple[int, ...] = (7,)
-    moduli: tuple[int, ...] | None = None  # None: every semiprime of the widths
+    moduli: tuple[int, ...]
     multiplier_cap: int | None = None  # None = width-based default
     multiplier_start: int = 2
     methods: tuple[str, ...] = ("heuristic", "baseline")
@@ -134,13 +129,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.jobs != 1:
             raise ValueError(f"jobs must be 1, got {self.jobs}")
-        for name in ("bits", "moduli", "methods"):
-            values = getattr(self, name) or ()
+        for name in ("moduli", "methods"):
+            values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} in {values}: each would be swept twice")
-        if self.moduli is None:  # a width outside [6, 20] is refused here
-            moduli = [m.value for bits in self.bits for m in enumerate_semiprimes(bits)]
-            object.__setattr__(self, "moduli", tuple(moduli))
         if not self.moduli:
             raise ValueError("no moduli to sweep: the widths or moduli given are empty")
         if not self.methods:
@@ -151,6 +143,13 @@ class SweepConfig:
             raise ValueError(f"multiplier start must be >= 1, got {self.multiplier_start}")
         for m in self.moduli:
             Modulus(m)  # odd and >= 3, or ValueError
+        # C = M - 1 is a unit of every M, so a start below the largest M
+        # selects at least one multiplier
+        if self.multiplier_start >= max(self.moduli):
+            raise ValueError(
+                f"multiplier start {self.multiplier_start} selects no multiplier:"
+                f" the largest modulus is {max(self.moduli)}"
+            )
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
@@ -229,10 +228,7 @@ def _record(
         toffoli, cnot = circuit_cost(circ, cfg.cost_model)
         depth = circuit_depth(circ, cfg.depth_model)
         ops = len(circ.ops)
-        if bits <= _EXHAUSTIVE_BIT_CAP:
-            report = verify(circ, exhaustive=True)
-        else:
-            report = verify(circ, exhaustive=False, samples=_SAMPLE_COUNT, seed=_SAMPLE_SEED)
+        report = verify(circ)
         if not report.passed:
             error = f"verification failed: {report.summary()}"
     except Exception as exc:  # per-record failures never abort the sweep

@@ -80,14 +80,11 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Exit 0 on a pass, 1 on a mismatch (2, from `main`, for an invalid
-    header, a file too large for exhaustive verification or --samples < 1)."""
+    """Decide every x in [0, M), at any width. Exit 0 on a pass, 1 on a
+    mismatch (2, from `main`, for a file that cannot be read or has an
+    invalid header)."""
     with open(args.circuit, encoding="utf-8") as fh:
-        circ = parse(fh.read())
-    if args.samples is not None:
-        report = verify(circ, exhaustive=False, samples=args.samples, seed=args.seed)
-    else:
-        report = verify(circ, exhaustive=True)
+        report = verify(parse(fh.read()))
     print(report.summary())
     for x, res, other in report.failures:
         print(f"  x={x}: result={res} other={other}")
@@ -138,12 +135,12 @@ def _cmd_bench(args) -> int:
     """Open --out and --summary before the sweep, so that an unwritable
     path is refused before any modulus is swept."""
     cost, depth = _models(args.cost_model)
-    moduli = None
     if args.moduli:
         with open(args.moduli, encoding="utf-8") as fh:
             moduli = tuple(int(line) for line in fh if line.strip())
+    else:  # a width outside [6, 20] is refused here
+        moduli = tuple(m.value for bits in parse_bits(args.bits) for m in enumerate_semiprimes(bits))
     cfg = bench_mod.SweepConfig(
-        bits=parse_bits(args.bits),
         moduli=moduli,
         multiplier_cap=args.multiplier_cap,
         methods=tuple(args.methods.split(",")),
@@ -204,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="simulate a circuit file against C*x mod M")
     p.add_argument("--circuit", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", help="all x in [0, M); the default")
-    mode.add_argument("--samples", type=int, help="this many seeded pseudo-random x instead")
-    p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("modexp", help="assemble a full modular-exponentiation circuit")

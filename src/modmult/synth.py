@@ -33,7 +33,6 @@ from .circuit import (
     BlockCircuit,
     BlockOp,
     CostModel,
-    inverse_op,
 )
 from .numtheory import NotCoprime
 
@@ -433,6 +432,13 @@ def trace_to_circuit(t: GcdTrace, m: int) -> BlockCircuit:
     return BlockCircuit(m, c % m, ops, result)
 
 
+# The baseline's five ops, shared by every baseline circuit as _MOVE_OPS are
+# by every trace circuit.
+_FANOUT = BlockOp(FANOUT)
+_DBL_R1, _ADD_R1 = BlockOp(DBL, R1), BlockOp(ADD, R1, R2)
+_HLV_R2, _SUB_R2 = BlockOp(HLV, R2), BlockOp(SUB, R2, R1)
+
+
 def _horner_steps(value: int) -> list[bool]:
     """MSB-first bits of value after the leading 1; True = add step."""
     bits = bin(value)[3:]
@@ -451,20 +457,18 @@ def baseline_synthesize(c: int, m: int) -> BlockCircuit:
     _check_coprime(c, m)
     if c == 1:
         return BlockCircuit(m, 1, ())
-    d = pow(c, -1, m)
-    ops = [BlockOp(FANOUT)]
+    ops = [_FANOUT]
     for add_step in _horner_steps(c):
-        ops.append(BlockOp(DBL, R1))
+        ops.append(_DBL_R1)
         if add_step:
-            ops.append(BlockOp(ADD, R1, R2))
-    # forward clearing chain for D, built in reverse below:
-    #   ADD R2 R1; then per bit of D after the leading 1: DBL R2 (+ ADD)
-    forward: list[BlockOp] = [BlockOp(ADD, R2, R1)]
-    for add_step in _horner_steps(d):
-        forward.append(BlockOp(DBL, R2))
+            ops.append(_ADD_R1)
+    # the clearing chain for D = C^-1 (ADD R2 R1, then per bit of D after
+    # the leading 1: DBL R2, plus ADD R2 R1 on a 1), inverted, last op first
+    for add_step in reversed(_horner_steps(pow(c, -1, m))):
         if add_step:
-            forward.append(BlockOp(ADD, R2, R1))
-    ops.extend(inverse_op(op) for op in reversed(forward))
+            ops.append(_SUB_R2)
+        ops.append(_HLV_R2)
+    ops.append(_SUB_R2)
     return BlockCircuit(m, c, tuple(ops), R1)
 
 

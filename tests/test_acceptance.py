@@ -91,7 +91,7 @@ def test_criterion_1_golden_traces():
 
 def test_criterion_2_correctness_oracle():
     cfg = SweepConfig(
-        bits=(7, 8, 9, 10),
+        moduli=tuple(m.value for n in range(7, 11) for m in enumerate_semiprimes(n)),
         methods=("heuristic", "baseline", "euclid", "optimal"),
     )
     records = bench_sweep(cfg)

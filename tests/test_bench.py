@@ -24,13 +24,19 @@ from modmult.bench import (
     write_summary_csv,
 )
 from modmult.circuit import ADD, NEG, CostModel, DepthModel, serialize
+from modmult.cli import main
 from modmult.numtheory import enumerate_semiprimes
 from modmult.optimal import NonPositiveCost, OptimalSearch
 from modmult.synth import DecisionCache, SynthesisConfig
 
 
+def widths(*bits: int) -> tuple[int, ...]:
+    """Every semiprime modulus of each width, in order."""
+    return tuple(m.value for n in bits for m in enumerate_semiprimes(n))
+
+
 def small_sweep(**kw):
-    defaults = dict(bits=(7,), methods=("heuristic", "baseline"))
+    defaults = dict(moduli=widths(7), methods=("heuristic", "baseline"))
     defaults.update(kw)
     return SweepConfig(**defaults)
 
@@ -38,11 +44,11 @@ def small_sweep(**kw):
 class TestConfig:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            SweepConfig(methods=("magic",))
+            SweepConfig(moduli=(21,), methods=("magic",))
 
     def test_optimal_beyond_cap(self):
         with pytest.raises(ValueError):
-            SweepConfig(bits=(13,), methods=("optimal",))
+            SweepConfig(moduli=widths(13), methods=("optimal",))
 
     def test_explicit_moduli_checked_against_cap(self):
         with pytest.raises(ValueError):
@@ -56,23 +62,25 @@ class TestConfig:
     @pytest.mark.parametrize("jobs", [0, 2])
     def test_jobs_other_than_one_refused(self, jobs):
         # sweeps run in one process; the field stays for callers passing 1
-        assert SweepConfig(jobs=1).jobs == 1
+        assert SweepConfig(moduli=(21,), jobs=1).jobs == 1
         with pytest.raises(ValueError, match="jobs must be 1"):
-            SweepConfig(jobs=jobs)
+            SweepConfig(moduli=(21,), jobs=jobs)
 
     @pytest.mark.parametrize(
         "field, values",
-        [("moduli", (21, 65, 21)), ("methods", ("heuristic", "heuristic")), ("bits", (7, 7))],
+        [("moduli", (21, 65, 21)), ("methods", ("heuristic", "heuristic")), ("moduli", widths(7, 7))],
+        ids=["moduli-values0", "methods-values1", "bits-values2"],
     )
     def test_duplicates_refused(self, field, values):
-        # each duplicate would be swept again: duplicate CSV rows, double counts
+        # each duplicate would be swept again: duplicate CSV rows, double
+        # counts; a width given twice repeats each of its moduli
         with pytest.raises(ValueError, match=f"duplicate {field}"):
-            SweepConfig(**{field: values})
+            SweepConfig(**{"moduli": (21,), field: values})
 
     @pytest.mark.parametrize(
         "kw, message",
         [
-            (dict(bits=()), "no moduli"),
+            (dict(moduli=widths()), "no moduli"),
             (dict(moduli=()), "no moduli"),
             (dict(methods=()), "no methods"),
             (dict(multiplier_cap=0), "multiplier cap must be >= 1"),
@@ -82,7 +90,7 @@ class TestConfig:
     def test_empty_sweep_refused(self, kw, message):
         # each would write a header-only CSV and report success
         with pytest.raises(ValueError, match=message):
-            SweepConfig(**kw)
+            SweepConfig(**{"moduli": (21,), **kw})
 
     @pytest.mark.parametrize("start", [0, -3])
     def test_multiplier_start_below_one_refused(self, start):
@@ -93,23 +101,35 @@ class TestConfig:
                 moduli=(35,), multiplier_start=start, multiplier_cap=4, methods=("heuristic", "euclid")
             )
 
-    def test_widths_become_moduli(self):
-        # decided once, at construction: a sweep reads cfg.moduli alone, and
-        # an explicit list of moduli overrides the widths
-        cfg = SweepConfig(bits=(8, 7))
-        want = tuple(m.value for n in (8, 7) for m in enumerate_semiprimes(n))
-        assert cfg.moduli == want and len(want) == 16 + 7
-        recs = bench_sweep(dataclasses.replace(cfg, multiplier_cap=1, methods=("euclid",)))
-        assert [r.modulus for r in recs] == sorted(want)
-        assert SweepConfig(bits=(9,), moduli=(21,)).moduli == (21,)
+    def test_multiplier_start_past_every_modulus_refused(self):
+        # C = M - 1 is a unit of every M, so a start below the largest
+        # modulus selects a multiplier and one at or above it selects none
+        for start in (35, 100):
+            with pytest.raises(ValueError, match=f"multiplier start {start} selects no multiplier"):
+                SweepConfig(moduli=(21, 35), multiplier_start=start)
+        recs = bench_sweep(SweepConfig(moduli=(21, 35), multiplier_start=34, methods=("euclid",)))
+        assert [(r.modulus, r.multiplier) for r in recs] == [(35, 34)]
+
+    def test_widths_become_moduli(self, tmp_path):
+        # `modmult bench --bits` turns its widths into moduli once; a config
+        # holds moduli alone, so replacing them replaces what is swept
+        want = widths(8, 7)
+        assert len(want) == 16 + 7
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--bits", "8,7", "--multiplier-cap", "1", "--methods", "euclid"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert [int(row.split(",")[1]) for row in out.read_text().splitlines()[1:]] == sorted(want)
+        cfg = SweepConfig(moduli=widths(7), multiplier_cap=1, methods=("euclid",))
+        recs = bench_sweep(dataclasses.replace(cfg, moduli=widths(8)))
+        assert [r.modulus for r in recs] == sorted(widths(8))
 
     def test_default_config_hash(self):
         # the hash keys every cache file; it moves when a record's settings
         # or the cache schema change, and with it every shard becomes a miss
-        assert SweepConfig().config_hash == "0e0f6e9f07ed33d9"
+        assert SweepConfig(moduli=(21,)).config_hash == "0e0f6e9f07ed33d9"
 
     def test_synthesis_config_built_once(self):
-        cfg = SweepConfig()
+        cfg = SweepConfig(moduli=(21,))
         assert cfg.synthesis_config() is cfg.synthesis_config()
         assert cfg.synthesis_config() == SynthesisConfig(cost_model=cfg.cost_model)
 
@@ -429,7 +449,7 @@ class TestCache:
         assert list(shard.values()) == both  # stored in (multiplier, method) order
 
     def test_cold_and_warm_csv_identical(self, tmp_path, lookups):
-        cfg = SweepConfig(bits=(7, 8), methods=bench.METHODS, cache_dir=str(tmp_path))
+        cfg = SweepConfig(moduli=widths(7, 8), methods=bench.METHODS, cache_dir=str(tmp_path))
         cold = records_to_csv(bench_sweep(cfg))
         assert lookups["hits"] == 0
         lookups.update(hits=0, misses=0)

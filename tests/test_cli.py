@@ -90,19 +90,21 @@ def test_verify_failure_exit_code(capsys, tmp_path):
 
 
 def test_verify_refusal_exit_code(capsys, tmp_path):
-    # a mismatch exits 1; a circuit the command will not check exits 2
+    # a mismatch exits 1 and an invalid header 2; a file of any width is
+    # decided over every input, never refused for its size
     bad_width = tmp_path / "width.txt"
     bad_width.write_text("MODULUS 21\nMULTIPLIER 2\nWIDTH 3\nRESULT R1\nDBL R1\nEND\n")
     assert main(["verify", "--circuit", str(bad_width)]) == 2
-    big = tmp_path / "big.txt"  # M = 2^21 + 1, past the exhaustive cap
+    big = tmp_path / "big.txt"  # M = 2^21 + 1
     big.write_text("MODULUS 2097153\nMULTIPLIER 2\nWIDTH 22\nRESULT R1\nDBL R1\nEND\n")
-    assert main(["verify", "--circuit", str(big), "--exhaustive"]) == 2
-    assert "exhaustive" in capsys.readouterr().err
-    assert main(["verify", "--circuit", str(big), "--samples", "50"]) == 0
-    for samples in ("0", "-5"):  # a check that tests nothing is no pass
-        assert main(["verify", "--circuit", str(big), "--samples", samples]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--circuit", str(big), "--exhaustive", "--samples", "50"])
+    code, out = run(capsys, "verify", "--circuit", str(big))
+    assert code == 0 and out == "PASS C=2 M=2097153 tested=2097153 failures=0 injective=True\n"
+    big.write_text("MODULUS 2097153\nMULTIPLIER 2\nWIDTH 22\nRESULT R1\nDBL R1\nDBL R1\nEND\n")
+    code, out = run(capsys, "verify", "--circuit", str(big))
+    assert code == 1 and out.splitlines()[1] == "  x=1: result=4 other=0"
+    assert out.splitlines()[-1] == "  x=-1: result=2097152 other=0"  # every x but 0 fails
+    with pytest.raises(SystemExit) as exc:  # no mode to choose
+        main(["verify", "--circuit", str(big), "--samples", "50"])
     assert exc.value.code == 2
 
 
@@ -288,7 +290,7 @@ def test_synth_modulus_below_3_refused(capsys, method, modulus):
         (["modexp", "--modulus", "21", "--base", "7"], "gcd(7, 21)"),
         (["bench", "--bits", "13", "--methods", "optimal", "--out", "unused.csv"], "bit cap"),
         (["bench", "--methods", "heuristic,heuristic", "--out", "unused.csv"], "duplicate methods"),
-        (["bench", "--bits", "7,7", "--out", "unused.csv"], "duplicate bits"),
+        (["bench", "--bits", "7,7", "--out", "unused.csv"], "duplicate moduli"),
         (["bench", "--bits", "9..7", "--out", "unused.csv"], "no moduli"),
         (["bench", "--moduli", os.devnull, "--out", "unused.csv"], "no moduli"),
         (["bench", "--multiplier-cap", "0", "--out", "unused.csv"], "multiplier cap"),

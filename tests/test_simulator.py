@@ -24,8 +24,7 @@ from modmult.circuit import (
     apply_block,
     inverse_op,
 )
-from modmult import simulate
-from modmult.simulate import _EXHAUSTIVE_CAP, VerifyReport, _lcg_samples, verify
+from modmult.simulate import VerifyReport, verify
 from modmult.synth import baseline_synthesize, synthesize
 
 from blocks import fold, step
@@ -91,7 +90,6 @@ def test_run_circuit_examples():
 def test_verify_exhaustive_passes():
     report = verify(synthesize(13, 21))
     assert report.passed and report.tested == 21
-    assert verify(synthesize(13, 21, None), exhaustive=False, samples=64).passed
 
 
 def test_verify_catches_mutation():
@@ -119,49 +117,81 @@ def _one_op_mutant(c: BlockCircuit, i: int, op: BlockOp) -> BlockCircuit:
     )
 
 
-def _fold_reports(c: BlockCircuit, xs, mode="exhaustive", seed=None):
-    """Fold every x in xs through the circuit; returns verify's expected
+def _result(c: BlockCircuit, x: int) -> tuple[int, int]:
+    """(result, other) after a scalar fold of x."""
+    r1, r2 = fold(c, x)
+    return (r1, r2) if c.result_register == R1 else (r2, r1)
+
+
+def _failures_by_fold(c: BlockCircuit, xs) -> list[tuple[int, int, int]]:
+    """(x, result, other) of each x in xs that the circuit gets wrong."""
+    m, cmul = c.modulus, c.multiplier
+    return [(x, *got) for x in xs if (got := _result(c, x)) != (cmul * x % m, 0)]
+
+
+def _fold_reports(c: BlockCircuit):
+    """Fold every x in [0, M) through the circuit; returns verify's expected
     report as a function of max_failures, and the number of failing x."""
     m = c.modulus
-    bad, results = [], set()
-    for x in xs:
-        r1, r2 = fold(c, x)
-        res, other = (r1, r2) if c.result_register == R1 else (r2, r1)
-        if res != c.multiplier * x % m or other != 0:
-            bad.append((x, res, other))
-        results.add(res)
-    injective = len(results) == len(set(xs))
+    bad = _failures_by_fold(c, range(m))
+    injective = len({_result(c, x)[0] for x in range(m)}) == m
 
     def report(max_failures: int = 32) -> VerifyReport:
         failures = bad[:max_failures]
-        if mode == "exhaustive" and len(bad) > max_failures:
+        if len(bad) > max_failures:
             failures.append((-1, len(bad), 0))
-        return VerifyReport(c.multiplier, m, mode, len(xs), tuple(failures), injective, seed)
+        return VerifyReport(c.multiplier, m, tuple(failures), injective)
 
     return report, len(bad)
 
 
 def _check_against_fold(c: BlockCircuit) -> tuple[VerifyReport, int]:
-    """Compare verify with the fold in both modes; returns the exhaustive
-    report and the number of failing x."""
-    m = c.modulus
-    expected, total = _fold_reports(c, range(m))
+    """Compare verify with the fold; returns the report and the number of
+    failing x."""
+    expected, total = _fold_reports(c)
     for cap in {0, 5, 32, total}:  # at cap == total the tail must not show
         assert verify(c, max_failures=cap) == expected(cap)
-    sampled, _ = _fold_reports(c, _lcg_samples(m, 300, m), "sampled(300)", m)
-    assert verify(c, exhaustive=False, samples=300, seed=m) == sampled()
     return expected(), total
 
 
-def test_sampled_failures_match_scalar_fold():
-    # a 17-bit and a 128-bit mutant, each with an ADD turned into a SUB
+def test_wide_failures_match_scalar_fold():
+    # a 17-bit and a 128-bit mutant, each with an ADD turned into a SUB: the
+    # listed failures are the first failing x, each as a scalar fold gives it
     for cmul, m in [(54321, 101 * 1297), (3**70 % ((1 << 128) - 159), (1 << 128) - 159)]:
         c = synthesize(cmul, m)
         i = next(i for i, op in enumerate(c.ops) if op.opcode == ADD)
         mutant = _one_op_mutant(c, i, BlockOp(SUB, c.ops[i].target, c.ops[i].source))
-        expected, failing = _fold_reports(mutant, _lcg_samples(11, 300, m), "sampled(300)", 11)
-        assert failing > 32
-        assert verify(mutant, exhaustive=False, samples=300, seed=11) == expected()
+        report = verify(mutant)
+        assert report.tested == m and len(report.failures) == 33
+        listed = report.failures[:32]
+        assert listed == tuple(_failures_by_fold(mutant, range(listed[-1][0] + 1)))
+        assert report.failures[-1][0] == -1 and report.failures[-1][1] > 32
+
+
+def test_verify_exact_at_width():
+    # heuristic circuits pass at 128 and 512 bits, every x in [0, M) decided
+    rng = random.Random(512)
+    for bits in (128, 512):
+        m = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        cmul = rng.randrange(2, m)
+        while gcd(cmul, m) != 1:
+            cmul = rng.randrange(2, m)
+        report = verify(synthesize(cmul, m))
+        assert report.passed and report.tested == m and report.failures == ()
+
+
+def test_extra_doubling_fails_every_nonzero_input_at_128_bits():
+    # one DBL more on the result register sends x to 2Cx, which equals Cx
+    # only at x = 0 since C is a unit: M - 1 inputs fail, x = 1 first
+    m = (1 << 128) - 159
+    cmul = 3**70 % m
+    c = synthesize(cmul, m)
+    mutant = BlockCircuit(m, cmul, c.ops + (BlockOp(DBL, c.result_register),), c.result_register)
+    report = verify(mutant)
+    assert not report.passed and report.injective
+    assert len(report.failures) == 33 and report.failures[0] == (1, 2 * cmul % m, 0)
+    assert report.failures[:32] == tuple(_failures_by_fold(mutant, range(33)))
+    assert report.failures[-1] == (-1, m - 1, 0)
 
 
 def test_verify_matches_exhaustive_fold():
@@ -212,23 +242,6 @@ def test_every_opcode_is_a_rule_or_routing():
     assert set(_BLOCKS) | {FANOUT, CSWAP_LAYER} == set(_OPCODES)
 
 
-def test_verify_refuses_no_samples():
-    c = synthesize(13, 21)
-    for samples in (0, -5):
-        with pytest.raises(ValueError, match="samples"):
-            verify(c, exhaustive=False, samples=samples)
-
-
-def test_sampled_mode_reproducible():
-    # the 128-bit case passes only if sampled arithmetic is exact past int64
-    m128 = (1 << 128) - 159
-    for c, m in [(77778, 1011113), (3**70 % m128, m128)]:
-        circ = synthesize(c, m)
-        r1 = verify(circ, exhaustive=False, samples=100, seed=7)
-        r2 = verify(circ, exhaustive=False, samples=100, seed=7)
-        assert r1 == r2 and r1.passed and r1.seed == 7
-
-
 def test_vectorized_matches_scalar():
     # apply_block's array form, which OptimalSearch uses: every opcode on
     # every target, plus FANOUT and CSWAP_LAYER
@@ -258,31 +271,20 @@ def test_verify_all_methods_small_moduli():
             assert verify(trace_to_circuit(euclid_trace(m, c), m)).passed, (m, c, "euclid")
 
 
-def _reference_verify(c, exhaustive=True, samples=1000, seed=2024, max_failures=32):
-    """verify as it stood before the bare fold: a scalar fold on x = 1, the
-    samples always drawn, sampled injectivity by set comparison. Body
-    verbatim."""
+def _reference_verify(c, max_failures=32):
+    """verify's exhaustive body as it stood before the bare fold: a scalar
+    fold on x = 1, the inputs scanned over range(M)."""
     m, cmul = c.modulus, c.multiplier % c.modulus
-    if exhaustive:
-        if m > _EXHAUSTIVE_CAP:
-            raise ValueError(f"modulus {m} too large for exhaustive verification")
-        xs, mode, seed = range(m), "exhaustive", None
-    elif samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    else:
-        xs, mode = _lcg_samples(seed, samples, m), f"sampled({samples})"
+    xs = range(m)
     r1, r2 = fold(c, 1)
     a, b = (r1, r2) if c.result_register == R1 else (r2, r1)
     q = m // gcd(a - cmul, b, m)
     bad = () if q == 1 else (x for x in xs if x % q)
     failures = [(x, a * x % m, b * x % m) for x in islice(bad, max_failures)]
-    if exhaustive:
-        injective = gcd(a, m) == 1
-        if m - m // q > max_failures:
-            failures.append((-1, m - m // q, 0))
-    else:
-        injective = len({a * x % m for x in xs}) == len(set(xs))
-    return VerifyReport(cmul, m, mode, len(xs), tuple(failures), injective, seed)
+    injective = gcd(a, m) == 1
+    if m - m // q > max_failures:
+        failures.append((-1, m - m // q, 0))
+    return VerifyReport(cmul, m, tuple(failures), injective)
 
 
 def _non_unit_circuits():
@@ -302,7 +304,7 @@ def _non_unit_circuits():
 
 def test_verify_matches_reference_body():
     # seeded circuits, their one-op mutants and hand-built non-unit images,
-    # field for field in both modes
+    # field for field
     rng = random.Random(31415)
     replacements = _invertible_ops + [BlockOp(CSWAP_LAYER)]
     circuits = _non_unit_circuits()
@@ -316,34 +318,9 @@ def test_verify_matches_reference_body():
             circuits += [c, _one_op_mutant(c, i, rng.choice(replacements))]
     seen = set()
     for c in circuits:
-        if c.modulus <= _EXHAUSTIVE_CAP:
-            for cap in (0, 5, 32):
-                got = verify(c, max_failures=cap)
-                assert got == _reference_verify(c, max_failures=cap), c
-        for samples, seed in ((1, 3), (64, 7), (300, c.modulus)):
-            kw = dict(exhaustive=False, samples=samples, seed=seed)
-            got = verify(c, **kw)
-            assert got == _reference_verify(c, **kw), (c, kw)
+        for cap in (0, 5, 32):
+            got = verify(c, max_failures=cap)
+            assert got == _reference_verify(c, max_failures=cap), c
             seen.add((got.passed, got.injective, bool(got.failures)))
     # passing, failing and injective, failing and not injective
     assert {(True, True, False), (False, True, True), (False, False, True)} <= seen
-
-
-def test_passing_sampled_verify_draws_no_samples(monkeypatch):
-    draws = []
-    real = simulate._lcg_samples
-
-    def counted(*args):
-        draws.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(simulate, "_lcg_samples", counted)
-    m128 = (1 << 128) - 159
-    for c, m in [(13, 21), (77778, 1011113), (3**70 % m128, m128)]:
-        report = verify(synthesize(c, m), exhaustive=False, samples=1000, seed=5)
-        assert report.passed and report.tested == 1000 and report.seed == 5
-    assert draws == []
-    # a circuit that leaves something to check still draws them
-    for c in _non_unit_circuits()[:2]:
-        assert not verify(c, exhaustive=False, samples=50, seed=5).passed
-    assert len(draws) == 2
