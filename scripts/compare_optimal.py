@@ -16,7 +16,7 @@ from modmult.circuit import circuit_cost
 from modmult.cli import parse_bits
 from modmult.numtheory import enumerate_semiprimes
 from modmult.optimal import OptimalSearch
-from modmult.synth import DecisionCache, SynthesisConfig, synthesize
+from modmult.synth import SynthesisConfig, synthesize
 
 
 def main() -> int:
@@ -43,7 +43,7 @@ def compare(bits: str, lookahead: int) -> None:
         for sp in semiprimes:
             m = sp.value
             floor = OptimalSearch(m, cfg.cost_model).all_costs()
-            decisions = DecisionCache()
+            decisions: dict = {}
             for c in range(2, m):
                 if gcd(c, m) != 1:
                     continue

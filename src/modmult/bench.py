@@ -46,7 +46,6 @@ from .numtheory import Modulus
 from .optimal import DEFAULT_BIT_CAP, OptimalSearch
 from .simulate import verify
 from .synth import (
-    DecisionCache,
     SynthesisConfig,
     baseline_synthesize,
     euclid_trace,
@@ -200,7 +199,7 @@ def method_circuit(
     m: int,
     cfg: SynthesisConfig,
     opt: OptimalSearch | None = None,
-    decisions: DecisionCache | None = None,
+    decisions: dict | None = None,
 ) -> BlockCircuit:
     """The circuit that `method`, one of METHODS, builds for C mod M. The
     heuristic shares `decisions` (see `synthesize`); the optimal method
@@ -217,7 +216,7 @@ def method_circuit(
 
 
 def _record(
-    method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | None, decisions: DecisionCache
+    method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | None, decisions: dict
 ) -> BenchRecord:
     bits = m.bit_length()
     start = time.perf_counter()
@@ -253,8 +252,9 @@ def _record(
 
 def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
     cs = _multipliers(m, cfg)
-    # the lookahead decisions of every heuristic record of m under cfg
-    decisions = DecisionCache()
+    # the lookahead decisions of every heuristic record of m (one dict per
+    # modulus: a dict per sweep would grow with every modulus swept)
+    decisions: dict = {}
     opt = None  # built on the first optimal record the cache misses
     shard = cache_read(cfg.cache_dir, m, cfg.config_hash)
     records = []

@@ -129,6 +129,12 @@ class BlockCircuit:
     def width(self) -> int:
         return self.modulus.bit_length()
 
+    @cached_property
+    def opcode_counts(self) -> Counter:
+        """Ops per opcode, in order of first use (so the first unpriced
+        opcode raises, as it would op by op); counted once per circuit."""
+        return Counter(map(attrgetter("opcode"), self.ops))
+
     def __post_init__(self) -> None:
         m = self.modulus
         if m < 3 or m % 2 == 0:
@@ -165,7 +171,7 @@ def apply_block(op: BlockOp, r1, r2, m: int, inv2: int):
     """
     code = op.opcode
     if code == FANOUT:
-        if np.any(r2 != 0):
+        if (r2 != 0).any() if isinstance(r2, np.ndarray) else r2 != 0:
             raise FanoutOnNonzero("FANOUT with non-zero second register")
         return r1, r1
     if code == CSWAP_LAYER:
@@ -202,7 +208,6 @@ class CostModel:
     computed under this model.
     """
 
-    name: str = "default"
     coeffs: Mapping[str, tuple[int, int]] = field(
         default_factory=lambda: {
             FANOUT: (0, 0),
@@ -318,12 +323,6 @@ class DepthModel:
         return base - 1 + self.ancillae_per_adder(n)
 
 
-def _opcode_counts(c: BlockCircuit) -> Counter:
-    """Ops per opcode, in order of first use (so the first unpriced opcode
-    raises, as it would op by op)."""
-    return Counter(map(attrgetter("opcode"), c.ops))
-
-
 def circuit_cost(
     c: BlockCircuit, model: CostModel = DEFAULT_COST_MODEL
 ) -> tuple[int, int]:
@@ -331,7 +330,7 @@ def circuit_cost(
     is priced once and weighted by its count. CNOTs are bookkeeping: FANOUT
     copies n bits and a CSWAP_LAYER spends 2n on control fan-out and clear;
     arithmetic blocks count none."""
-    counts = _opcode_counts(c)
+    counts = c.opcode_counts
     toffoli = sum(model.op_cost(code, c.width) * count for code, count in counts.items())
     cnot = c.width * (counts[FANOUT] + 2 * counts[CSWAP_LAYER])
     return toffoli, cnot
@@ -340,7 +339,7 @@ def circuit_cost(
 def circuit_depth(c: BlockCircuit, model: DepthModel) -> int:
     """Total depth: blocks share both registers, so the schedule is the
     sequential chain and depth is the sum of per-op depths."""
-    counts = _opcode_counts(c)
+    counts = c.opcode_counts
     return sum(model.op_depth(code, c.width) * count for code, count in counts.items())
 
 
@@ -451,9 +450,9 @@ def load_model_file(path: str) -> tuple[CostModel, DepthModel]:
         return coeffs
 
     if "toffoli" in doc:
-        cost = CostModel(doc.get("name", "custom"), to_coeffs("toffoli"))
+        cost = CostModel(to_coeffs("toffoli"))
     else:
-        cost = CostModel(doc.get("name", "default"))
+        cost = CostModel()
     if "depth" in doc:
         depth = DepthModel(regime, to_coeffs("depth"))
     else:

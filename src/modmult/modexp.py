@@ -23,7 +23,7 @@ from .circuit import (
 from .numtheory import Modulus
 from .synth import SynthesisConfig, synthesize
 
-__all__ = ["BaseNotCoprime", "ModExpPlan", "ModExpCircuit", "modexp_plan", "build_modexp"]
+__all__ = ["BaseNotCoprime", "ModExpCircuit", "modexp_plan", "build_modexp"]
 
 
 class BaseNotCoprime(ValueError):
@@ -31,19 +31,7 @@ class BaseNotCoprime(ValueError):
 
 
 @dataclass(frozen=True)
-class ModExpPlan:
-    modulus: int
-    base: int
-    multipliers: tuple[int, ...]  # C_i = base^(2^i) mod M, i = 0 .. 2n-1
-
-    @property
-    def n(self) -> int:
-        return self.modulus.bit_length()
-
-
-@dataclass(frozen=True)
 class ModExpCircuit:
-    plan: ModExpPlan
     blocks: tuple[tuple[BlockCircuit, bool], ...]  # (UM block, cswap-wrapped)
     toffoli: int
     cnot: int
@@ -57,18 +45,16 @@ class ModExpCircuit:
         return len(self.blocks)
 
 
-def modexp_plan(m: int, b: int = 2) -> ModExpPlan:
-    """All 2n multipliers by repeated modular squaring."""
+def modexp_plan(m: int, b: int = 2) -> tuple[int, ...]:
+    """The 2n multipliers C_i = b^(2^i) mod M, i = 0 .. 2n-1, by repeated
+    modular squaring."""
     Modulus(m)
     if gcd(b, m) != 1:
         raise BaseNotCoprime(f"gcd({b}, {m}) != 1")
-    n = m.bit_length()
-    mults = []
-    c = b % m
-    for _ in range(2 * n):
-        mults.append(c)
-        c = (c * c) % m
-    return ModExpPlan(m, b, tuple(mults))
+    mults = [b % m]
+    while len(mults) < 2 * m.bit_length():
+        mults.append(mults[-1] * mults[-1] % m)
+    return tuple(mults)
 
 
 def build_modexp(
@@ -84,8 +70,8 @@ def build_modexp(
     """
     cfg = cfg or SynthesisConfig()
     depth_model = depth_model or DepthModel.ripple()
-    plan = modexp_plan(m, b)
-    n = plan.n
+    multipliers = modexp_plan(m, b)
+    n = m.bit_length()
     model: CostModel = cfg.cost_model
 
     # a position's two CSWAP layers, priced as the identity circuit they form
@@ -96,7 +82,7 @@ def build_modexp(
     cache: dict[int, BlockCircuit] = {}  # distinct multipliers, synthesized once
     toffoli = cnot = depth = 0
     blocks: list[tuple[BlockCircuit, bool]] = []
-    for c in plan.multipliers:
+    for c in multipliers:
         if c not in cache:
             cache[c] = synthesize(c, m, cfg)
         block = cache[c]
@@ -114,7 +100,6 @@ def build_modexp(
     # include the second multiplication register)
     qubits = 3 * n + ancillae
     return ModExpCircuit(
-        plan=plan,
         blocks=tuple(blocks),
         toffoli=toffoli,
         cnot=cnot,

@@ -39,7 +39,6 @@ from .numtheory import NotCoprime
 __all__ = [
     "Move",
     "GcdTrace",
-    "DecisionCache",
     "SynthesisConfig",
     "euclid_trace",
     "binary_gcd_trace",
@@ -314,35 +313,8 @@ def _best_sequence(
     return None if best is None else (best, best_seq)
 
 
-class DecisionCache:
-    """Lookahead decisions shared by the traces of one modulus.
-
-    A round's committed move depends only on its pair (a, b), the move
-    committed before it, and (k, cap, ADD price, HLV price). `moves` maps
-    (a, b, last) to that move; `params` is the (k, cap, ADD price,
-    HLV price) it was filled under, set by the first trace that uses it.
-    `hits` counts the rounds served from `moves`.
-    """
-
-    def __init__(self) -> None:
-        self.params: tuple[int, int, int, int] | None = None
-        self.moves: dict[tuple[int, int, Move | None], Move] = {}
-        self.hits = 0
-
-    def bind(self, params: tuple[int, int, int, int]) -> None:
-        """Refuse a trace whose (k, cap, ADD price, HLV price) differ from
-        those the cache was filled under."""
-        if self.params is None:
-            self.params = params
-        elif self.params != params:
-            raise ValueError(
-                f"decision cache filled under (k, cap, add, hlv) = {self.params}, "
-                f"used under {params}"
-            )
-
-
 def lookahead_trace(
-    a: int, b: int, cfg: SynthesisConfig | None = None, decisions: DecisionCache | None = None
+    a: int, b: int, cfg: SynthesisConfig | None = None, decisions: dict | None = None
 ) -> GcdTrace:
     """k-step lookahead over the generalized move set.
 
@@ -354,9 +326,12 @@ def lookahead_trace(
     costs are memoized for the whole trace, keyed by odd pairs (see
     `_odd_completion`).
 
-    With `decisions`, a round whose (a, b, last move) the cache holds
-    commits the cached move, and a computed round is stored there; the
-    trace is the same either way.
+    A round's move depends only on (k, cap, ADD price, HLV price), its
+    pair, and the move that the previous move forbids (`_UNDO_OF`). With
+    `decisions`, rounds are read from and stored to the table
+    decisions[(k, cap, ADD price, HLV price)], keyed by (a, b, undo); the
+    trace is the same either way, and one dict may serve any moduli and
+    configs.
     """
     cfg = cfg or SynthesisConfig()
     _check_coprime(a, b)
@@ -369,29 +344,27 @@ def lookahead_trace(
     memo: dict[tuple[int, int], int] = {}
     decided = None
     if decisions is not None:
-        decisions.bind((k, cap, add_cost, hlv_cost))
-        decided = decisions.moves
+        decided = decisions.setdefault((k, cap, add_cost, hlv_cost), {})
 
     pairs = [(a, b)]
     moves: list[Move] = []
     prev_committed: Move | None = None
+    undo = -1
     max_rounds = 16 * (a.bit_length() + b.bit_length()) + 64
     while (a, b) != (1, 1):
         if len(moves) > max_rounds:  # pragma: no cover - safety net
             raise RuntimeError(f"lookahead failed to converge from ({a}, {b})")
-        mv = None if decided is None else decided.get((a, b, prev_committed))
+        mv = None if decided is None else decided.get((a, b, undo))
         if mv is None:
             best = _best_sequence(a, b, prev_committed, k, cap, add_cost, hlv_cost, memo)
             assert best is not None and best[1], "no legal move available"
             mv = Move(best[1][0])
             if decided is not None:
-                decided[a, b, prev_committed] = mv
-        else:
-            decisions.hits += 1
+                decided[a, b, undo] = mv
         a, b = _apply_move(mv, a, b)
         moves.append(mv)
         pairs.append((a, b))
-        prev_committed = mv
+        prev_committed, undo = mv, _UNDO_OF[mv]
     return GcdTrace(tuple(pairs), tuple(moves))
 
 
@@ -511,13 +484,13 @@ def synthesize(
     c: int,
     m: int,
     cfg: SynthesisConfig | None = None,
-    decisions: DecisionCache | None = None,
+    decisions: dict | None = None,
 ) -> BlockCircuit:
     """Dispatch: the special-form shortcut (the identity for C = 1
     included), else the lookahead GCD trace.
 
-    `decisions` is passed to `lookahead_trace`: one cache serves every
-    multiplier of modulus m under one cfg."""
+    `decisions` is passed to `lookahead_trace`, whose round decisions it
+    holds."""
     cfg = cfg or SynthesisConfig()
     c %= m
     if cfg.use_special_cases and (circ := special_synthesize(c, m)) is not None:

@@ -143,7 +143,7 @@ def run_multipliers(m):
         c
         for a in SHOR_BASES
         if gcd(a, m) == 1
-        for c in modexp_plan(m, a).multipliers
+        for c in modexp_plan(m, a)
         if c != 1
     ]
 

@@ -23,11 +23,11 @@ from modmult.bench import (
     records_to_csv,
     write_summary_csv,
 )
-from modmult.circuit import ADD, NEG, CostModel, DepthModel, serialize
+from modmult.circuit import ADD, NEG, CostModel, DepthModel, load_model_file, serialize
 from modmult.cli import main
 from modmult.numtheory import enumerate_semiprimes
 from modmult.optimal import NonPositiveCost, OptimalSearch
-from modmult.synth import DecisionCache, SynthesisConfig
+from modmult.synth import SynthesisConfig
 
 
 def widths(*bits: int) -> tuple[int, ...]:
@@ -126,7 +126,16 @@ class TestConfig:
     def test_default_config_hash(self):
         # the hash keys every cache file; it moves when a record's settings
         # or the cache schema change, and with it every shard becomes a miss
-        assert SweepConfig(moduli=(21,)).config_hash == "0e0f6e9f07ed33d9"
+        assert SweepConfig(moduli=(21,)).config_hash == "dfa82bcde565ef3e"
+
+    def test_model_name_leaves_config_hash(self, tmp_path):
+        # a model file's "name" decides nothing, so it splits no cache key
+        coeffs = CostModel().coeffs
+        path = tmp_path / "model.json"
+        toffoli = {op: {"slope": s, "intercept": i} for op, (s, i) in coeffs.items()}
+        path.write_text(json.dumps({"name": "custom", "toffoli": toffoli}))
+        cost, _ = load_model_file(str(path))
+        assert SweepConfig(moduli=(21,), cost_model=cost).config_hash == "dfa82bcde565ef3e"
 
     def test_synthesis_config_built_once(self):
         cfg = SweepConfig(moduli=(21,))
@@ -186,7 +195,7 @@ class TestSweep:
         caches = {m: {id(d) for mm, d in seen if mm == m} for m in (21, 65)}
         assert all(len(ids) == 1 for ids in caches.values())
         assert caches[21] != caches[65]
-        assert all(isinstance(d, DecisionCache) for _, d in seen)
+        assert all(isinstance(d, dict) for _, d in seen)
         assert records_to_csv(recs) == records_to_csv(
             bench_sweep(small_sweep(moduli=(65, 21), methods=("heuristic",)))
         )
@@ -209,7 +218,7 @@ class TestSweep:
 
     def test_optimal_construction_error_propagates(self):
         # a search refused at construction fails the sweep, not each record
-        model = CostModel("free-neg", {**CostModel().coeffs, NEG: (0, 0)})
+        model = CostModel({**CostModel().coeffs, NEG: (0, 0)})
         with pytest.raises(NonPositiveCost):
             bench_sweep(small_sweep(moduli=(21,), methods=("optimal",), cost_model=model))
 
@@ -274,7 +283,7 @@ class TestAggregate:
 
     def test_mixed_models_rejected(self):
         cfg_a = small_sweep(moduli=(21,), methods=("heuristic",))
-        other_model = CostModel("alt", {**CostModel().coeffs, ADD: (4, 0)})
+        other_model = CostModel({**CostModel().coeffs, ADD: (4, 0)})
         cfg_b = small_sweep(moduli=(21,), methods=("heuristic",), cost_model=other_model)
         recs = bench_sweep(cfg_a) + bench_sweep(cfg_b)
         with pytest.raises(MixedModels):

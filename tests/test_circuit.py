@@ -88,7 +88,7 @@ class TestCost:
         model = CostModel()
         assert model.hash == CostModel().hash == "627151b7e274d592"
         assert vars(model)["hash"] == model.hash  # computed once, then cached
-        other = CostModel("tweaked", {**CostModel().coeffs, ADD: (4, 0)})
+        other = CostModel({**CostModel().coeffs, ADD: (4, 0)})
         assert other.hash != CostModel().hash
 
 
@@ -171,7 +171,7 @@ class TestOpcodeCounts:
         def per_op_depth(model):
             return sum(model.op_depth(op.opcode, n) for op in ops)
 
-        for model in (DEFAULT_COST_MODEL, CostModel("drawn", coeffs)):
+        for model in (DEFAULT_COST_MODEL, CostModel(coeffs)):
             assert _outcome(circuit_cost, c, model) == _outcome(per_op_cost, model)
         for model in (DepthModel(regime), DepthModel(regime, coeffs)):
             assert _outcome(circuit_depth, c, model) == _outcome(per_op_depth, model)
@@ -251,18 +251,18 @@ class TestSerialization:
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
-        cost = CostModel("custom", {**CostModel().coeffs, ADD: (5, 1), SUB: (5, 1)})
+        cost = CostModel({**CostModel().coeffs, ADD: (5, 1), SUB: (5, 1)})
         depth = DepthModel.lookahead()
         path = tmp_path / "model.json"
         doc = {
-            "name": cost.name,
+            "name": "custom",  # ignored: a model is its coefficients
             "adder_regime": "lookahead",
             "toffoli": {op: {"slope": s, "intercept": i} for op, (s, i) in cost.coeffs.items()},
             "depth": {op: {"slope": s, "intercept": i} for op, (s, i) in depth.coeffs.items()},
         }
         path.write_text(json.dumps(doc))
         cost2, depth2 = load_model_file(str(path))
-        assert cost2.coeffs == cost.coeffs
+        assert cost2 == cost
         assert cost2.hash == cost.hash
         assert depth2.adder_regime == "LOOKAHEAD"
         assert depth2.coeffs == depth.coeffs

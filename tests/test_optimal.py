@@ -73,7 +73,7 @@ class TestCosts:
             OptimalSearch((1 << 13) + 1, bit_cap=12)
 
     def test_free_edge_op_refused(self):
-        free_neg = CostModel("free-neg", {**CostModel().coeffs, NEG: (0, 0)})
+        free_neg = CostModel({**CostModel().coeffs, NEG: (0, 0)})
         with pytest.raises(NonPositiveCost, match="NEG"):
             OptimalSearch(21, free_neg)
         # NEG is not an edge of the graph without it, so its price is irrelevant
@@ -130,10 +130,10 @@ class TestReconstruction:
         default = CostModel().coeffs
         models = [
             CostModel(),
-            CostModel("fan", {**default, FANOUT: (1, 0)}),
-            CostModel("fan-dear-halving", {**default, HLV: (5, 1), FANOUT: (1, 0)}),
-            CostModel("dear-sub", {**default, SUB: (4, 0)}),
-            CostModel("fan-dear-sub", {**default, SUB: (4, 0), FANOUT: (1, 0)}),
+            CostModel({**default, FANOUT: (1, 0)}),
+            CostModel({**default, HLV: (5, 1), FANOUT: (1, 0)}),
+            CostModel({**default, SUB: (4, 0)}),
+            CostModel({**default, SUB: (4, 0), FANOUT: (1, 0)}),
         ]
         for model in models:
             search = _search(m, model, include_neg)
@@ -219,7 +219,7 @@ class TestSearch:
         # DBL and HLV priced apart: FANOUT circuits come off the reversed
         # graph's row, a tie-break change, same costs (f55c7a31fbd47fdd and
         # 3c6f8c601cb7bee4 when they came from a search from (1,1))
-        model = CostModel("test", {**CostModel().coeffs, HLV: (5, 1)})
+        model = CostModel({**CostModel().coeffs, HLV: (5, 1)})
         assert _running_digest(_search(221, model, include_neg)).startswith(digest)
 
     @pytest.mark.parametrize(
@@ -234,7 +234,7 @@ class TestSearch:
     )
     def test_golden_costs_other_prices(self, prices, m, digest):
         # taken on the search from (1,1), which the reversed graph replaced
-        search = OptimalSearch(m, CostModel("test", {**CostModel().coeffs, **prices}))
+        search = OptimalSearch(m, CostModel({**CostModel().coeffs, **prices}))
         costs = repr(sorted(search.all_costs().items())).encode()
         assert hashlib.sha256(costs).hexdigest().startswith(digest)
 
@@ -311,7 +311,7 @@ class TestSearch:
     @pytest.mark.parametrize("m", [21, 33, 35, 77])
     def test_matches_heapq_reference_other_prices(self, m, include_neg, prices):
         # with ADD and SUB priced apart, neither row is folded by (a,b) -> (a,-b)
-        model = CostModel("test", {**CostModel().coeffs, **prices})
+        model = CostModel({**CostModel().coeffs, **prices})
         self.assert_matches_reference(m, model, include_neg)
 
     def test_twelve_bit_cap_fits(self):

@@ -47,6 +47,12 @@ def test_fanout_requires_zero():
     assert step(BlockOp(FANOUT), 5, 0, 21) == (5, 5)
     with pytest.raises(FanoutOnNonzero):
         step(BlockOp(FANOUT), 5, 1, 21)
+    # arrays, as OptimalSearch folds them: every element of R2 must be zero
+    r1 = np.arange(4)
+    got = apply_block(BlockOp(FANOUT), r1, np.zeros(4, dtype=np.int64), 21, 11)
+    assert all((got[0] == r1) & (got[1] == r1))
+    with pytest.raises(FanoutOnNonzero):
+        apply_block(BlockOp(FANOUT), r1, np.array([0, 0, 3, 0]), 21, 11)
 
 
 _invertible_ops = [

@@ -28,7 +28,6 @@ from modmult.modexp import modexp_plan
 from modmult.numtheory import NotCoprime
 from modmult.simulate import verify
 from modmult.synth import (
-    DecisionCache,
     Move,
     _apply_move,
     _best_sequence,
@@ -160,13 +159,15 @@ class TestLookaheadTrace:
         gc.collect()
         gc.disable()
         try:
-            decisions = DecisionCache()
+            decisions: dict = {}
+            circuits = []
             for c in range(1000, 1040):
                 if gcd(c, 49447) == 1:
                     synthesize(c, 49447)
-                    synthesize(c, 49447, None, decisions)
-            assert decisions.hits > 0
-            del decisions
+                    circuits.append(synthesize(c, 49447, None, decisions))
+            (table,) = decisions.values()
+            assert len(table) < _lookahead_rounds(circuits)  # the table served rounds
+            del decisions, table
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -448,7 +449,7 @@ class TestGoldenAnchors:
 
     def test_modexp_multipliers_128_bit(self):
         m = ((1 << 64) - 59) * ((1 << 64) - 83)
-        circuits = (synthesize(c, m) for c in modexp_plan(m, 2).multipliers[:32])
+        circuits = (synthesize(c, m) for c in modexp_plan(m, 2)[:32])
         assert _running_digest(circuits).startswith("04a1135b3a281e2c")
 
     @pytest.mark.parametrize(
@@ -460,7 +461,7 @@ class TestGoldenAnchors:
         # the equal-price and cheap-halving models of _PRICES
         m = ((1 << 64) - 59) * ((1 << 64) - 83)
         cfg = SynthesisConfig(cost_model=_PRICES[price])
-        circuits = (synthesize(c, m, cfg) for c in modexp_plan(m, 2).multipliers[:32])
+        circuits = (synthesize(c, m, cfg) for c in modexp_plan(m, 2)[:32])
         assert _running_digest(circuits).startswith(digest)
 
 
@@ -524,7 +525,7 @@ def _reference_best_sequence(a, b, last, k, cap, add_cost, hlv_cost, memo):
 
 
 def _priced(add, hlv):
-    return CostModel(f"add{add}-hlv{hlv}", {**CostModel().coeffs, ADD: add, HLV: hlv})
+    return CostModel({**CostModel().coeffs, ADD: add, HLV: hlv})
 
 
 # HLV/ADD price ratios: the default (slightly dearer halving), equal prices
@@ -638,62 +639,63 @@ class TestReferenceEquivalence:
             assert tail == _trace_cost(binary_gcd_trace(*key), n, model), key
 
 
+def _lookahead_rounds(circuits) -> int:
+    """Trace rounds behind the circuits: one move per op after FANOUT
+    (special-form circuits have no FANOUT and no trace)."""
+    return sum(len(circ.ops) - 1 for circ in circuits if circ.ops and circ.ops[0].opcode == FANOUT)
+
+
 class TestDecisionCache:
     def test_counts_mod_1007(self):
-        # every lookahead multiplier of 1007 shares one cache: 13,631 rounds,
-        # 5,583 distinct (a, b, last) states, the same circuits
-        decisions = DecisionCache()
+        # every lookahead multiplier of 1007 shares one table: 13,631 rounds,
+        # 5,419 distinct (a, b, undo) states, the same circuits
+        decisions: dict = {}
         circuits = [
             synthesize(c, 1007, None, decisions) for c in range(2, 1007) if gcd(c, 1007) == 1
         ]
-        assert (len(decisions.moves), decisions.hits) == (5583, 8048)
+        (table,) = decisions.values()
+        assert len(table) == 5419
         assert _running_digest(circuits).startswith("483dfbf3053f0d1e")
-        rounds = sum(len(circ.ops) - 1 for circ in circuits if circ.ops[0].opcode == FANOUT)
-        assert rounds == 13631 == len(decisions.moves) + decisions.hits
+        assert _lookahead_rounds(circuits) == 13631
 
-    @pytest.mark.parametrize(
-        "other",
-        [
-            dict(lookahead_depth=2),
-            dict(cost_model=_PRICES[1]),
-            dict(cost_model=_PRICES[2]),
-        ],
-        ids=["k", "add-price", "hlv-price"],
-    )
-    def test_refused_under_another_config(self, other):
-        decisions = DecisionCache()
-        synthesize(13, 1007, SynthesisConfig(), decisions)
-        filled = dict(decisions.moves)
-        with pytest.raises(ValueError, match="decision cache"):
-            synthesize(29, 1007, SynthesisConfig(**other), decisions)
-        with pytest.raises(ValueError, match="decision cache"):
-            lookahead_trace(1007, 29, SynthesisConfig(**other), decisions)
-        assert decisions.moves == filled  # nothing served, nothing stored
-
-    def test_refused_for_another_modulus_cap(self):
-        # the cap is synth._VALUE_CAP * M, so another modulus differs
-        decisions = DecisionCache()
-        synthesize(13, 1007, None, decisions)
-        with pytest.raises(ValueError, match="decision cache"):
-            synthesize(13, 1009, None, decisions)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_round_depends_on_last_only_through_undo(self, k):
+        # the table keys a round by the move the last one forbids: None and
+        # both halvings forbid none, so they must decide every round alike
+        model = CostModel()
+        add_cost, hlv_cost = model.op_cost(ADD, 6), model.op_cost(HLV, 6)
+        for a in range(1, 64):
+            for b in range(1, 64):
+                if gcd(a, b) != 1 or a == b == 1:
+                    continue
+                for cap in (max(a, b) + 1, 4 * max(a, b)):
+                    got = {
+                        _best_sequence(a, b, last, k, cap, add_cost, hlv_cost, {})
+                        for last in (None, Move.HALVE_A, Move.HALVE_B)
+                    }
+                    assert len(got) == 1, (a, b, k, cap, got)
 
     @pytest.mark.parametrize("cap", [2, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_shared_cache_matches_reference(self, k, cap, monkeypatch):
-        # one cache per (modulus, config), shared by that modulus's
-        # multipliers, against uncached traces of the reference round
+        # one dict shared by every modulus, depth and price, against
+        # traces of the reference round without a table
         monkeypatch.setattr(synth, "_VALUE_CAP", cap)
         rng = random.Random(100 + k)
-        cases, caches = [], []
+        cases = []
         for m in (rng.randrange(1 << 8, 1 << 9) | 1, rng.randrange(1 << 9, 1 << 10) | 1):
             cs = [c for c in range(2, m) if gcd(c, m) == 1]
             for model in _PRICES:
-                cfg = SynthesisConfig(lookahead_depth=k, cost_model=model)
-                caches.append(DecisionCache())
-                cases += [(m, c, cfg, caches[-1]) for c in rng.sample(cs, 6)]
-        got = [lookahead_trace(m, c, cfg, decisions) for m, c, cfg, decisions in cases]
-        assert sum(decisions.hits for decisions in caches) > 0
+                for depth in sorted({k, 1 + k % 5}):
+                    cfg = SynthesisConfig(lookahead_depth=depth, cost_model=model)
+                    cases += [(m, c, cfg) for c in rng.sample(cs, 6)]
+        decisions: dict = {}
+        got = [lookahead_trace(m, c, cfg, decisions) for m, c, cfg in cases]
+        # one table per (modulus cap, depth, price), six traces each
+        assert len(decisions) == len(cases) // 6
+        rounds = sum(len(t.moves) for t in got)
+        assert sum(map(len, decisions.values())) < rounds  # the tables served rounds
         monkeypatch.setattr(synth, "_best_sequence", _reference_best_sequence)
-        want = [lookahead_trace(m, c, cfg) for m, c, cfg, _ in cases]
+        want = [lookahead_trace(m, c, cfg) for m, c, cfg in cases]
         assert got == want
         assert all(type(mv) is Move for t in got for mv in t.moves)
