@@ -642,7 +642,8 @@ class TestReferenceEquivalence:
 def _lookahead_rounds(circuits) -> int:
     """Trace rounds behind the circuits: one move per op after FANOUT
     (special-form circuits have no FANOUT and no trace)."""
-    return sum(len(circ.ops) - 1 for circ in circuits if circ.ops and circ.ops[0].opcode == FANOUT)
+    traced = (circ for circ in circuits if circ.ops and circ.ops[0].opcode == FANOUT)
+    return sum(len(circ.ops) - 1 for circ in traced)
 
 
 class TestDecisionCache:
