@@ -269,11 +269,12 @@ def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
                     opt = OptimalSearch(m, cfg.cost_model, bit_cap=cfg.optimal_bit_cap)
                 rec = _record(method, c, m, cfg, opt, decisions)
                 if not rec.error:  # a failure is retried, never served
-                    shard[(c, method)] = rec
+                    shard.setdefault(method, {})[c] = rec
                     fresh = True
             records.append(rec)
     if fresh:
-        cache_store(cfg.cache_dir, m, cfg.config_hash, shard.values())
+        stored = (rec for by_c in shard.values() for rec in by_c.values())
+        cache_store(cfg.cache_dir, m, cfg.config_hash, stored)
     return records
 
 
@@ -334,7 +335,7 @@ def write_summary_csv(rows: list[SummaryRow], fh: IO[str]) -> None:
 
 _FIELDS = [f.name for f in dataclasses.fields(BenchRecord)]
 
-Shard = dict[tuple[int, str], BenchRecord]  # keyed by (multiplier, method)
+Shard = dict[str, dict[int, BenchRecord]]  # keyed by method, then multiplier
 
 
 def _canonical(doc) -> str:
@@ -345,8 +346,8 @@ def cache_path(cache_dir: str, m: int, config_hash: str) -> str:
     return os.path.join(cache_dir, f"{m}-{config_hash}.json")
 
 
-# (checksum, records) of the last shard whose records cache_read built
-_last_built: tuple[str, tuple[BenchRecord, ...]] = ("", ())
+# (checksum, records by method) of the last shard whose records cache_read built
+_last_built: tuple[str, dict[str, list[BenchRecord]]] = ("", {})
 
 
 def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
@@ -355,7 +356,7 @@ def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
     or field list.
 
     Every read verifies the whole file. A shard whose checksum equals that
-    of the last shard built hands back that shard's records, in a new dict:
+    of the last shard built hands back that shard's records, in new dicts:
     equal checksums mean equal canonical bodies, so equal labels, values
     and value types, and the records are frozen."""
     global _last_built
@@ -373,18 +374,18 @@ def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
             # equal field values of a shard share one object; the type is
             # part of the key so that 0, 0.0 and False stay distinct
             shared: dict = {}
-            records = tuple(
-                BenchRecord(*[shared.setdefault((type(v), v), v) for v in row])
-                for row in body["rows"]
-            )
-            _last_built = (digest, records)
+            by_method: dict[str, list[BenchRecord]] = {}
+            for row in body["rows"]:
+                r = BenchRecord(*[shared.setdefault((type(v), v), v) for v in row])
+                by_method.setdefault(r.method, []).append(r)
+            _last_built = (digest, by_method)
     except (OSError, KeyError, TypeError, ValueError):
         return {}  # a missing or unreadable shard is a miss
-    return {(r.multiplier, r.method): r for r in _last_built[1]}
+    return {method: {r.multiplier: r for r in rs} for method, rs in _last_built[1].items()}
 
 
 def cache_lookup(shard: Shard, c: int, method: str) -> BenchRecord | None:
-    return shard.get((c, method))
+    return shard.get(method, {}).get(c)
 
 
 def cache_store(

@@ -12,7 +12,9 @@ multipliers.
 The lookahead scores a sequence by its moves' prices plus the cost of
 finishing with the binary GCD (Stein, 1967). That completion is priced
 from odd pair to odd pair: after each subtraction the binary GCD halves
-the even difference once per trailing zero.
+the even difference once per trailing zero. A round commits the first move
+under which the least score lies, ties going to the least `Move`. Only a
+round within reach of a cycle checks for revisits (see `_CYCLE_MAX`).
 """
 
 from __future__ import annotations
@@ -62,9 +64,17 @@ class Move(enum.IntEnum):
     ADD_B = 5  # B <- B + A
 
 
+_MOVES = tuple(Move)
 # _UNDO_OF[mv] is the move the lookahead may not play right after mv
 # (ADD and SUB on the same side undo each other; -1: none)
 _UNDO_OF = (-1, -1, Move.ADD_A, Move.ADD_B, Move.SUB_A, Move.SUB_B)
+
+# The deepest lookahead, and a bound on both values of every pair on a cycle
+# of at most that many legal moves; cycles of 6 moves reach 32. A round of k
+# moves revisits a pair only on such a cycle, and a move at most halves the
+# larger value, so a round from above _CYCLE_MAX << k revisits none.
+_MAX_DEPTH = 5
+_CYCLE_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -90,8 +100,8 @@ class SynthesisConfig:
     use_special_cases: bool = True
 
     def __post_init__(self) -> None:
-        if not 1 <= self.lookahead_depth <= 5:
-            raise ValueError("lookahead depth must be in [1, 5]")
+        if not 1 <= self.lookahead_depth <= _MAX_DEPTH:
+            raise ValueError(f"lookahead depth must be in [1, {_MAX_DEPTH}]")
 
 
 # the lookahead keeps every value below _VALUE_CAP times the larger
@@ -100,17 +110,12 @@ _VALUE_CAP = 4
 
 
 def _apply_move(mv: Move, a: int, b: int) -> tuple[int, int]:
-    if mv == Move.HALVE_A:
-        return a // 2, b
-    if mv == Move.HALVE_B:
-        return a, b // 2
-    if mv == Move.SUB_A:
-        return a - b, b
-    if mv == Move.SUB_B:
-        return a, b - a
-    if mv == Move.ADD_A:
-        return a + b, b
-    return a, b + a
+    # int codes, as in `_children`: an enum member lookup per compare is slower
+    if mv < 2:
+        return (a >> 1, b) if mv == 0 else (a, b >> 1)
+    if mv < 4:
+        return (a - b, b) if mv == 2 else (a, b - a)
+    return (a + b, b) if mv == 4 else (a, b + a)
 
 
 def _check_coprime(a: int, b: int) -> None:
@@ -189,128 +194,121 @@ def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) ->
     return tail
 
 
-def _best_sequence(
-    a: int, b: int, last: Move | None, k: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
-) -> tuple[int, tuple[int, ...]] | None:
-    """Least (score, moves) over one lookahead round's sequences from
-    (a, b) != (1, 1); `last` is the move committed before (a, b).
+def _children(a: int, b: int, cap: int, add_cost: int, hlv_cost: int) -> list[tuple]:
+    """Legal children of (a, b) != (1, 1) in `Move` order, as (move, a', b',
+    price, the move it forbids next): halving the even value, the smaller
+    value subtracted from the larger, both additions under `cap`."""
+    if not a & 1:
+        children = [(0, a >> 1, b, hlv_cost, -1)]
+    elif not b & 1:
+        children = [(1, a, b >> 1, hlv_cost, -1)]
+    else:
+        children = []
+    # a != b: the only equal coprime pair is (1, 1)
+    children.append((2, a - b, b, add_cost, 4) if a > b else (3, a, b - a, add_cost, 5))
+    if a + b < cap:
+        children += [(4, a + b, b, add_cost, 2), (5, a, a + b, add_cost, 3)]
+    return children
 
-    A node's legal children, in `Move` order, are: halving its one even
-    value, subtracting the smaller value from the larger, and the two
-    additions while a + b stays under `cap`. A child at depth k, or equal
-    to (1, 1), is a leaf; only inner nodes go on the explicit stack (a
-    self-referencing closure would form a reference cycle that keeps `memo`
-    alive until a full garbage collection). `anc` holds the pairs on the
-    path from (a, b), for the no-revisit rule.
 
-    The children of a node at depth k - 1 are all leaves, priced from odd
-    parts: oa and ob of the node's values, od of |a - b| and osum of a + b.
-    A child scores the node's cost, its move's price, one HLV price per
-    zero stripped from its pair, and C of an odd pair, C being the
-    odd-pair completion cost:
-      halving child  C(oa, ob): halving the one even value is the binary-GCD
-                     step, so the child scores cost + C(node)
-      SUB child      C(od, ob) or C(oa, od)
-      ADD children   C(osum, ob) and C(oa, osum)
-    """
-    best: int | None = None
-    best_seq: tuple[int, ...] = ()
-    memo_get = memo.get
-    stack = [(a, b, (), 0, ((a, b),))]
-    while stack:
-        pa, pb, seq, cost, anc = stack.pop()
-        prev = seq[-1] if seq else last
-        undo = -1 if prev is None else _UNDO_OF[prev]
-        s = pa + pb
-        if len(seq) + 1 < k:
-            if not pa & 1:
-                children = [(0, pa >> 1, pb, hlv_cost)]
-            elif not pb & 1:
-                children = [(1, pa, pb >> 1, hlv_cost)]
-            else:
-                children = []
-            # pa != pb: the only equal coprime pair is (1, 1), never a node
-            if pa > pb:
-                children.append((2, pa - pb, pb, add_cost))
-            else:
-                children.append((3, pa, pb - pa, add_cost))
-            if s < cap:
-                children.append((4, s, pb, add_cost))
-                children.append((5, pa, s, add_cost))
-            for mv, na, nb, step in children:
-                if mv == undo:
-                    continue
-                pair = (na, nb)
-                if pair in anc:
-                    continue
-                if na == 1 and nb == 1:
-                    score = cost + step
-                    if best is None or score < best or (score == best and seq + (mv,) < best_seq):
-                        best, best_seq = score, seq + (mv,)
-                else:
-                    stack.append((na, nb, seq + (mv,), cost + step, anc + (pair,)))
+def _leaf(
+    a: int, b: int, undo: int, anc: tuple, cap: int, add_cost: int, hlv_cost: int, memo: dict
+) -> int | None:
+    """Least score over the children of (a, b), all leaves: 0 at (1, 1), None
+    when no child is legal. `undo` is the move (a, b)'s own move forbids; no
+    child may revisit a pair of `anc`, the path above (a, b) (empty: none).
+
+    A child scores its move's price, one HLV price per zero stripped from its
+    pair, and the completion cost of its pair's odd parts (for the halving
+    child those of (a, b): halving is the binary-GCD step)."""
+    if a == b:  # (1, 1), the only equal coprime pair
+        return 0
+    # odd values skip the shift: a new int object per call costs about 10%
+    if a & 1:
+        za, oa = 0, a
+    else:
+        za = (a & -a).bit_length() - 1
+        oa = a >> za
+    if b & 1:
+        zb, ob = 0, b
+    else:
+        zb = (b & -b).bit_length() - 1
+        ob = b >> zb
+    least = None
+    if za and not (anc and (a >> 1, b) in anc) or zb and not (anc and (a, b >> 1) in anc):
+        tail = memo.get((oa, ob)) or _odd_completion(oa, ob, add_cost, hlv_cost, memo)
+        least = hlv_cost * (za + zb) + tail
+    if a > b:
+        d = a - b
+        sub = undo != 2 and not (anc and (d, b) in anc)
+    else:
+        d = b - a
+        sub = undo != 3 and not (anc and (a, d) in anc)
+    if sub:
+        zd = (d & -d).bit_length() - 1
+        x, y, z = (d >> zd, ob, zd + zb) if a > b else (oa, d >> zd, za + zd)
+        tail = memo.get((x, y)) or _odd_completion(x, y, add_cost, hlv_cost, memo)
+        score = add_cost + hlv_cost * z + tail
+        if least is None or score < least:
+            least = score
+    s = a + b
+    if s < cap:
+        zs = (s & -s).bit_length() - 1
+        osum = s >> zs
+        if undo != 4 and not (anc and (s, b) in anc):
+            tail = memo.get((osum, ob)) or _odd_completion(osum, ob, add_cost, hlv_cost, memo)
+            score = add_cost + hlv_cost * (zs + zb) + tail
+            if least is None or score < least:
+                least = score
+        if undo != 5 and not (anc and (a, s) in anc):
+            tail = memo.get((oa, osum)) or _odd_completion(oa, osum, add_cost, hlv_cost, memo)
+            score = add_cost + hlv_cost * (za + zs) + tail
+            if least is None or score < least:
+                least = score
+    return least
+
+
+def _least(
+    a: int, b: int, undo: int, r: int, anc: tuple,
+    cap: int, add_cost: int, hlv_cost: int, memo: dict,
+) -> int | None:
+    """Least score over the move sequences of length <= r from (a, b),
+    shorter only where they reach (1, 1); None when there is none. For r = 0
+    or at (1, 1), the completion cost. `undo` and `anc` are as for `_leaf`."""
+    if r < 2 or a == b:  # a round of depth 1 or 2 asks for r < 2
+        if r == 1:
+            return _leaf(a, b, undo, anc, cap, add_cost, hlv_cost, memo)
+        za, zb = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
+        return hlv_cost * (za + zb) + _odd_completion(a >> za, b >> zb, add_cost, hlv_cost, memo)
+    least = None
+    path = anc and anc + ((a, b),)
+    for mv, na, nb, step, child_undo in _children(a, b, cap, add_cost, hlv_cost):
+        if mv == undo or anc and (na, nb) in anc:
             continue
-        # leaf level: the least child in Move order, then one global compare
-        if pa & 1:
-            za, oa = 0, pa
+        if r == 2:
+            tail = _leaf(na, nb, child_undo, path, cap, add_cost, hlv_cost, memo)
         else:
-            za = (pa & -pa).bit_length() - 1
-            oa = pa >> za
-        if pb & 1:
-            zb, ob = 0, pb
-        else:
-            zb = (pb & -pb).bit_length() - 1
-            ob = pb >> zb
-        leaf = leaf_mv = None
-        if za and (pa >> 1, pb) not in anc or zb and (pa, pb >> 1) not in anc:
-            tail = memo_get((oa, ob))
-            if tail is None:
-                tail = _odd_completion(oa, ob, add_cost, hlv_cost, memo)
-            leaf, leaf_mv = cost + hlv_cost * (za + zb) + tail, 0 if za else 1
-        if pa > pb:
-            d = pa - pb
-            if undo != 2 and (d, pb) not in anc:
-                zd = (d & -d).bit_length() - 1
-                od = d >> zd
-                tail = memo_get((od, ob))
-                if tail is None:
-                    tail = _odd_completion(od, ob, add_cost, hlv_cost, memo)
-                score = cost + add_cost + hlv_cost * (zd + zb) + tail
-                if leaf is None or score < leaf:
-                    leaf, leaf_mv = score, 2
-        else:
-            d = pb - pa
-            if undo != 3 and (pa, d) not in anc:
-                zd = (d & -d).bit_length() - 1
-                od = d >> zd
-                tail = memo_get((oa, od))
-                if tail is None:
-                    tail = _odd_completion(oa, od, add_cost, hlv_cost, memo)
-                score = cost + add_cost + hlv_cost * (za + zd) + tail
-                if leaf is None or score < leaf:
-                    leaf, leaf_mv = score, 3
-        if s < cap:
-            zs = (s & -s).bit_length() - 1
-            osum = s >> zs
-            if undo != 4 and (s, pb) not in anc:
-                tail = memo_get((osum, ob))
-                if tail is None:
-                    tail = _odd_completion(osum, ob, add_cost, hlv_cost, memo)
-                score = cost + add_cost + hlv_cost * (zs + zb) + tail
-                if leaf is None or score < leaf:
-                    leaf, leaf_mv = score, 4
-            if undo != 5 and (pa, s) not in anc:
-                tail = memo_get((oa, osum))
-                if tail is None:
-                    tail = _odd_completion(oa, osum, add_cost, hlv_cost, memo)
-                score = cost + add_cost + hlv_cost * (za + zs) + tail
-                if leaf is None or score < leaf:
-                    leaf, leaf_mv = score, 5
-        if leaf is not None:
-            leaf_seq = seq + (leaf_mv,)
-            if best is None or leaf < best or (leaf == best and leaf_seq < best_seq):
-                best, best_seq = leaf, leaf_seq
-    return None if best is None else (best, best_seq)
+            tail = _least(na, nb, child_undo, r - 1, path, cap, add_cost, hlv_cost, memo)
+        if tail is not None and (least is None or step + tail < least):
+            least = step + tail
+    return least
+
+
+def _round(
+    a: int, b: int, undo: int, k: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
+) -> tuple[int, Move] | None:
+    """One lookahead round from (a, b) != (1, 1) after a move that forbids
+    `undo`: the least (score, first move) over the move sequences of length
+    <= k, so ties go to the least `Move`; None when no move is legal. Only
+    a root within reach of a cycle checks for revisits (see `_CYCLE_MAX`)."""
+    anc = ((a, b),) if max(a, b) <= _CYCLE_MAX << k else ()
+    scored = []
+    for mv, na, nb, step, child_undo in _children(a, b, cap, add_cost, hlv_cost):
+        if mv != undo:
+            tail = _least(na, nb, child_undo, k - 1, anc, cap, add_cost, hlv_cost, memo)
+            if tail is not None:
+                scored.append((step + tail, _MOVES[mv]))
+    return min(scored, default=None)
 
 
 def lookahead_trace(
@@ -318,13 +316,14 @@ def lookahead_trace(
 ) -> GcdTrace:
     """k-step lookahead over the generalized move set.
 
-    Each round enumerates all irredundant move sequences of length <= k
-    (shorter only when they reach (1, 1)), scores each as the cost of its
-    own moves plus the binary-GCD completion cost from its final pair, and
-    commits the first move of the best-scoring sequence. Values are kept
-    inside [1, _VALUE_CAP*M') where M' is the larger starting value. Completion
-    costs are memoized for the whole trace, keyed by odd pairs (see
-    `_odd_completion`).
+    Each round scores every irredundant move sequence of length <= k
+    (shorter only when it reaches (1, 1)) as the cost of its own moves plus
+    the binary-GCD completion cost from its final pair, takes the least
+    score under each first move, and commits the first move with the least
+    of those, ties going to the least `Move` (see `_round`). Values are
+    kept inside [1, _VALUE_CAP*M') where M' is the larger starting value.
+    Completion costs are memoized for the whole trace, keyed by odd pairs
+    (see `_odd_completion`).
 
     A round's move depends only on (k, cap, ADD price, HLV price), its
     pair, and the move that the previous move forbids (`_UNDO_OF`). With
@@ -342,13 +341,10 @@ def lookahead_trace(
     hlv_cost = model.op_cost(HLV, n)
     cap = _VALUE_CAP * max(a, b)
     memo: dict[tuple[int, int], int] = {}
-    decided = None
-    if decisions is not None:
-        decided = decisions.setdefault((k, cap, add_cost, hlv_cost), {})
+    decided = None if decisions is None else decisions.setdefault((k, cap, add_cost, hlv_cost), {})
 
     pairs = [(a, b)]
     moves: list[Move] = []
-    prev_committed: Move | None = None
     undo = -1
     max_rounds = 16 * (a.bit_length() + b.bit_length()) + 64
     while (a, b) != (1, 1):
@@ -356,15 +352,16 @@ def lookahead_trace(
             raise RuntimeError(f"lookahead failed to converge from ({a}, {b})")
         mv = None if decided is None else decided.get((a, b, undo))
         if mv is None:
-            best = _best_sequence(a, b, prev_committed, k, cap, add_cost, hlv_cost, memo)
-            assert best is not None and best[1], "no legal move available"
-            mv = Move(best[1][0])
+            best = _round(a, b, undo, k, cap, add_cost, hlv_cost, memo)
+            if best is None:  # pragma: no cover - safety net
+                raise RuntimeError(f"lookahead has no legal move from ({a}, {b})")
+            mv = best[1]
             if decided is not None:
                 decided[a, b, undo] = mv
         a, b = _apply_move(mv, a, b)
         moves.append(mv)
         pairs.append((a, b))
-        prev_committed, undo = mv, _UNDO_OF[mv]
+        undo = _UNDO_OF[mv]
     return GcdTrace(tuple(pairs), tuple(moves))
 
 

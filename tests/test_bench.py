@@ -306,6 +306,13 @@ def _sample_record():
     )
 
 
+def _shard_records(shard):
+    """A shard's records in the (multiplier, method) order of a sweep."""
+    rank = {name: i for i, name in enumerate(bench.METHODS)}
+    records = [rec for by_c in shard.values() for rec in by_c.values()]
+    return sorted(records, key=lambda r: (r.multiplier, rank[r.method]))
+
+
 def _cache_state(path):
     return {e.name: (e.inode(), e.stat().st_mtime_ns) for e in os.scandir(path)}
 
@@ -419,7 +426,7 @@ class TestCache:
         )
         for m in (21, 65):
             shard = cache_read(str(tmp_path), m, cfg.config_hash)
-            assert list(shard.values()) == [r for r in recs if r.modulus == m]
+            assert _shard_records(shard) == [r for r in recs if r.modulus == m]
 
     @pytest.mark.parametrize("damage", ["tamper", "garbage"])
     def test_corrupt_shard_is_all_misses_and_rewritten(self, tmp_path, lookups, damage):
@@ -454,8 +461,11 @@ class TestCache:
         assert lookups == {"hits": len(both), "misses": 0}
         assert _cache_state(tmp_path) == state  # a sweep of all hits writes nothing
         cfg = small_sweep(moduli=(91,))
-        shard = cache_read(str(tmp_path), 91, cfg.config_hash)
-        assert list(shard.values()) == both  # stored in (multiplier, method) order
+        assert _shard_records(cache_read(str(tmp_path), 91, cfg.config_hash)) == both
+        body = json.loads(open(cache_path(str(tmp_path), 91, cfg.config_hash)).read())["shard"]
+        at = body["fields"].index
+        stored = [(row[at("multiplier")], row[at("method")]) for row in body["rows"]]
+        assert stored == [(r.multiplier, r.method) for r in both]  # (multiplier, method) order
 
     def test_cold_and_warm_csv_identical(self, tmp_path, lookups):
         cfg = SweepConfig(moduli=widths(7, 8), methods=bench.METHODS, cache_dir=str(tmp_path))
@@ -473,13 +483,15 @@ class TestCache:
         first = cache_read(str(tmp_path), 21, cfg.config_hash)
         second = cache_read(str(tmp_path), 21, cfg.config_hash)
         assert first is not second
-        assert list(first) == list(second) and len(first) == len(cold)
-        assert all(first[key] is second[key] for key in first)
-        # each read hands back a dict of its own
-        del first[next(iter(first))]
-        first[(1, "heuristic")] = _sample_record()
+        assert list(first) == list(second) and len(_shard_records(first)) == len(cold)
+        for method, by_c in first.items():
+            assert by_c is not second[method] and list(by_c) == list(second[method])
+            assert all(by_c[c] is second[method][c] for c in by_c)
+        # each read hands back dicts of its own
+        del first["heuristic"][next(iter(first["heuristic"]))]
+        first["baseline"][1] = _sample_record()
         assert cache_read(str(tmp_path), 21, cfg.config_hash) == second
-        assert list(second.values()) == cold
+        assert _shard_records(second) == cold
 
     def test_tamper_after_read_is_all_misses(self, tmp_path, lookups):
         # the read that builds the records and the reads that reuse them
@@ -487,7 +499,8 @@ class TestCache:
         cfg = small_sweep(moduli=(21,), cache_dir=str(tmp_path))
         cold = records_to_csv(bench_sweep(cfg))
         path = cache_path(str(tmp_path), 21, cfg.config_hash)
-        assert len(cache_read(str(tmp_path), 21, cfg.config_hash)) == cold.count("\n") - 1
+        shard = cache_read(str(tmp_path), 21, cfg.config_hash)
+        assert len(_shard_records(shard)) == cold.count("\n") - 1
         doc = json.loads(open(path).read())
         doc["shard"]["rows"][0][doc["shard"]["fields"].index("toffoli")] += 1
         with open(path, "w") as fh:
@@ -505,9 +518,9 @@ class TestCache:
         poisoned = dataclasses.replace(target, toffoli=target.toffoli + 7)
         cache_store(str(tmp_path), 21, cfg.config_hash, [poisoned, *cold[1:]])
         after = cache_read(str(tmp_path), 21, cfg.config_hash)
-        key = (target.multiplier, target.method)
-        assert before[key] == target and after[key] == poisoned
-        assert list(after.values()) == [poisoned, *cold[1:]]
+        method, c = target.method, target.multiplier
+        assert before[method][c] == target and after[method][c] == poisoned
+        assert _shard_records(after) == [poisoned, *cold[1:]]
 
     def test_read_shares_field_values(self, tmp_path):
         # 400 multipliers of M = 1003 under all four methods: equal field
@@ -525,11 +538,12 @@ class TestCache:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        records = list(shard.values())
+        records = _shard_records(shard)
         assert len(records) == 1600
-        # the records, their (multiplier, method) keys and the dict: 535 B a
-        # record with a copy of each value and a __dict__ per record
-        assert retained / len(records) <= 260, f"{retained / len(records):.0f} B a record"
+        # the records and one dict a method keyed by multiplier: about 192 B
+        # a record; 247 B under (multiplier, method) keys, and 535 B with a
+        # copy of each value and a __dict__ per record
+        assert retained / len(records) <= 200, f"{retained / len(records):.0f} B a record"
         first, second = records[0], records[4]  # heuristic at C = 300 and 301
         assert (first.multiplier, second.multiplier) == (300, 301)
         assert first.method is second.method
@@ -583,4 +597,4 @@ class TestCacheKey:
         recs = bench_sweep(cfg)
         assert {r.method for r in recs if r.error} == {"baseline"}
         shard = cache_read(str(tmp_path), 21, cfg.config_hash)
-        assert list(shard.values()) == [r for r in recs if not r.error]
+        assert _shard_records(shard) == [r for r in recs if not r.error]

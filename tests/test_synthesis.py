@@ -3,6 +3,7 @@ import gc
 import hashlib
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -30,9 +31,9 @@ from modmult.simulate import verify
 from modmult.synth import (
     Move,
     _apply_move,
-    _best_sequence,
     _binary_step,
     _odd_completion,
+    _round,
     SynthesisConfig,
     baseline_synthesize,
     binary_gcd_trace,
@@ -524,6 +525,23 @@ def _reference_best_sequence(a, b, last, k, cap, add_cost, hlv_cost, memo):
     return best
 
 
+def _reference_round(a, b, undo, k, cap, add_cost, hlv_cost, memo):
+    """The reference as `lookahead_trace` reads a round: its least score and
+    the first move of its least sequence, after a last move forbidding `undo`
+    (-1: none, as after no move or a halving)."""
+    return _first_move(
+        _reference_best_sequence(a, b, _UNDOES.get(undo), k, cap, add_cost, hlv_cost, memo)
+    )
+
+
+def _first_move(best):
+    return None if best is None else (best[0], best[1][0])
+
+
+def _undo(last):
+    return -1 if last is None else synth._UNDO_OF[last]
+
+
 def _priced(add, hlv):
     return CostModel({**CostModel().coeffs, ADD: add, HLV: hlv})
 
@@ -570,7 +588,7 @@ class TestReferenceEquivalence:
             for model in _PRICES
         ]
         got = [lookahead_trace(m, c, cfg) for m, c, cfg in cases]
-        monkeypatch.setattr(synth, "_best_sequence", _reference_best_sequence)
+        monkeypatch.setattr(synth, "_round", _reference_round)
         want = [lookahead_trace(m, c, cfg) for m, c, cfg in cases]
         assert got == want
         assert all(type(mv) is Move for t in got for mv in t.moves)
@@ -592,9 +610,7 @@ class TestReferenceEquivalence:
                 for last in (None, *Move):
                     # a cap just above the larger value puts ADD moves on it
                     for cap in (max(m, c) + 1, 2 * max(m, c), 4 * max(m, c)):
-                        args = (m, c, last, k, cap, add_cost, hlv_cost)
-                        got = _best_sequence(*args, {})
-                        assert got == _reference_best_sequence(*args, {}), (args, got)
+                        _assert_round_matches(m, c, last, k, cap, add_cost, hlv_cost)
 
     @pytest.mark.parametrize("bits", [64, 128])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -606,9 +622,21 @@ class TestReferenceEquivalence:
                 add_cost, hlv_cost = model.op_cost(ADD, bits), model.op_cost(HLV, bits)
                 for last in (None, *Move):
                     for cap in (max(m, c) + 1, 4 * max(m, c)):
-                        args = (m, c, last, k, cap, add_cost, hlv_cost)
-                        got = _best_sequence(*args, {})
-                        assert got == _reference_best_sequence(*args, {}), (args, got)
+                        _assert_round_matches(m, c, last, k, cap, add_cost, hlv_cost)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_round_matches_reference_at_revisit_guard(self, k):
+        # roots whose larger value is _CYCLE_MAX << k check revisits, and
+        # roots one above skip the check; both must round as the reference
+        for big in (synth._CYCLE_MAX << k, (synth._CYCLE_MAX << k) + 1):
+            smalls = (1, 3, 5, 7, 9, 11, 13, 15, 17, big - 1, big - 3)
+            for small in (s for s in smalls if gcd(s, big) == 1):
+                for m, c in ((big, small), (small, big)):
+                    for model in _PRICES:
+                        add_cost, hlv_cost = model.op_cost(ADD, 10), model.op_cost(HLV, 10)
+                        for last in (None, *Move):
+                            for cap in (big + 1, 4 * big):
+                                _assert_round_matches(m, c, last, k, cap, add_cost, hlv_cost)
 
     @given(
         st.lists(
@@ -639,6 +667,100 @@ class TestReferenceEquivalence:
             assert tail == _trace_cost(binary_gcd_trace(*key), n, model), key
 
 
+def _assert_round_matches(a, b, last, k, cap, add_cost, hlv_cost):
+    """`_round` after `last` gives the reference's least score and the first
+    move of its least sequence, which is all `lookahead_trace` reads."""
+    args = (a, b, _undo(last), k, cap, add_cost, hlv_cost)
+    got = _round(*args, {})
+    assert got == _reference_round(*args, {}), (args, last, got)
+    assert got is None or type(got[1]) is Move
+
+
+# Each move as a 2x2 matrix on the column (a, b): a halving scales one value
+# by 1/2, and SUB and ADD are unimodular
+_MOVE_MATRICES = {
+    Move.HALVE_A: ((Fraction(1, 2), 0), (0, 1)),
+    Move.HALVE_B: ((1, 0), (0, Fraction(1, 2))),
+    Move.SUB_A: ((1, -1), (0, 1)),
+    Move.SUB_B: ((1, 0), (-1, 1)),
+    Move.ADD_A: ((1, 1), (0, 1)),
+    Move.ADD_B: ((1, 0), (1, 1)),
+}
+
+
+def _legal_step(mv, a, b):
+    """(a, b) after mv as a lookahead plays it, or None where it may not:
+    (1, 1) has no moves, a halving needs an even value, and SUB takes the
+    smaller value from the larger."""
+    if (a, b) == (1, 1):
+        return None
+    if mv == Move.HALVE_A and a % 2 or mv == Move.HALVE_B and b % 2:
+        return None
+    if mv == Move.SUB_A and a <= b or mv == Move.SUB_B and b <= a:
+        return None
+    return _apply_move(mv, a, b)
+
+
+def _fixed_pair(mat):
+    """The primitive positive pair on the fixed line of the non-identity
+    matrix mat, or None where no positive pair is fixed."""
+    (p, q), (r, s) = mat
+    rows = [row for row in ((p - 1, q), (r, s - 1)) if row != (0, 0)]
+    if len(rows) == 2 and (p - 1) * (s - 1) != q * r:
+        return None  # only (0, 0) is fixed
+    u, v = rows[0]
+    x, y = Fraction(v), Fraction(-u)  # u*x + v*y = 0
+    scale = x.denominator * y.denominator
+    x, y = int(x * scale), int(y * scale)
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    if x < 0:
+        x, y = -x, -y
+    return (x, y) if x > 0 and y > 0 else None
+
+
+class TestCycleBound:
+    def test_no_cycle_above_cycle_max(self):
+        # every move word of at most _MAX_DEPTH moves with no move right
+        # after the move it undoes: a coprime pair it leads back to itself
+        # is fixed by its matrix, so it is the primitive positive pair on
+        # the matrix's fixed line (no word is the identity, which would fix
+        # every pair); every pair on such a legal cycle is <= _CYCLE_MAX,
+        # so a round from above _CYCLE_MAX << k never revisits a pair
+        identity = ((1, 0), (0, 1))
+        words = [((), identity)]
+        cycles = []
+        for _ in range(synth._MAX_DEPTH):
+            longer = []
+            for word, mat in words:
+                for mv in Move:
+                    if word and synth._UNDO_OF[word[-1]] == mv:
+                        continue
+                    (p, q), (r, s) = _MOVE_MATRICES[mv]
+                    (a, b), (c, d) = mat
+                    prod = ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
+                    assert prod != identity, word + (mv,)
+                    longer.append((word + (mv,), prod))
+            for word, mat in longer:
+                pair = start = _fixed_pair(mat)
+                visited = [start]
+                for mv in word:
+                    if pair is None:
+                        break
+                    pair = _legal_step(mv, *pair)
+                    visited.append(pair)
+                if pair is not None:
+                    assert pair == start, word
+                    cycles.append((word, visited))
+            words = longer
+        assert cycles  # the bound is met, not empty
+        over = [(word, pairs) for word, pairs in cycles if max(map(max, pairs)) > synth._CYCLE_MAX]
+        assert not over
+        SynthesisConfig(lookahead_depth=synth._MAX_DEPTH)
+        with pytest.raises(ValueError, match="lookahead depth"):
+            SynthesisConfig(lookahead_depth=synth._MAX_DEPTH + 1)
+
+
 def _lookahead_rounds(circuits) -> int:
     """Trace rounds behind the circuits: one move per op after FANOUT
     (special-form circuits have no FANOUT and no trace)."""
@@ -661,20 +783,25 @@ class TestDecisionCache:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_round_depends_on_last_only_through_undo(self, k):
-        # the table keys a round by the move the last one forbids: None and
-        # both halvings forbid none, so they must decide every round alike
+        # the table and the round key a round by the move the last one
+        # forbids: None and both halvings forbid none, so the reference must
+        # decide every round after each of them as the round after none does
+        # (each of the three lasts in turn, so each meets a third of the rounds)
         model = CostModel()
         add_cost, hlv_cost = model.op_cost(ADD, 6), model.op_cost(HLV, 6)
-        for a in range(1, 64):
-            for b in range(1, 64):
-                if gcd(a, b) != 1 or a == b == 1:
-                    continue
-                for cap in (max(a, b) + 1, 4 * max(a, b)):
-                    got = {
-                        _best_sequence(a, b, last, k, cap, add_cost, hlv_cost, {})
-                        for last in (None, Move.HALVE_A, Move.HALVE_B)
-                    }
-                    assert len(got) == 1, (a, b, k, cap, got)
+        lasts = (None, Move.HALVE_A, Move.HALVE_B)
+        rounds = [
+            (a, b, cap)
+            for a in range(1, 64)
+            for b in range(1, 64)
+            if gcd(a, b) == 1 and a + b > 2
+            for cap in (max(a, b) + 1, 4 * max(a, b))
+        ]
+        for i, (a, b, cap) in enumerate(rounds):
+            last = lasts[i % 3]
+            got = _round(a, b, -1, k, cap, add_cost, hlv_cost, {})
+            want = _reference_best_sequence(a, b, last, k, cap, add_cost, hlv_cost, {})
+            assert got == _first_move(want), (a, b, k, cap, last, got)
 
     @pytest.mark.parametrize("cap", [2, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -696,7 +823,7 @@ class TestDecisionCache:
         assert len(decisions) == len(cases) // 6
         rounds = sum(len(t.moves) for t in got)
         assert sum(map(len, decisions.values())) < rounds  # the tables served rounds
-        monkeypatch.setattr(synth, "_best_sequence", _reference_best_sequence)
+        monkeypatch.setattr(synth, "_round", _reference_round)
         want = [lookahead_trace(m, c, cfg) for m, c, cfg in cases]
         assert got == want
         assert all(type(mv) is Move for t in got for mv in t.moves)
