@@ -303,7 +303,10 @@ class DepthModel:
 
     def op_depth(self, opcode: Opcode, n: int) -> int:
         slope, intercept = _coeff(self.coeffs, opcode)
-        return slope * self._x(n) + intercept
+        depth = slope * self._x(n) + intercept
+        if depth < 0:
+            raise InvariantViolation(f"negative depth for {opcode} at n={n}")
+        return depth
 
     def ancillae_per_adder(self, n: int) -> int:
         """Ancillae one adder block needs (cleared before the next block)."""
@@ -386,7 +389,7 @@ def parse(text: str) -> BlockCircuit:
                     raise ParseError(line_no, "RESULT takes one register")
                 header[expect] = _parse_register(toks[1], line_no)
             else:
-                if len(toks) != 2 or not toks[1].isdecimal():
+                if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdecimal()):
                     raise ParseError(line_no, f"{expect} takes one decimal value")
                 header[expect] = int(toks[1])
             continue

@@ -3,11 +3,12 @@
 A GCD-style reduction of the coprime pair (M, C) down to (1, 1), read in
 reverse and with each step mapped to a modular block, is a circuit that
 sends (x, x) to (0, Cx): subtractions become additions, additions become
-subtractions, and halvings become doublings. Three strategies are
-provided -- plain subtractive Euclid, the binary GCD, and a cost-scored
-k-step lookahead over the generalized move set -- plus the classical
+subtractions, and halvings become doublings. A trace (`GcdTrace`) is its
+start pair and its moves. Three strategies pick the moves, each as the step
+of one loop (`_reduce`): plain subtractive Euclid, the binary GCD, and a
+cost-scored k-step lookahead over the generalized move set. The classical
 binary-expansion baseline and shortcut circuits for power-of-two
-multipliers.
+multipliers are also provided.
 
 The lookahead scores a sequence by its moves' prices plus the cost of
 finishing with the binary GCD (Stein, 1967). That completion is priced
@@ -20,7 +21,9 @@ round within reach of a cycle checks for revisits (see `_CYCLE_MAX`).
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate, count
 from math import gcd
 
 from .circuit import (
@@ -65,9 +68,11 @@ class Move(enum.IntEnum):
 
 
 _MOVES = tuple(Move)
+# module-level aliases: a step function returns these without an enum lookup
+_HALVE_A, _HALVE_B, _SUB_A, _SUB_B, _ADD_A, _ADD_B = _MOVES
 # _UNDO_OF[mv] is the move the lookahead may not play right after mv
 # (ADD and SUB on the same side undo each other; -1: none)
-_UNDO_OF = (-1, -1, Move.ADD_A, Move.ADD_B, Move.SUB_A, Move.SUB_B)
+_UNDO_OF = (-1, -1, _ADD_A, _ADD_B, _SUB_A, _SUB_B)
 
 # The deepest lookahead, and a bound on both values of every pair on a cycle
 # of at most that many legal moves; cycles of 6 moves reach 32. A round of k
@@ -79,18 +84,18 @@ _CYCLE_MAX = 16
 
 @dataclass(frozen=True)
 class GcdTrace:
-    """Pairs visited by a GCD reduction, plus the move between each pair.
+    """A GCD reduction: its input pair and the moves that take it to (1, 1),
+    every intermediate pair staying coprime."""
 
-    First pair is the input, last pair is (1, 1); every intermediate pair
-    stays coprime.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
+    start: tuple[int, int]
     moves: tuple[Move, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.pairs) != len(self.moves) + 1:
-            raise ValueError("trace needs exactly one more pair than moves")
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every pair visited, from `start` to (1, 1), replayed from the moves."""
+        return tuple(
+            accumulate(self.moves, lambda pair, mv: _apply_move(mv, *pair), initial=self.start)
+        )
 
 
 @dataclass(frozen=True)
@@ -125,43 +130,43 @@ def _check_coprime(a: int, b: int) -> None:
         raise ValueError("trace inputs must be positive")
 
 
+def _reduce(a: int, b: int, choose: Callable[[int, int, int], Move]) -> GcdTrace:
+    """Play the moves `choose(a, b, undo)` picks from the coprime pair (a, b)
+    down to (1, 1); `undo` is the move the last move forbids (`_UNDO_OF`)."""
+    _check_coprime(a, b)
+    start = (a, b)
+    moves: list[Move] = []
+    undo = -1
+    while a != b:  # (1, 1), the only equal coprime pair
+        mv = choose(a, b, undo)
+        a, b = _apply_move(mv, a, b)
+        moves.append(mv)
+        undo = _UNDO_OF[mv]
+    return GcdTrace(start, tuple(moves))
+
+
+def _euclid_step(a: int, b: int, undo: int) -> Move:
+    return _SUB_A if a > b else _SUB_B
+
+
+def _binary_step(a: int, b: int, undo: int = -1) -> Move:
+    if not a & 1:
+        return _HALVE_A
+    if not b & 1:
+        return _HALVE_B
+    return _SUB_B if a < b else _SUB_A
+
+
 def euclid_trace(a: int, b: int) -> GcdTrace:
     """Subtractive Euclid: replace the larger element by the difference
     until (1, 1)."""
-    _check_coprime(a, b)
-    pairs = [(a, b)]
-    moves: list[Move] = []
-    while (a, b) != (1, 1):
-        if a > b:
-            a -= b
-            moves.append(Move.SUB_A)
-        else:
-            b -= a
-            moves.append(Move.SUB_B)
-        pairs.append((a, b))
-    return GcdTrace(tuple(pairs), tuple(moves))
-
-
-def _binary_step(a: int, b: int) -> Move:
-    if a % 2 == 0:
-        return Move.HALVE_A
-    if b % 2 == 0:
-        return Move.HALVE_B
-    return Move.SUB_B if a < b else Move.SUB_A
+    return _reduce(a, b, _euclid_step)
 
 
 def binary_gcd_trace(a: int, b: int) -> GcdTrace:
     """Binary GCD: halve any even element; with both odd, subtract the
     smaller from the larger."""
-    _check_coprime(a, b)
-    pairs = [(a, b)]
-    moves: list[Move] = []
-    while (a, b) != (1, 1):
-        mv = _binary_step(a, b)
-        a, b = _apply_move(mv, a, b)
-        moves.append(mv)
-        pairs.append((a, b))
-    return GcdTrace(tuple(pairs), tuple(moves))
+    return _reduce(a, b, _binary_step)
 
 
 def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -> int:
@@ -333,7 +338,6 @@ def lookahead_trace(
     configs.
     """
     cfg = cfg or SynthesisConfig()
-    _check_coprime(a, b)
     k = cfg.lookahead_depth
     n = max(a, b).bit_length()
     model = cfg.cost_model
@@ -342,13 +346,11 @@ def lookahead_trace(
     cap = _VALUE_CAP * max(a, b)
     memo: dict[tuple[int, int], int] = {}
     decided = None if decisions is None else decisions.setdefault((k, cap, add_cost, hlv_cost), {})
-
-    pairs = [(a, b)]
-    moves: list[Move] = []
-    undo = -1
+    rounds = count()
     max_rounds = 16 * (a.bit_length() + b.bit_length()) + 64
-    while (a, b) != (1, 1):
-        if len(moves) > max_rounds:  # pragma: no cover - safety net
+
+    def step(a: int, b: int, undo: int) -> Move:
+        if next(rounds) > max_rounds:  # pragma: no cover - safety net
             raise RuntimeError(f"lookahead failed to converge from ({a}, {b})")
         mv = None if decided is None else decided.get((a, b, undo))
         if mv is None:
@@ -358,55 +360,47 @@ def lookahead_trace(
             mv = best[1]
             if decided is not None:
                 decided[a, b, undo] = mv
-        a, b = _apply_move(mv, a, b)
-        moves.append(mv)
-        pairs.append((a, b))
-        undo = _UNDO_OF[mv]
-    return GcdTrace(tuple(pairs), tuple(moves))
+        return mv
+
+    return _reduce(a, b, step)
 
 
 # Reduction moves, reversed and inverted, as circuit blocks: SUB -> ADD,
-# ADD -> SUB, HALVE -> DBL, acting on the same side (A = R1, B = R2).
-_MOVE_BLOCKS = {
-    Move.SUB_A: (ADD, R1, R2),
-    Move.SUB_B: (ADD, R2, R1),
-    Move.ADD_A: (SUB, R1, R2),
-    Move.ADD_B: (SUB, R2, R1),
-    Move.HALVE_A: (DBL, R1, None),
-    Move.HALVE_B: (DBL, R2, None),
+# ADD -> SUB, HALVE -> DBL, acting on the same side (A = R1, B = R2). Every
+# circuit shares these six immutable ops: a 128-bit modulus's trace runs to
+# hundreds of moves, and an op object per move costs about 100 bytes.
+_MOVE_OPS = {
+    move: BlockOp(*block)
+    for move, block in {
+        Move.SUB_A: (ADD, R1, R2),
+        Move.SUB_B: (ADD, R2, R1),
+        Move.ADD_A: (SUB, R1, R2),
+        Move.ADD_B: (SUB, R2, R1),
+        Move.HALVE_A: (DBL, R1, None),
+        Move.HALVE_B: (DBL, R2, None),
+    }.items()
 }
-# Every circuit shares these six immutable ops: a 128-bit modulus's trace
-# runs to hundreds of moves, and an op object per move costs about 100 bytes.
-_MOVE_OPS = {move: BlockOp(*block) for move, block in _MOVE_BLOCKS.items()}
+# The baseline's ops and the FANOUT, shared by every circuit as _MOVE_OPS are.
+_FANOUT = BlockOp(FANOUT)
+_DBL_R1, _ADD_R1 = BlockOp(DBL, R1), BlockOp(ADD, R1, R2)
+_HLV_R2, _SUB_R2 = BlockOp(HLV, R2), BlockOp(SUB, R2, R1)
 
 
 def trace_to_circuit(t: GcdTrace, m: int) -> BlockCircuit:
     """FANOUT followed by the reversed move list as blocks.
 
-    The trace side holding M becomes the register that ends at M*x = 0;
-    the other side (starting at C) is the result register. A trace for
-    C = 1 mod M, the (1, 1) trace included, gives the empty circuit.
+    The trace must start from (M, C) or be the (1, 1) trace: side A, holding
+    M, becomes R1, which ends at M*x = 0, and side B, starting at C, becomes
+    the result register R2. A trace for C = 1 mod M, the (1, 1) trace
+    included, gives the empty circuit.
     """
-    first_a, first_b = t.pairs[0]
-    if first_a == m:
-        result, c = R2, first_b
-    elif first_b == m:
-        result, c = R1, first_a
-    elif (first_a, first_b) == (1, 1):
-        result, c = R1, 1
-    else:
+    first, c = t.start
+    if first != m and t.start != (1, 1):
         raise ValueError(f"trace does not start from modulus {m}")
     if c % m == 1:
         return BlockCircuit(m, 1, ())
-    ops = (BlockOp(FANOUT), *(_MOVE_OPS[move] for move in reversed(t.moves)))
-    return BlockCircuit(m, c % m, ops, result)
-
-
-# The baseline's five ops, shared by every baseline circuit as _MOVE_OPS are
-# by every trace circuit.
-_FANOUT = BlockOp(FANOUT)
-_DBL_R1, _ADD_R1 = BlockOp(DBL, R1), BlockOp(ADD, R1, R2)
-_HLV_R2, _SUB_R2 = BlockOp(HLV, R2), BlockOp(SUB, R2, R1)
+    ops = (_FANOUT, *(_MOVE_OPS[move] for move in reversed(t.moves)))
+    return BlockCircuit(m, c % m, ops, R2)
 
 
 def _horner_steps(value: int) -> list[bool]:

@@ -110,6 +110,15 @@ class TestDepth:
         c = BlockCircuit((1 << n) - 1, 3, ops)
         assert circuit_depth(c, DepthModel.lookahead()) < circuit_depth(c, DepthModel.ripple())
 
+    def test_negative_depth_refused(self, tmp_path):
+        # as a negative Toffoli price is refused by CostModel.op_cost
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"depth": {"ADD": {"slope": -5, "intercept": 0}}}))
+        _, depth = load_model_file(str(path))
+        c = BlockCircuit(21, 13, (BlockOp(ADD, R1, R2),))
+        with pytest.raises(InvariantViolation, match="negative depth for ADD at n=5"):
+            circuit_depth(c, depth)
+
     def test_lookahead_adder_ancillae(self):
         dm = DepthModel.lookahead()
         for n in (8, 16, 128, 300):
@@ -234,6 +243,10 @@ class TestSerialization:
         # "2²".isdigit() holds, but int() refuses it
         text = "MODULUS 2\u00b2\nMULTIPLIER 1\nWIDTH 5\nRESULT R1\nEND\n"
         with pytest.raises(ParseError, match="line 1: MODULUS takes one decimal value"):
+            parse(text)
+        # "\u0665".isdecimal() holds, and int() reads it as 5
+        text = "MODULUS 21\nMULTIPLIER 1\nWIDTH \u0665\nRESULT R1\nEND\n"
+        with pytest.raises(ParseError, match="line 3: WIDTH takes one decimal value"):
             parse(text)
 
     def test_parse_error_carries_line_number(self):

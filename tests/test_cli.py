@@ -7,7 +7,7 @@ import pytest
 
 from modmult import bench
 from modmult.cli import main
-from modmult.circuit import NEG, CostModel, circuit_cost, parse
+from modmult.circuit import ADD, NEG, CostModel, DepthModel, circuit_cost, parse
 from modmult.simulate import verify
 
 
@@ -203,6 +203,19 @@ def test_optimal_free_op_exit_code(capsys, tmp_path):
     assert "NEG" in err and len(err.strip().splitlines()) == 1
 
 
+def test_negative_depth_model_fails_its_records(capsys, tmp_path):
+    # bench is the one command that prices depth with the file's depth model;
+    # modexp prices it with --adder's
+    model = tmp_path / "negative_add.json"
+    coeffs = {**DepthModel.ripple().coeffs, ADD: (-5, 0)}
+    depth = {op: {"slope": s, "intercept": i} for op, (s, i) in coeffs.items()}
+    model.write_text(json.dumps({"depth": depth}))
+    (tmp_path / "mods.txt").write_text("21\n")
+    args = ["bench", "--moduli", str(tmp_path / "mods.txt"), "--methods", "baseline"]
+    assert main([*args, "--cost-model", str(model), "--out", str(tmp_path / "r.csv")]) == 3
+    assert capsys.readouterr().err.endswith(" records carry errors\n")
+
+
 def test_optimal_beyond_cap_exit_code(capsys):
     assert main(["optimal", "--modulus", "8191", "--all"]) == 2  # 13 bits, cap 12
     err = capsys.readouterr().err
@@ -315,6 +328,7 @@ def test_synth_modulus_below_3_refused(capsys, method, modulus):
         (["synth", "--modulus", "21", "--multiplier", "13", "--cost-model", "float-slope.json"],
          "model file float-slope.json: depth op 'ADD' slope 3.5 is not an integer"),
         (["verify", "--circuit", "missing.txt"], "No such file or directory: 'missing.txt'"),
+        (["verify", "--circuit", "arabic.txt"], "line 1: MODULUS takes one decimal value"),
         (["bench", "--moduli", "missing.txt", "--out", "unused.csv"],
          "No such file or directory: 'missing.txt'"),
         (["bench", "--moduli", "mods.txt", "--out", "nodir/x.csv"],
@@ -348,6 +362,7 @@ def test_synth_modulus_below_3_refused(capsys, method, modulus):
         "bench-model-missing-file",
         "synth-model-float-slope",
         "verify-missing-circuit",
+        "verify-non-ascii-digits",
         "bench-missing-moduli-file",
         "bench-out-in-missing-dir",
         "synth-output-in-missing-dir",
@@ -368,6 +383,10 @@ def test_invalid_input_exit_code(capsys, tmp_path, monkeypatch, argv, message):
     )
     (tmp_path / "float-slope.json").write_text('{"depth": {"ADD": {"slope": 3.5, "intercept": 4}}}')
     (tmp_path / "mods.txt").write_text("21\n")
+    # "\u0662\u0661" is decimal to str.isdecimal and 21 to int()
+    (tmp_path / "arabic.txt").write_text(
+        "MODULUS \u0662\u0661\nMULTIPLIER 2\nWIDTH 5\nRESULT R1\nDBL R1\nEND\n", encoding="utf-8"
+    )
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"modmult {argv[0]}: ") and message in err

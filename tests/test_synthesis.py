@@ -2,7 +2,7 @@ import enum
 import gc
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 
@@ -29,6 +29,7 @@ from modmult.modexp import modexp_plan
 from modmult.numtheory import NotCoprime
 from modmult.simulate import verify
 from modmult.synth import (
+    GcdTrace,
     Move,
     _apply_move,
     _binary_step,
@@ -59,6 +60,11 @@ class TestEuclidTrace:
     def test_trivial(self):
         t = euclid_trace(1, 1)
         assert t.pairs == ((1, 1),) and t.moves == ()
+
+    def test_trace_is_start_and_moves(self):
+        # the pairs are replayed from the moves, never stored beside them
+        assert [f.name for f in fields(GcdTrace)] == ["start", "moves"]
+        assert GcdTrace((21, 13), (Move.SUB_A,)).pairs == ((21, 13), (8, 13))
 
     def test_long_subtraction_tail(self):
         # subtractive Euclid degenerates once one side hits 1
@@ -195,6 +201,12 @@ class TestTraceToCircuit:
         targets = [op.target for op in c.ops[1:]]
         assert targets == [R2, R1, R2, R1, R2, R1]
         assert fold(c, 1) == (0, 13)
+
+    def test_refuses_trace_not_from_modulus(self):
+        # a trace from (C, M) is refused, though reversed it would leave the
+        # result in R1
+        with pytest.raises(ValueError, match="does not start from modulus 21"):
+            trace_to_circuit(euclid_trace(13, 21), 21)
 
     def test_trivial_trace(self):
         c = trace_to_circuit(lookahead_trace(1, 1), 21)
