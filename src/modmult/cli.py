@@ -10,6 +10,7 @@ import contextlib
 import json
 import os
 import sys
+from collections import Counter
 
 from . import bench as bench_mod
 from .circuit import (
@@ -32,6 +33,12 @@ def _models(path: str | None) -> tuple[CostModel, DepthModel]:
     if path:
         return load_model_file(path)
     return CostModel(), DepthModel.ripple()
+
+
+def _has_depth_section(path: str) -> bool:
+    """Whether a model file that `load_model_file` has read prices depth."""
+    with open(path, encoding="utf-8") as fh:
+        return "depth" in json.load(fh)
 
 
 def _cmd_primes(args) -> int:
@@ -92,8 +99,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_modexp(args) -> int:
-    cost, _ = _models(args.cost_model)
-    depth = DepthModel.lookahead() if args.adder == "lookahead" else DepthModel.ripple()
+    """Price depth with the model file's depth model, as `bench` does.
+    --adder picks a built-in depth model instead, which is refused when the
+    file has a depth section of its own."""
+    cost, depth = _models(args.cost_model)
+    if args.adder:
+        if args.cost_model and _has_depth_section(args.cost_model):
+            raise ValueError(f"--adder and the depth section of {args.cost_model} both price depth")
+        depth = DepthModel.lookahead() if args.adder == "lookahead" else DepthModel.ripple()
     cfg = SynthesisConfig(cost_model=cost)
     result = build_modexp(args.modulus, args.base, cfg, depth)
     summary = {
@@ -131,9 +144,14 @@ def parse_bits(spec: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in spec.split(","))
 
 
+_ERROR_LINES = 5  # distinct record errors `bench` prints, most frequent first
+
+
 def _cmd_bench(args) -> int:
     """Open --out and --summary before the sweep, so that an unwritable
-    path is refused before any modulus is swept."""
+    path is refused before any modulus is swept. A sweep whose records
+    carry errors names each distinct error with its count on stderr, then
+    the number of such records, and exits 3."""
     cost, depth = _models(args.cost_model)
     if args.moduli:
         with open(args.moduli, encoding="utf-8") as fh:
@@ -157,9 +175,13 @@ def _cmd_bench(args) -> int:
         out.write(bench_mod.records_to_csv(records))
         if summary:
             bench_mod.write_summary_csv(bench_mod.aggregate(records), summary)
-    errors = [r for r in records if r.error]
+    errors = Counter(r.error for r in records if r.error)
     if errors:
-        print(f"{len(errors)} records carry errors", file=sys.stderr)
+        for error, count in errors.most_common(_ERROR_LINES):
+            print(f"{count} x {error}", file=sys.stderr)
+        if len(errors) > _ERROR_LINES:
+            print(f"... {len(errors) - _ERROR_LINES} more distinct errors", file=sys.stderr)
+        print(f"{errors.total()} records carry errors", file=sys.stderr)
         return 3
     return 0
 
@@ -206,7 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modexp", help="assemble a full modular-exponentiation circuit")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--base", type=int, default=2)
-    p.add_argument("--adder", choices=["ripple", "lookahead"], default="ripple")
+    p.add_argument(
+        "--adder",
+        choices=["ripple", "lookahead"],
+        help="built-in depth model (default: the model file's, else ripple)",
+    )
     p.add_argument("--stats", action="store_true")
     p.add_argument("--cost-model", dest="cost_model")
     p.add_argument("-o", "--output-dir", dest="output_dir")

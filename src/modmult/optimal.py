@@ -6,7 +6,9 @@ the cost model, which must price each above 0. A circuit without FANOUT
 runs from (1, 0) to (c, 0) or (0, c); one that starts with a FANOUT, at
 FANOUT's price, runs from (1, 1) to (c, 0). A bucket Dijkstra from (1, 0)
 yields both, for every coprime c. Edges come from `apply_block` on the
-fly, so memory is the int32 distances, 4 bytes per state and row.
+fly, so memory is the distances: int16, 2 bytes per state and row, or
+int32 for a model whose distances outgrow int16; a model whose distances
+outgrow int32 is refused with `DistanceOverflow`.
 
 Every search starts at (1, 0). Every op is linear, so scaling a path
 (1,1) -> (c,0) by c^-1 gives a path (c^-1, c^-1) -> (1,0) with the same ops
@@ -47,7 +49,7 @@ from .circuit import (
 )
 from .numtheory import Modulus, NotCoprime
 
-__all__ = ["ModulusTooLarge", "NonPositiveCost", "OptimalSearch"]
+__all__ = ["DistanceOverflow", "ModulusTooLarge", "NonPositiveCost", "OptimalSearch"]
 
 DEFAULT_BIT_CAP = 12
 
@@ -58,6 +60,10 @@ class ModulusTooLarge(ValueError):
 
 class NonPositiveCost(ValueError):
     """An edge op costs <= 0 at this width; least-cost search needs > 0."""
+
+
+class DistanceOverflow(ValueError):
+    """The model's distances would reach int32 rows' unreached value."""
 
 
 # Fixed opcode order; path reconstruction tie-breaks along this list.
@@ -103,12 +109,23 @@ class OptimalSearch:
         self._rows = [edges] if set(reverse) == set(edges) else [edges, reverse]
         self._fanout = model.op_cost(FANOUT, self.n)  # added to each FANOUT start
         self._inv2 = (m + 1) // 2
-        self._dist = self._run()
+        self._dist = self._run(np.int16)
+        if self._dist is None:  # distances outgrow int16 rows
+            self._dist = self._run(np.int32)
 
-    def _run(self) -> np.ndarray:
+    def _run(self, dtype: type[np.integer]) -> np.ndarray | None:
         """Dial's bucket Dijkstra (CACM 1969) over positive integer weights,
-        from (1,0), one distance row per graph in `_rows`. The unreached
-        sentinel leaves room for `dist + w` in int32.
+        from (1,0), one distance row per graph in `_rows`, of `dtype`. The
+        unreached value is half the dtype's largest. Before it relaxes a
+        bucket, the search checks that the bucket's distance plus the row's
+        dearest edge stays below that value, so `dist + w` cannot wrap and a
+        reached state never reads as unreached. If it would not, a search
+        over int16 rows returns None, and one over int32 rows raises
+        `DistanceOverflow`.
+
+        State indices are int32 while M^2 fits it (M <= 46,340), which also
+        holds every product `apply_block` forms (HLV's t * inv2 < M^2 / 2),
+        and int64 past that.
 
         When ADD and SUB cost the same, each row is searched over one
         representative (a, min(b, m-b)) of each orbit of (a,b) -> (a,-b),
@@ -125,13 +142,23 @@ class OptimalSearch:
         def state(a, b):  # the index of (a, b)'s representative
             return a * m + (np.minimum(b, m - b) if fold else b)
 
-        dist = np.full((len(self._rows), m * m), np.iinfo(np.int32).max // 2, dtype=np.int32)
+        unreached = np.iinfo(dtype).max // 2
+        index = np.int32 if m * m <= 1 << 31 else np.int64
+        dist = np.full((len(self._rows), m * m), unreached, dtype=dtype)
         for row, edges in zip(dist, self._rows):
             row_edges = [(op, w) for op, _, w in edges if not (fold and op == BlockOp(NEG, R2))]
+            dearest = max(w for _, w in row_edges)
             row[m] = 0  # (1, 0)
-            buckets = {0: [np.array([m])]}
+            buckets = {0: [np.array([m], dtype=index)]}
             while buckets:
                 du = min(buckets)
+                if du + dearest >= unreached:
+                    if dtype == np.int16:
+                        return None
+                    raise DistanceOverflow(
+                        f"a distance of {du} plus an edge of {dearest} at n={self.n} "
+                        f"reaches the search's limit of {unreached}"
+                    )
                 u = np.concatenate(buckets.pop(du))
                 u = u[row[u] == du]  # drop entries lowered since queued
                 a, b = np.divmod(u, m)
@@ -157,19 +184,20 @@ class OptimalSearch:
             raise NotCoprime(f"gcd({c}, {m}) != 1")
         diagonal = pow(c, -1, m) * (m + 1)  # (c^-1, c^-1)
         candidates = [(0, c * m, R1, False), (0, c, R2, False), (-1, diagonal, R1, True)]
-        return min(candidates, key=lambda k: self._dist[k[0], k[1]] + self._fanout * k[3])
+        return min(candidates, key=lambda k: self._dist.item(k[0], k[1]) + self._fanout * k[3])
 
     def cost(self, c: int) -> int:
         row, target, _, fanout = self._best(c % self.m)
-        return int(self._dist[row, target]) + self._fanout * fanout
+        return self._dist.item(row, target) + self._fanout * fanout
 
     def all_costs(self) -> dict[int, int]:
-        """Minimal cost for every coprime c in [1, M)."""
+        """Minimal cost for every coprime c in [1, M). FANOUT's price is
+        added to Python ints, which the row dtype cannot wrap."""
         m = self.m
         units = [c for c in range(1, m) if gcd(c, m) == 1]
-        bare = np.minimum(self._dist[0, : m * m : m], self._dist[0, :m])[units]
-        fanout = self._dist[-1, :: m + 1][[pow(c, -1, m) for c in units]] + self._fanout
-        return dict(zip(units, np.minimum(bare, fanout).tolist()))
+        bare = np.minimum(self._dist[0, : m * m : m], self._dist[0, :m])[units].tolist()
+        fanout = self._dist[-1, :: m + 1][[pow(c, -1, m) for c in units]].tolist()
+        return {c: min(d, f + self._fanout) for c, d, f in zip(units, bare, fanout)}
 
     def circuit(self, c: int) -> BlockCircuit:
         """Reconstruct one least-cost circuit for c; deterministic via the
@@ -184,12 +212,12 @@ class OptimalSearch:
         row, cur, result, fanout = self._best(c)
         dist = self._dist[row]
         ops: list[BlockOp] = []
-        while dist[cur] > 0:
+        while (d := dist.item(cur)) > 0:
             ca, cb = divmod(cur, m)
             for edge, inv, w in self._rows[row]:
                 pa, pb = apply_block(inv, ca, cb, m, self._inv2)
                 prev = pa * m + pb
-                if dist[prev] + w == dist[cur]:
+                if dist.item(prev) + w == d:
                     ops.append(inv if fanout else edge)
                     cur = prev
                     break

@@ -7,7 +7,7 @@ import pytest
 
 from modmult import bench
 from modmult.cli import main
-from modmult.circuit import ADD, NEG, CostModel, DepthModel, circuit_cost, parse
+from modmult.circuit import ADD, DBL, NEG, CostModel, DepthModel, circuit_cost, parse
 from modmult.simulate import verify
 
 
@@ -203,17 +203,100 @@ def test_optimal_free_op_exit_code(capsys, tmp_path):
     assert "NEG" in err and len(err.strip().splitlines()) == 1
 
 
-def test_negative_depth_model_fails_its_records(capsys, tmp_path):
-    # bench is the one command that prices depth with the file's depth model;
-    # modexp prices it with --adder's
-    model = tmp_path / "negative_add.json"
-    coeffs = {**DepthModel.ripple().coeffs, ADD: (-5, 0)}
+@pytest.mark.parametrize("target", [["--all"], ["--multiplier", "5"]], ids=["all", "multiplier"])
+def test_optimal_model_too_dear_exit_code(capsys, tmp_path, target):
+    # distances past int32 rows' unreached value: refused, never printed as
+    # costs or a failed reconstruction
+    dear = {op: (300_000_000, 0) for op in ("ADD", "SUB", "DBL", "HLV")}
+    toffoli = {op: {"slope": s, "intercept": i} for op, (s, i) in {**CostModel().coeffs, **dear}.items()}
+    (tmp_path / "dear.json").write_text(json.dumps({"toffoli": toffoli}))
+    args = ["optimal", "--modulus", "21", "--cost-model", str(tmp_path / "dear.json"), *target]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("modmult optimal: ") and err.count("\n") == 1
+
+
+def _depth_file(path, **prices):
+    """A model file whose depth section is ripple's with `prices` changed."""
+    coeffs = {**DepthModel.ripple().coeffs, **prices}
     depth = {op: {"slope": s, "intercept": i} for op, (s, i) in coeffs.items()}
-    model.write_text(json.dumps({"depth": depth}))
+    path.write_text(json.dumps({"depth": depth}))
+    return str(path)
+
+
+def test_negative_depth_model_fails_its_records(capsys, tmp_path):
+    model = _depth_file(tmp_path / "negative_add.json", ADD=(-5, 0))
     (tmp_path / "mods.txt").write_text("21\n")
     args = ["bench", "--moduli", str(tmp_path / "mods.txt"), "--methods", "baseline"]
-    assert main([*args, "--cost-model", str(model), "--out", str(tmp_path / "r.csv")]) == 3
+    assert main([*args, "--cost-model", model, "--out", str(tmp_path / "r.csv")]) == 3
     assert capsys.readouterr().err.endswith(" records carry errors\n")
+
+
+def test_bench_names_record_errors(capsys, tmp_path):
+    # each distinct error with its count, most frequent first, then the total
+    model = _depth_file(tmp_path / "negative_add.json", ADD=(-5, 0))
+    (tmp_path / "mods.txt").write_text("21\n35\n")
+    args = ["bench", "--moduli", str(tmp_path / "mods.txt"), "--methods", "baseline"]
+    assert main([*args, "--cost-model", model, "--out", str(tmp_path / "r.csv")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "18 x InvariantViolation: negative depth for ADD at n=6",
+        "7 x InvariantViolation: negative depth for ADD at n=5",
+        "25 records carry errors",
+    ]
+
+
+def test_bench_caps_the_errors_it_names(capsys, tmp_path, monkeypatch):
+    def broken(method, c, *args):
+        raise RuntimeError(f"synthesis failed for {c}")
+
+    monkeypatch.setattr(bench, "method_circuit", broken)
+    (tmp_path / "mods.txt").write_text("21\n")
+    args = ["bench", "--moduli", str(tmp_path / "mods.txt"), "--methods", "heuristic"]
+    assert main([*args, "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    units = [c for c in range(2, 21) if math.gcd(c, 21) == 1]  # each its own error
+    assert err == [
+        *(f"1 x RuntimeError: synthesis failed for {c}" for c in units[:5]),
+        f"... {len(units) - 5} more distinct errors",
+        f"{len(units)} records carry errors",
+    ]
+
+
+def _modexp_depth(capsys, *argv):
+    code, out = run(capsys, "modexp", "--modulus", "21", *argv)
+    assert code == 0
+    return json.loads(out)["depth"]
+
+
+def test_modexp_prices_depth_with_the_file(capsys, tmp_path):
+    # M = 21's blocks double and halve, so the file prices them through DBL
+    toffoli = {op: {"slope": s, "intercept": i} for op, (s, i) in CostModel().coeffs.items()}
+    (tmp_path / "toffoli_only.json").write_text(json.dumps({"toffoli": toffoli}))
+    (tmp_path / "lookahead.json").write_text(json.dumps({"adder_regime": "lookahead"}))
+    ripple = _modexp_depth(capsys)
+    lookahead = _modexp_depth(capsys, "--adder", "lookahead")
+    assert (ripple, lookahead) == (499, 690)
+    # no depth section: the file's regime, or --adder's built-in model
+    assert _modexp_depth(capsys, "--cost-model", str(tmp_path / "toffoli_only.json")) == ripple
+    assert _modexp_depth(capsys, "--cost-model", str(tmp_path / "lookahead.json")) == lookahead
+    only = ["--cost-model", str(tmp_path / "toffoli_only.json")]
+    assert _modexp_depth(capsys, *only, "--adder", "lookahead") == lookahead
+    assert _modexp_depth(capsys, "--cost-model", _depth_file(tmp_path / "dear.json", DBL=(100, 0))) > ripple
+
+
+def test_modexp_refuses_a_negative_file_depth(capsys, tmp_path):
+    model = _depth_file(tmp_path / "negative_dbl.json", DBL=(-5, 0))
+    assert main(["modexp", "--modulus", "21", "--cost-model", model]) == 2
+    err = capsys.readouterr().err
+    assert err == "modmult modexp: negative depth for DBL at n=5\n"
+
+
+@pytest.mark.parametrize("adder", ["ripple", "lookahead"])
+def test_modexp_refuses_adder_with_a_depth_section(capsys, tmp_path, adder):
+    model = _depth_file(tmp_path / "depth.json")
+    assert main(["modexp", "--modulus", "21", "--cost-model", model, "--adder", adder]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("modmult modexp: --adder and the depth section") and err.count("\n") == 1
 
 
 def test_optimal_beyond_cap_exit_code(capsys):

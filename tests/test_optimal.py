@@ -239,10 +239,11 @@ class TestSearch:
         assert hashlib.sha256(costs).hexdigest().startswith(digest)
 
     @staticmethod
-    def reference(m: int, model: CostModel, include_neg: bool):
+    def reference(m: int, model: CostModel, include_neg: bool, unreached: int):
         """Distance rows and all_costs from a heapq Dijkstra over an
         explicit edge list: the graph from (1,1) and from (1,0), and its
-        transpose, the reversed graph, from (1,0)."""
+        transpose, the reversed graph, from (1,0). A state no path reaches
+        reads `unreached`; a start at (1,1) pays FANOUT's price."""
         n = m.bit_length()
         codes = (DBL, HLV, NEG) if include_neg else (DBL, HLV)
         ops = [BlockOp(code, t, s) for code in (ADD, SUB) for t, s in ((R1, R2), (R2, R1))]
@@ -256,7 +257,6 @@ class TestSearch:
                 w = model.op_cost(op.opcode, n)
                 edges[state].append((na * m + nb, w))
                 reversed_edges[na * m + nb].append((state, w))
-        unreached = np.iinfo(np.int32).max // 2
         rows = []
         for source, graph in (((1, 1), edges), ((1, 0), edges), ((1, 0), reversed_edges)):
             dist = [unreached] * (m * m)
@@ -272,8 +272,9 @@ class TestSearch:
                         dist[v] = d + w
                         heapq.heappush(heap, (d + w, v))
             rows.append(dist)
+        fanout = model.op_cost(FANOUT, n)
         costs = {
-            c: 0 if c == 1 else min(row[i] for row in rows[:2] for i in (c * m, c))
+            c: 0 if c == 1 else min(row[i] + f for row, f in zip(rows, (fanout, 0)) for i in (c * m, c))
             for c in range(1, m)
             if gcd(c, m) == 1
         }
@@ -282,7 +283,9 @@ class TestSearch:
     @classmethod
     def assert_matches_reference(cls, m: int, model: CostModel, include_neg: bool):
         search = _search(m, model, include_neg)
-        (from_11, from_10, reversed_10), costs = cls.reference(m, model, include_neg)
+        unreached = np.iinfo(search._dist.dtype).max // 2
+        rows, costs = cls.reference(m, model, include_neg, unreached)
+        from_11, from_10, reversed_10 = rows
         # every model: the (1,1) row's (c, 0) and (0, c) are the reversed
         # row's (c^-1, c^-1), which the FANOUT candidate reads
         for c in costs:
@@ -296,6 +299,8 @@ class TestSearch:
         assert np.array_equal(search._dist[0], from_10)
         assert np.array_equal(search._dist[-1], reversed_10)
         assert search.all_costs() == costs
+        assert all(search.cost(c) == cost for c, cost in costs.items())
+        return search
 
     @pytest.mark.parametrize("include_neg", [True, False])
     @pytest.mark.parametrize("m", [21, 33, 35, 77])
@@ -314,7 +319,39 @@ class TestSearch:
         model = CostModel({**CostModel().coeffs, **prices})
         self.assert_matches_reference(m, model, include_neg)
 
+    @pytest.mark.parametrize(
+        "prices, dtype",
+        [
+            ({ADD: (1000, 0)}, np.int16),
+            ({ADD: (1000, 0), SUB: (1000, 0)}, np.int32),
+            ({ADD: (1000, 0), SUB: (1000, 0), HLV: (1000, 0)}, np.int32),
+            ({ADD: (1000, 0), SUB: (1000, 0), DBL: (1000, 0), HLV: (1000, 0)}, np.int32),
+        ],
+        ids=["add-dear", "add-sub-dear", "add-sub-hlv-dear", "all-dear"],
+    )
+    def test_dear_model_widens_rows(self, prices, dtype):
+        # rows are int16 while every distance, plus the dearest edge, stays
+        # below 16,383; a model whose distances pass that searches int32 rows
+        model = CostModel({**CostModel().coeffs, **prices})
+        search = self.assert_matches_reference(21, model, include_neg=True)
+        assert search._dist.dtype == dtype
+
+    @pytest.mark.parametrize("fanout", [32_700, 40_000])
+    def test_dear_fanout_adds_outside_the_rows(self, fanout):
+        # FANOUT's price is added in Python ints: in int16 it would wrap
+        # (32,700) or not fit at all (40,000)
+        model = CostModel({**CostModel().coeffs, FANOUT: (0, fanout)})
+        search = self.assert_matches_reference(221, model, include_neg=True)
+        assert search._dist.dtype == np.int16
+
+    def test_model_too_dear_for_int32_refused(self):
+        # a single ADD at slope 3e8 passes int32 rows' unreached value
+        dear = {code: (300_000_000, 0) for code in (ADD, SUB, DBL, HLV)}
+        with pytest.raises(optimal.DistanceOverflow):
+            OptimalSearch(21, CostModel({**CostModel().coeffs, **dear}))
+
     def test_twelve_bit_cap_fits(self):
+        # int16 rows trace about 55.5 MB at the cap; int32 rows traced 111 MB
         m, c = 4087, 1234  # 61 * 67, the 12-bit cap
         tracemalloc.start()
         try:
@@ -322,7 +359,8 @@ class TestSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 30, f"{peak / 2**20:.0f} MB"
+        assert search._dist.dtype == np.int16
+        assert peak <= 64 << 20, f"{peak / 2**20:.0f} MB"
         circ = search.circuit(c)
         assert circuit_cost(circ, search.model)[0] == search.cost(c)
         assert verify(circ).passed
