@@ -215,8 +215,21 @@ def method_circuit(
     return opt.circuit(c)
 
 
+def _shared_record(shared: dict, *values) -> BenchRecord:
+    """The record of `values`, in field order, whose values equal to one
+    already in `shared` are that object. The type is part of the key, so
+    that 0, 0.0 and False stay distinct."""
+    return BenchRecord(*[shared.setdefault((type(v), v), v) for v in values])
+
+
 def _record(
-    method: str, c: int, m: int, cfg: SweepConfig, opt: OptimalSearch | None, decisions: dict
+    method: str,
+    c: int,
+    m: int,
+    cfg: SweepConfig,
+    opt: OptimalSearch | None,
+    decisions: dict,
+    shared: dict,
 ) -> BenchRecord:
     bits = m.bit_length()
     start = time.perf_counter()
@@ -234,23 +247,13 @@ def _record(
         error = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start if cfg.timing else 0.0
     qubits = 2 * bits + cfg.depth_model.ancillae_per_adder(bits)
-    return BenchRecord(
-        bits=bits,
-        modulus=m,
-        multiplier=c,
-        method=method,
-        toffoli=toffoli,
-        cnot=cnot,
-        depth=depth,
-        op_count=ops,
-        qubits=qubits,
-        wall_seconds=elapsed,
-        cost_model_hash=cfg.cost_model.hash,
-        error=error,
+    return _shared_record(
+        shared, bits, m, c, method, toffoli, cnot, depth, ops, qubits, elapsed,
+        cfg.cost_model.hash, error,
     )
 
 
-def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
+def _sweep_modulus(m: int, cfg: SweepConfig, shared: dict) -> list[BenchRecord]:
     cs = _multipliers(m, cfg)
     # the lookahead decisions of every heuristic record of m (one dict per
     # modulus: a dict per sweep would grow with every modulus swept)
@@ -267,7 +270,7 @@ def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
                     # outside _record, so a search refused at construction
                     # fails the sweep rather than each record
                     opt = OptimalSearch(m, cfg.cost_model, bit_cap=cfg.optimal_bit_cap)
-                rec = _record(method, c, m, cfg, opt, decisions)
+                rec = _record(method, c, m, cfg, opt, decisions, shared)
                 if not rec.error:  # a failure is retried, never served
                     shard.setdefault(method, {})[c] = rec
                     fresh = True
@@ -279,8 +282,10 @@ def _sweep_modulus(m: int, cfg: SweepConfig) -> list[BenchRecord]:
 
 
 def bench_sweep(cfg: SweepConfig) -> list[BenchRecord]:
-    """Run the sweep; records come back ordered by (M, C, method)."""
-    records = [r for m in sorted(cfg.moduli) for r in _sweep_modulus(m, cfg)]
+    """Run the sweep; records come back ordered by (M, C, method). Equal
+    field values of the sweep's fresh records share one object."""
+    shared: dict = {}
+    records = [r for m in sorted(cfg.moduli) for r in _sweep_modulus(m, cfg, shared)]
     method_rank = {name: i for i, name in enumerate(METHODS)}
     records.sort(key=lambda r: (r.modulus, r.multiplier, method_rank[r.method]))
     return records
@@ -371,12 +376,10 @@ def cache_read(cache_dir: str | None, m: int, config_hash: str) -> Shard:
         if digest != doc["checksum"] or label != (m, config_hash, _FIELDS):
             return {}
         if digest != _last_built[0]:
-            # equal field values of a shard share one object; the type is
-            # part of the key so that 0, 0.0 and False stay distinct
-            shared: dict = {}
+            shared: dict = {}  # equal field values of a shard share one object
             by_method: dict[str, list[BenchRecord]] = {}
             for row in body["rows"]:
-                r = BenchRecord(*[shared.setdefault((type(v), v), v) for v in row])
+                r = _shared_record(shared, *row)
                 by_method.setdefault(r.method, []).append(r)
             _last_built = (digest, by_method)
     except (OSError, KeyError, TypeError, ValueError):

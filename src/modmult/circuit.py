@@ -415,13 +415,14 @@ def parse(text: str) -> BlockCircuit:
     return circ
 
 
-def load_model_file(path: str) -> tuple[CostModel, DepthModel]:
+def load_model_file(path: str) -> tuple[CostModel, DepthModel, bool]:
     """Load a flat JSON model document: opcode -> {slope, intercept} per
-    metric, plus adder_regime. Missing sections fall back to defaults. A
-    file that cannot be read or parsed, a document or section that is not
-    an object, and an op entry that is not an object or whose slope or
-    intercept is missing or not an integer are each a `ValueError` naming
-    the file and what is wrong."""
+    metric, plus adder_regime. Missing sections fall back to defaults; the
+    third value says whether the file has a depth section. A file that
+    cannot be read or parsed, a document or section that is not an object,
+    and an op entry that is not an object or whose slope or intercept is
+    missing or not an integer are each a `ValueError` naming the file and
+    what is wrong."""
 
     def invalid(what: str) -> ValueError:
         return ValueError(f"model file {path}: {what}")
@@ -456,8 +457,9 @@ def load_model_file(path: str) -> tuple[CostModel, DepthModel]:
         cost = CostModel(to_coeffs("toffoli"))
     else:
         cost = CostModel()
-    if "depth" in doc:
+    priced_depth = "depth" in doc
+    if priced_depth:
         depth = DepthModel(regime, to_coeffs("depth"))
     else:
         depth = DepthModel(regime)
-    return cost, depth
+    return cost, depth, priced_depth

@@ -29,16 +29,12 @@ from .simulate import verify
 from .synth import SynthesisConfig
 
 
-def _models(path: str | None) -> tuple[CostModel, DepthModel]:
+def _models(path: str | None) -> tuple[CostModel, DepthModel, bool]:
+    """The model file's cost and depth models, or the defaults, and whether
+    the file has a depth section."""
     if path:
         return load_model_file(path)
-    return CostModel(), DepthModel.ripple()
-
-
-def _has_depth_section(path: str) -> bool:
-    """Whether a model file that `load_model_file` has read prices depth."""
-    with open(path, encoding="utf-8") as fh:
-        return "depth" in json.load(fh)
+    return CostModel(), DepthModel.ripple(), False
 
 
 def _cmd_primes(args) -> int:
@@ -61,7 +57,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def _cmd_synth(args) -> int:
-    cost, _ = _models(args.cost_model)
+    cost, _, _ = _models(args.cost_model)
     cfg = SynthesisConfig(
         lookahead_depth=args.lookahead,
         cost_model=cost,
@@ -74,9 +70,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
+    """Print one least-cost circuit (--multiplier), or every unit's cost
+    (--all) on stdout, which takes no --multiplier or -o."""
     if not args.all and args.multiplier is None:
         raise ValueError("provide --multiplier or --all")
-    cost, _ = _models(args.cost_model)
+    if args.all and (args.multiplier is not None or args.output):
+        raise ValueError("--all prints every cost to stdout; it takes no --multiplier or -o")
+    cost, _, _ = _models(args.cost_model)
     search = OptimalSearch(args.modulus, cost)
     if args.all:
         for c, value in sorted(search.all_costs().items()):
@@ -102,9 +102,9 @@ def _cmd_modexp(args) -> int:
     """Price depth with the model file's depth model, as `bench` does.
     --adder picks a built-in depth model instead, which is refused when the
     file has a depth section of its own."""
-    cost, depth = _models(args.cost_model)
+    cost, depth, priced_depth = _models(args.cost_model)
     if args.adder:
-        if args.cost_model and _has_depth_section(args.cost_model):
+        if priced_depth:
             raise ValueError(f"--adder and the depth section of {args.cost_model} both price depth")
         depth = DepthModel.lookahead() if args.adder == "lookahead" else DepthModel.ripple()
     cfg = SynthesisConfig(cost_model=cost)
@@ -152,7 +152,7 @@ def _cmd_bench(args) -> int:
     path is refused before any modulus is swept. A sweep whose records
     carry errors names each distinct error with its count on stderr, then
     the number of such records, and exits 3."""
-    cost, depth = _models(args.cost_model)
+    cost, depth, _ = _models(args.cost_model)
     if args.moduli:
         with open(args.moduli, encoding="utf-8") as fh:
             moduli = tuple(int(line) for line in fh if line.strip())

@@ -6,9 +6,9 @@ the cost model, which must price each above 0. A circuit without FANOUT
 runs from (1, 0) to (c, 0) or (0, c); one that starts with a FANOUT, at
 FANOUT's price, runs from (1, 1) to (c, 0). A bucket Dijkstra from (1, 0)
 yields both, for every coprime c. Edges come from `apply_block` on the
-fly, so memory is the distances: int16, 2 bytes per state and row, or
-int32 for a model whose distances outgrow int16; a model whose distances
-outgrow int32 is refused with `DistanceOverflow`.
+fly, so memory is the distances: int16, 2 bytes per representative (below)
+and row, or int32 for a model whose distances outgrow int16; a model whose
+distances outgrow int32 is refused with `DistanceOverflow`.
 
 Every search starts at (1, 0). Every op is linear, so scaling a path
 (1,1) -> (c,0) by c^-1 gives a path (c^-1, c^-1) -> (1,0) with the same ops
@@ -20,9 +20,12 @@ default does, has a reversed graph equal to its graph and searches one row;
 any other model searches a second row, over the reversed graph. The (0, c)
 end of a FANOUT circuit ties its (c, 0) end by the register swap.
 
-When the model prices ADD and SUB the same, each row covers about half its
-states, by the symmetry (a,b) -> (a,-b) of both graphs, which fixes (1, 0)
-and swaps ADD and SUB. The distances are those of the full search.
+When the model prices ADD and SUB the same, each row stores and searches
+only one representative (a, min(b, M-b)) of each orbit of the symmetry
+(a,b) -> (a,-b) of both graphs, which fixes (1, 0) and swaps ADD and SUB:
+M * (M//2 + 1) entries in place of M^2. Every state reads its
+representative's distance, which is the full search's. Any other model
+keeps one entry per state.
 """
 
 from __future__ import annotations
@@ -109,6 +112,9 @@ class OptimalSearch:
         self._rows = [edges] if set(reverse) == set(edges) else [edges, reverse]
         self._fanout = model.op_cost(FANOUT, self.n)  # added to each FANOUT start
         self._inv2 = (m + 1) // 2
+        # a folded row holds one state (a, min(b, m-b)) per orbit of (a,b) -> (a,-b)
+        self._fold = model.op_cost(ADD, self.n) == model.op_cost(SUB, self.n)
+        self._width = m // 2 + 1 if self._fold else m
         self._dist = self._run(np.int16)
         if self._dist is None:  # distances outgrow int16 rows
             self._dist = self._run(np.int32)
@@ -127,29 +133,24 @@ class OptimalSearch:
         holds every product `apply_block` forms (HLV's t * inv2 < M^2 / 2),
         and int64 past that.
 
-        When ADD and SUB cost the same, each row is searched over one
-        representative (a, min(b, m-b)) of each orbit of (a,b) -> (a,-b),
-        and each other state then takes its representative's distance. The
-        map fixes (1,0), maps ADD onto SUB of the same target, or the
-        reverse of one onto the reverse of the other, and commutes with
-        DBL, HLV and NEG. Folded, a row skips NEG R2: that op is the map
-        itself, so it takes each representative onto itself. Each row
-        equals the full search's, state for state.
+        A folded row searches representatives only, at `_state`'s indices.
+        The map (a,b) -> (a,-b) fixes (1,0), maps ADD onto SUB of the same
+        target, or the reverse of one onto the reverse of the other, and
+        commutes with DBL, HLV and NEG, so each state's distance is its
+        representative's. Folded, a row skips NEG R2: that op is the map
+        itself, so it takes each representative onto itself.
         """
         m = self.m
-        fold = self.model.op_cost(ADD, self.n) == self.model.op_cost(SUB, self.n)
-
-        def state(a, b):  # the index of (a, b)'s representative
-            return a * m + (np.minimum(b, m - b) if fold else b)
-
         unreached = np.iinfo(dtype).max // 2
         index = np.int32 if m * m <= 1 << 31 else np.int64
-        dist = np.full((len(self._rows), m * m), unreached, dtype=dtype)
+        dist = np.full((len(self._rows), m * self._width), unreached, dtype=dtype)
+        start = self._width  # (1, 0)
+        skip = BlockOp(NEG, R2) if self._fold else None
         for row, edges in zip(dist, self._rows):
-            row_edges = [(op, w) for op, _, w in edges if not (fold and op == BlockOp(NEG, R2))]
+            row_edges = [(op, w) for op, _, w in edges if op != skip]
             dearest = max(w for _, w in row_edges)
-            row[m] = 0  # (1, 0)
-            buckets = {0: [np.array([m], dtype=index)]}
+            row[start] = 0
+            buckets = {0: [np.array([start], dtype=index)]}
             while buckets:
                 du = min(buckets)
                 if du + dearest >= unreached:
@@ -161,42 +162,54 @@ class OptimalSearch:
                     )
                 u = np.concatenate(buckets.pop(du))
                 u = u[row[u] == du]  # drop entries lowered since queued
-                a, b = np.divmod(u, m)
+                a, b = np.divmod(u, self._width)
                 for op, w in row_edges:
-                    v = state(*apply_block(op, a, b, m, self._inv2))
+                    v = self._state(*apply_block(op, a, b, m, self._inv2))
                     v = v[row[v] > du + w]
                     if v.size:
                         row[v] = du + w
                         buckets.setdefault(du + w, []).append(v)
-            if fold:
-                negated = row.reshape(m, m)
-                negated[:, m // 2 + 1 :] = negated[:, m // 2 : 0 : -1]
         return dist
 
-    def _best(self, c: int) -> tuple[int, int, str, bool]:
-        """The first of c's candidates (distance row, target index, result
-        register, FANOUT start) at least cost, for c in [0, M): its distance,
-        plus FANOUT's price for a FANOUT start. Fixed preference order for
-        ties: (c, 0), (0, c), then FANOUT; (c, 0) sits at c * m, (0, c) at c.
-        A FANOUT start for c is (c^-1, c^-1) of the last row."""
+    def _state(self, a, b):
+        """The row index of (a, b)'s representative, for ints or arrays."""
+        if self._fold:
+            b = min(b, self.m - b) if isinstance(b, int) else np.minimum(b, self.m - b)
+        return a * self._width + b
+
+    def _best(self, c: int) -> tuple[int, int, tuple[int, int], str, bool]:
+        """The first of c's candidates at least cost, for c in [0, M): its
+        cost, distance row, end state, result register and whether it starts
+        with FANOUT. A candidate costs its end's distance, plus FANOUT's
+        price for a FANOUT start, which is added to Python ints, so the row
+        dtype cannot wrap it. Fixed preference order for ties: (c, 0),
+        (0, c), then FANOUT. A FANOUT start for c ends at (c^-1, c^-1) of
+        the last row."""
         m = self.m
         if gcd(c, m) != 1:
             raise NotCoprime(f"gcd({c}, {m}) != 1")
-        diagonal = pow(c, -1, m) * (m + 1)  # (c^-1, c^-1)
-        candidates = [(0, c * m, R1, False), (0, c, R2, False), (-1, diagonal, R1, True)]
-        return min(candidates, key=lambda k: self._dist.item(k[0], k[1]) + self._fanout * k[3])
+        inv = pow(c, -1, m)
+        candidates = [(0, (c, 0), R1, False), (0, (0, c), R2, False), (-1, (inv, inv), R1, True)]
+        costs = [
+            self._dist.item(row, self._state(*end)) + self._fanout * fanout
+            for row, end, _, fanout in candidates
+        ]
+        first = costs.index(min(costs))
+        return (costs[first], *candidates[first])
 
     def cost(self, c: int) -> int:
-        row, target, _, fanout = self._best(c % self.m)
-        return self._dist.item(row, target) + self._fanout * fanout
+        return self._best(c % self.m)[0]
 
     def all_costs(self) -> dict[int, int]:
         """Minimal cost for every coprime c in [1, M). FANOUT's price is
         added to Python ints, which the row dtype cannot wrap."""
         m = self.m
         units = [c for c in range(1, m) if gcd(c, m) == 1]
-        bare = np.minimum(self._dist[0, : m * m : m], self._dist[0, :m])[units].tolist()
-        fanout = self._dist[-1, :: m + 1][[pow(c, -1, m) for c in units]].tolist()
+        u = np.array(units)
+        inv = np.array([pow(c, -1, m) for c in units])
+        first = self._dist[0]
+        bare = np.minimum(first[self._state(u, 0)], first[self._state(0, u)]).tolist()
+        fanout = self._dist[-1, self._state(inv, inv)].tolist()
         return {c: min(d, f + self._fanout) for c, d, f in zip(units, bare, fanout)}
 
     def circuit(self, c: int) -> BlockCircuit:
@@ -208,18 +221,19 @@ class OptimalSearch:
         inverses of the walk's edges in the walk's order: scaled by c*y,
         they run from (y, y) to (c*y, 0)."""
         c %= self.m
-        m = self.m
-        row, cur, result, fanout = self._best(c)
+        m, width = self.m, self._width
+        # `_state` inlined: b past `half` stands for m - b in a folded row
+        half = m // 2 if self._fold else m
+        _, row, (a, b), result, fanout = self._best(c)
         dist = self._dist[row]
         ops: list[BlockOp] = []
-        while (d := dist.item(cur)) > 0:
-            ca, cb = divmod(cur, m)
+        d = dist.item(self._state(a, b))
+        while d > 0:
             for edge, inv, w in self._rows[row]:
-                pa, pb = apply_block(inv, ca, cb, m, self._inv2)
-                prev = pa * m + pb
-                if dist.item(prev) + w == d:
+                pa, pb = apply_block(inv, a, b, m, self._inv2)
+                if dist.item(pa * width + (pb if pb <= half else m - pb)) + w == d:
                     ops.append(inv if fanout else edge)
-                    cur = prev
+                    a, b, d = pa, pb, d - w
                     break
             else:  # pragma: no cover - distances guarantee a predecessor
                 raise RuntimeError("no predecessor found during reconstruction")

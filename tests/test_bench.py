@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -134,7 +135,7 @@ class TestConfig:
         path = tmp_path / "model.json"
         toffoli = {op: {"slope": s, "intercept": i} for op, (s, i) in coeffs.items()}
         path.write_text(json.dumps({"name": "custom", "toffoli": toffoli}))
-        cost, _ = load_model_file(str(path))
+        cost, _, _ = load_model_file(str(path))
         assert SweepConfig(moduli=(21,), cost_model=cost).config_hash == "dfa82bcde565ef3e"
 
     def test_synthesis_config_built_once(self):
@@ -362,7 +363,7 @@ class TestCache:
         d = str(tmp_path)
         cache_store(d, 21, rec.cost_model_hash, [rec])
         path = cache_path(d, 21, rec.cost_model_hash)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         toffoli = doc["shard"]["fields"].index("toffoli")
         doc["shard"]["rows"][0][toffoli] = 1  # tamper without updating the checksum
         with open(path, "w") as fh:
@@ -434,7 +435,7 @@ class TestCache:
         cold = records_to_csv(bench_sweep(cfg))
         path = cache_path(str(tmp_path), 21, cfg.config_hash)
         if damage == "tamper":
-            doc = json.loads(open(path).read())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
             doc["shard"]["rows"][-1][doc["shard"]["fields"].index("depth")] += 1
             text = json.dumps(doc)
         else:
@@ -462,7 +463,8 @@ class TestCache:
         assert _cache_state(tmp_path) == state  # a sweep of all hits writes nothing
         cfg = small_sweep(moduli=(91,))
         assert _shard_records(cache_read(str(tmp_path), 91, cfg.config_hash)) == both
-        body = json.loads(open(cache_path(str(tmp_path), 91, cfg.config_hash)).read())["shard"]
+        path = Path(cache_path(str(tmp_path), 91, cfg.config_hash))
+        body = json.loads(path.read_text(encoding="utf-8"))["shard"]
         at = body["fields"].index
         stored = [(row[at("multiplier")], row[at("method")]) for row in body["rows"]]
         assert stored == [(r.multiplier, r.method) for r in both]  # (multiplier, method) order
@@ -501,7 +503,7 @@ class TestCache:
         path = cache_path(str(tmp_path), 21, cfg.config_hash)
         shard = cache_read(str(tmp_path), 21, cfg.config_hash)
         assert len(_shard_records(shard)) == cold.count("\n") - 1
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         doc["shard"]["rows"][0][doc["shard"]["fields"].index("toffoli")] += 1
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -550,6 +552,28 @@ class TestCache:
         assert first.cost_model_hash is second.cost_model_hash
         assert all(type(r.wall_seconds) is float for r in records)
         assert records_to_csv(records) == records_to_csv(cold)
+
+    def test_sweep_shares_field_values(self):
+        # the same sweep, cold: equal field values of its fresh records
+        # share one object too
+        cfg = SweepConfig(
+            moduli=(1003,), multiplier_start=300, multiplier_cap=400, methods=bench.METHODS
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            records = bench_sweep(cfg)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 1600
+        # the records and their list: about 149 B a record; 209 B with each
+        # Toffoli count, CNOT count and depth an int of its own
+        assert retained / len(records) <= 160, f"{retained / len(records):.0f} B a record"
+        for name in ("toffoli", "cnot", "depth"):
+            values = [getattr(r, name) for r in records]
+            assert len({id(v) for v in values}) == len(set(values)), name
 
 
 class TestCacheKey:

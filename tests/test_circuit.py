@@ -114,7 +114,8 @@ class TestDepth:
         # as a negative Toffoli price is refused by CostModel.op_cost
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"depth": {"ADD": {"slope": -5, "intercept": 0}}}))
-        _, depth = load_model_file(str(path))
+        _, depth, priced_depth = load_model_file(str(path))
+        assert priced_depth
         c = BlockCircuit(21, 13, (BlockOp(ADD, R1, R2),))
         with pytest.raises(InvariantViolation, match="negative depth for ADD at n=5"):
             circuit_depth(c, depth)
@@ -274,7 +275,8 @@ class TestModelFile:
             "depth": {op: {"slope": s, "intercept": i} for op, (s, i) in depth.coeffs.items()},
         }
         path.write_text(json.dumps(doc))
-        cost2, depth2 = load_model_file(str(path))
+        cost2, depth2, priced_depth = load_model_file(str(path))
+        assert priced_depth
         assert cost2 == cost
         assert cost2.hash == cost.hash
         assert depth2.adder_regime == "LOOKAHEAD"
@@ -283,6 +285,7 @@ class TestModelFile:
     def test_defaults_when_sections_missing(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text('{"adder_regime": "ripple"}')
-        cost, depth = load_model_file(str(path))
+        cost, depth, priced_depth = load_model_file(str(path))
+        assert not priced_depth
         assert cost.coeffs == DEFAULT_COST_MODEL.coeffs
         assert depth.adder_regime == "RIPPLE"

@@ -74,6 +74,19 @@ def test_optimal_requires_target(capsys):
     assert main(["optimal", "--modulus", "21"]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra", [["--multiplier", "5"], ["-o", "costs.txt"]], ids=["multiplier", "output"]
+)
+def test_optimal_all_refuses_a_single_target(capsys, tmp_path, monkeypatch, extra):
+    # --all prints every cost to stdout: a multiplier or an output file it
+    # would ignore is refused, and no file is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["optimal", "--modulus", "21", "--all", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("modmult optimal: --all ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_roundtrip(capsys, tmp_path):
     path = tmp_path / "c.txt"
     run(capsys, "synth", "--modulus", "21", "--multiplier", "13", "-o", str(path))
