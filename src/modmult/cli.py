@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from collections import Counter
+from math import gcd
 
 from . import bench as bench_mod
 from .circuit import (
@@ -23,7 +24,7 @@ from .circuit import (
     serialize,
 )
 from .modexp import build_modexp
-from .numtheory import Modulus, enumerate_semiprimes, nth_largest_prime
+from .numtheory import Modulus, NotCoprime, enumerate_semiprimes, nth_largest_prime
 from .optimal import OptimalSearch
 from .simulate import verify
 from .synth import SynthesisConfig
@@ -76,6 +77,11 @@ def _cmd_optimal(args) -> int:
         raise ValueError("provide --multiplier or --all")
     if args.all and (args.multiplier is not None or args.output):
         raise ValueError("--all prints every cost to stdout; it takes no --multiplier or -o")
+    if not args.all:  # a multiplier that is not a unit is refused before the search
+        Modulus(args.modulus)  # odd and >= 3, or ValueError
+        c = args.multiplier % args.modulus
+        if gcd(c, args.modulus) != 1:
+            raise NotCoprime(f"gcd({c}, {args.modulus}) != 1")
     cost, _, _ = _models(args.cost_model)
     search = OptimalSearch(args.modulus, cost)
     if args.all:

@@ -13,9 +13,11 @@ multipliers are also provided.
 The lookahead scores a sequence by its moves' prices plus the cost of
 finishing with the binary GCD (Stein, 1967). That completion is priced
 from odd pair to odd pair: after each subtraction the binary GCD halves
-the even difference once per trailing zero. A round commits the first move
-under which the least score lies, ties going to the least `Move`. Only a
-round within reach of a cycle checks for revisits (see `_CYCLE_MAX`).
+the even difference once per trailing zero. A leaf skips the ADD onto an
+even value while that value's halving is legal: it scores the halving plus
+two ADD prices (see `_leaf`). A round commits the first move under which
+the least score lies, ties going to the least `Move`. Only a round within
+reach of a cycle checks for revisits (see `_CYCLE_MAX`).
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ _VALUE_CAP = 4
 
 
 def _apply_move(mv: Move, a: int, b: int) -> tuple[int, int]:
-    # int codes, as in `_children`: an enum member lookup per compare is slower
+    # int codes, as in `_least`: an enum member lookup per compare is slower
     if mv < 2:
         return (a >> 1, b) if mv == 0 else (a, b >> 1)
     if mv < 4:
@@ -170,19 +172,18 @@ def binary_gcd_trace(a: int, b: int) -> GcdTrace:
 
 
 def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) -> int:
-    """Binary-GCD completion cost from the odd coprime pair (a, b).
+    """Binary-GCD completion cost from the odd coprime pair (a, b), which
+    the caller has looked up in `memo` and missed.
 
     One step subtracts the smaller value from the larger and halves the
     difference down to its odd part: one ADD price plus one HLV price per
-    trailing zero, landing on the next odd pair. `memo` holds odd pairs
-    only, filled along the path walked.
+    trailing zero, landing on the next odd pair. The walk stops at (1, 1)
+    or at the first later pair `memo` holds. `memo` holds odd pairs only;
+    every pair walked is stored with its own cost.
     """
     path: list[tuple[tuple[int, int], int]] = []
     pair = (a, b)
-    while (tail := memo.get(pair)) is None:
-        if a == b:  # (1, 1), the only equal coprime pair
-            tail = memo[pair] = 0
-            break
+    while a != b:  # (1, 1), the only equal coprime pair
         if a < b:
             d = b - a
             z = (d & -d).bit_length() - 1
@@ -193,27 +194,14 @@ def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) ->
             a = d >> z
         path.append((pair, add_cost + z * hlv_cost))
         pair = (a, b)
+        if (tail := memo.get(pair)) is not None:
+            break
+    else:
+        tail = memo[pair] = 0
     for pair, cost in reversed(path):
         tail += cost
         memo[pair] = tail
     return tail
-
-
-def _children(a: int, b: int, cap: int, add_cost: int, hlv_cost: int) -> list[tuple]:
-    """Legal children of (a, b) != (1, 1) in `Move` order, as (move, a', b',
-    price, the move it forbids next): halving the even value, the smaller
-    value subtracted from the larger, both additions under `cap`."""
-    if not a & 1:
-        children = [(0, a >> 1, b, hlv_cost, -1)]
-    elif not b & 1:
-        children = [(1, a, b >> 1, hlv_cost, -1)]
-    else:
-        children = []
-    # a != b: the only equal coprime pair is (1, 1)
-    children.append((2, a - b, b, add_cost, 4) if a > b else (3, a, b - a, add_cost, 5))
-    if a + b < cap:
-        children += [(4, a + b, b, add_cost, 2), (5, a, a + b, add_cost, 3)]
-    return children
 
 
 def _leaf(
@@ -225,10 +213,17 @@ def _leaf(
 
     A child scores its move's price, one HLV price per zero stripped from its
     pair, and the completion cost of its pair's odd parts (for the halving
-    child those of (a, b): halving is the binary-GCD step)."""
+    child those of (a, b): halving is the binary-GCD step).
+
+    While the halving child is legal, the ADD child onto the even value is
+    not scored: its pair is odd, and its completion subtracts back to
+    (a, b) and halves, so it scores the halving child plus two ADD prices,
+    never less. Only at a leaf: one level up, the ADD child's subtree can
+    be the cheaper one."""
     if a == b:  # (1, 1), the only equal coprime pair
         return 0
-    # odd values skip the shift: a new int object per call costs about 10%
+    # odd values skip the shift: a new int object per call costs about 10%;
+    # with one value even, the difference and the sum are odd
     if a & 1:
         za, oa = 0, a
     else:
@@ -240,7 +235,8 @@ def _leaf(
         zb = (b & -b).bit_length() - 1
         ob = b >> zb
     least = None
-    if za and not (anc and (a >> 1, b) in anc) or zb and not (anc and (a, b >> 1) in anc):
+    halve = za and not (anc and (a >> 1, b) in anc) or zb and not (anc and (a, b >> 1) in anc)
+    if halve:
         tail = memo.get((oa, ob)) or _odd_completion(oa, ob, add_cost, hlv_cost, memo)
         least = hlv_cost * (za + zb) + tail
     if a > b:
@@ -250,22 +246,29 @@ def _leaf(
         d = b - a
         sub = undo != 3 and not (anc and (a, d) in anc)
     if sub:
-        zd = (d & -d).bit_length() - 1
-        x, y, z = (d >> zd, ob, zd + zb) if a > b else (oa, d >> zd, za + zd)
+        if d & 1:
+            zd, od = 0, d
+        else:
+            zd = (d & -d).bit_length() - 1
+            od = d >> zd
+        x, y, z = (od, ob, zd + zb) if a > b else (oa, od, za + zd)
         tail = memo.get((x, y)) or _odd_completion(x, y, add_cost, hlv_cost, memo)
         score = add_cost + hlv_cost * z + tail
         if least is None or score < least:
             least = score
     s = a + b
     if s < cap:
-        zs = (s & -s).bit_length() - 1
-        osum = s >> zs
-        if undo != 4 and not (anc and (s, b) in anc):
+        if s & 1:
+            zs, osum = 0, s
+        else:
+            zs = (s & -s).bit_length() - 1
+            osum = s >> zs
+        if undo != 4 and not (halve and za) and not (anc and (s, b) in anc):
             tail = memo.get((osum, ob)) or _odd_completion(osum, ob, add_cost, hlv_cost, memo)
             score = add_cost + hlv_cost * (zs + zb) + tail
             if least is None or score < least:
                 least = score
-        if undo != 5 and not (anc and (a, s) in anc):
+        if undo != 5 and not (halve and zb) and not (anc and (a, s) in anc):
             tail = memo.get((oa, osum)) or _odd_completion(oa, osum, add_cost, hlv_cost, memo)
             score = add_cost + hlv_cost * (za + zs) + tail
             if least is None or score < least:
@@ -276,27 +279,45 @@ def _leaf(
 def _least(
     a: int, b: int, undo: int, r: int, anc: tuple,
     cap: int, add_cost: int, hlv_cost: int, memo: dict,
-) -> int | None:
-    """Least score over the move sequences of length <= r from (a, b),
-    shorter only where they reach (1, 1); None when there is none. For r = 0
-    or at (1, 1), the completion cost. `undo` and `anc` are as for `_leaf`."""
-    if r < 2 or a == b:  # a round of depth 1 or 2 asks for r < 2
-        if r == 1:
-            return _leaf(a, b, undo, anc, cap, add_cost, hlv_cost, memo)
-        za, zb = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
-        return hlv_cost * (za + zb) + _odd_completion(a >> za, b >> zb, add_cost, hlv_cost, memo)
-    least = None
+) -> tuple[int | None, int]:
+    """Least score over the move sequences of length <= r >= 1 from (a, b),
+    shorter only where they reach (1, 1), and the first move of the least,
+    ties going to the least `Move`: (0, -1) at (1, 1), (None, -1) when
+    there is none. `undo` and `anc` are as for `_leaf`; a root passes
+    itself as `anc` to check for revisits.
+
+    The children are built in `Move` order: halving the even value, the
+    smaller value subtracted from the larger, both additions under `cap`."""
+    if a == b:  # (1, 1), the only equal coprime pair
+        return 0, -1
+    sub = (2, a - b, b, add_cost, 4) if a > b else (3, a, b - a, add_cost, 5)
+    s = a + b
+    if not a & 1:
+        children = ((0, a >> 1, b, hlv_cost, -1), sub)
+    elif not b & 1:
+        children = ((1, a, b >> 1, hlv_cost, -1), sub)
+    else:
+        children = (sub,)
+    if s < cap:
+        children += ((4, s, b, add_cost, 2), (5, a, s, add_cost, 3))
+    least, first = None, -1
     path = anc and anc + ((a, b),)
-    for mv, na, nb, step, child_undo in _children(a, b, cap, add_cost, hlv_cost):
+    for mv, na, nb, price, child_undo in children:
         if mv == undo or anc and (na, nb) in anc:
             continue
-        if r == 2:
+        if r == 1:  # the child is a leaf: its completion cost
+            za, zb = (na & -na).bit_length() - 1, (nb & -nb).bit_length() - 1
+            x, y = na >> za, nb >> zb
+            tail = hlv_cost * (za + zb) + (
+                memo.get((x, y)) or _odd_completion(x, y, add_cost, hlv_cost, memo)
+            )
+        elif r == 2:
             tail = _leaf(na, nb, child_undo, path, cap, add_cost, hlv_cost, memo)
         else:
-            tail = _least(na, nb, child_undo, r - 1, path, cap, add_cost, hlv_cost, memo)
-        if tail is not None and (least is None or step + tail < least):
-            least = step + tail
-    return least
+            tail = _least(na, nb, child_undo, r - 1, path, cap, add_cost, hlv_cost, memo)[0]
+        if tail is not None and (least is None or price + tail < least):
+            least, first = price + tail, mv
+    return least, first
 
 
 def _round(
@@ -307,13 +328,8 @@ def _round(
     <= k, so ties go to the least `Move`; None when no move is legal. Only
     a root within reach of a cycle checks for revisits (see `_CYCLE_MAX`)."""
     anc = ((a, b),) if max(a, b) <= _CYCLE_MAX << k else ()
-    scored = []
-    for mv, na, nb, step, child_undo in _children(a, b, cap, add_cost, hlv_cost):
-        if mv != undo:
-            tail = _least(na, nb, child_undo, k - 1, anc, cap, add_cost, hlv_cost, memo)
-            if tail is not None:
-                scored.append((step + tail, _MOVES[mv]))
-    return min(scored, default=None)
+    least, first = _least(a, b, undo, k, anc, cap, add_cost, hlv_cost, memo)
+    return None if least is None else (least, _MOVES[first])
 
 
 def lookahead_trace(

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from modmult import bench
+from modmult import bench, cli
 from modmult.cli import main
 from modmult.circuit import ADD, DBL, NEG, CostModel, DepthModel, circuit_cost, parse
 from modmult.simulate import verify
@@ -85,6 +85,16 @@ def test_optimal_all_refuses_a_single_target(capsys, tmp_path, monkeypatch, extr
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("modmult optimal: --all ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_optimal_refuses_a_non_unit_before_the_search(capsys, monkeypatch):
+    # gcd(61, 4087) = 61: refused with exit 2 before the search is built
+    def no_search(*args, **kwargs):
+        raise AssertionError("OptimalSearch built for a multiplier that is not a unit")
+
+    monkeypatch.setattr(cli, "OptimalSearch", no_search)
+    assert main(["optimal", "--modulus", "4087", "--multiplier", "61"]) == 2
+    assert capsys.readouterr().err == "modmult optimal: gcd(61, 4087) != 1\n"
 
 
 def test_verify_roundtrip(capsys, tmp_path):

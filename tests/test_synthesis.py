@@ -33,6 +33,7 @@ from modmult.synth import (
     Move,
     _apply_move,
     _binary_step,
+    _leaf,
     _odd_completion,
     _round,
     SynthesisConfig,
@@ -771,6 +772,132 @@ class TestCycleBound:
         SynthesisConfig(lookahead_depth=synth._MAX_DEPTH)
         with pytest.raises(ValueError, match="lookahead depth"):
             SynthesisConfig(lookahead_depth=synth._MAX_DEPTH + 1)
+
+
+# the free-price models of test_best_sequence_matches_reference
+_FREE_PRICES = [_priced((0, 0), (3, 2)), _priced((3, 0), (0, 0)), _priced((0, 0), (0, 0))]
+
+
+def _brute_leaf(a, b, undo, anc, cap, add_cost, hlv_cost, memo):
+    """`_leaf` by brute force: the least over every legal child of (a, b),
+    each scored by its price plus its pair's reference completion cost."""
+    if (a, b) == (1, 1):
+        return 0
+    scores = []
+    for mv in Move:
+        child = _legal_step(mv, a, b)
+        if mv == undo or child is None or max(child) >= cap or child in anc:
+            continue
+        price = hlv_cost if mv <= Move.HALVE_B else add_cost
+        scores.append(price + _reference_completion_cost(*child, add_cost, hlv_cost, memo))
+    return min(scores, default=None)
+
+
+def _one_even_pairs(seed, count, bits):
+    """Seeded coprime pairs, one of whose values is even, alternating sides."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        odd = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        even = rng.randrange(1, 1 << (bits - 1)) << rng.randrange(1, 4)
+        if gcd(odd, even) == 1:
+            pairs.append((even, odd) if len(pairs) % 2 else (odd, even))
+    return pairs
+
+
+class TestLeafPruning:
+    """`_leaf` skips the ADD child onto the even value while the halving
+    child is legal: that child's completion subtracts back to (a, b) and
+    halves, so it scores the halving child plus two ADD prices."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_leaf_matches_brute_force(self, seed):
+        # small pairs with every single child barred by `anc` (the halving
+        # child too), with all barred and with none; seeded 10-bit pairs;
+        # every undo; caps that bar both ADD children and that bar neither
+        small = [(a, b) for a in range(1, 14) for b in range(1, 14) if gcd(a, b) == 1]
+        for a, b in _seeded_pairs(seed, count=6, bits=10) + small:
+            children = [c for mv in Move if (c := _legal_step(mv, a, b)) is not None]
+            for model in _PRICES + _FREE_PRICES:
+                add_cost, hlv_cost = model.op_cost(ADD, 10), model.op_cost(HLV, 10)
+                memo, reference_memo = {}, {}
+                for undo in (-1, 2, 3, 4, 5):
+                    for cap in (max(a, b) + 1, a + b + 1, 4 * max(a, b)):
+                        for anc in [(), tuple(children), *((c,) for c in children)]:
+                            args = (a, b, undo, anc, cap, add_cost, hlv_cost)
+                            got = _leaf(*args, memo)
+                            assert got == _brute_leaf(*args, reference_memo), (args, got)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_leaf_matches_brute_force_wide(self, bits):
+        # wide pairs, long zero runs included, with the halving child legal
+        # and barred
+        pairs = _wide_pairs(1, bits) + _one_even_pairs(bits, 6, bits)
+        for a, b in pairs:
+            halving = [c for mv in (Move.HALVE_A, Move.HALVE_B) if (c := _legal_step(mv, a, b))]
+            for model in _PRICES + _FREE_PRICES:
+                add_cost, hlv_cost = model.op_cost(ADD, bits), model.op_cost(HLV, bits)
+                memo, reference_memo = {}, {}
+                for undo in (-1, 2, 3, 4, 5):
+                    for anc in ((), tuple(halving)):
+                        args = (a, b, undo, anc, 4 * max(a, b), add_cost, hlv_cost)
+                        got = _leaf(*args, memo)
+                        assert got == _brute_leaf(*args, reference_memo), (args, got)
+
+    @pytest.mark.parametrize("bits", [10, 64, 128])
+    def test_add_onto_even_scores_halving_plus_two_adds(self, bits):
+        # the identity, priced by binary-GCD traces: ADD + cost(a + b, b)
+        # = HLV + cost(a / 2, b) + 2 ADD for even a, and the same mirrored
+        for a, b in _one_even_pairs(bits, 12, bits):
+            if a % 2:
+                added, halved = (a, a + b), (a, b >> 1)
+            else:
+                added, halved = (a + b, b), (a >> 1, b)
+            for model in _PRICES + _FREE_PRICES:
+                add_cost, hlv_cost = model.op_cost(ADD, bits), model.op_cost(HLV, bits)
+                add_child = add_cost + _trace_cost(binary_gcd_trace(*added), bits, model)
+                halving_child = hlv_cost + _trace_cost(binary_gcd_trace(*halved), bits, model)
+                assert add_child == halving_child + 2 * add_cost, (a, b, model)
+
+    def test_leaf_skips_add_onto_even_while_halving_is_legal(self, monkeypatch):
+        # with an empty memo every child's completion is asked for; the ADD
+        # child onto the even value is asked for only when `anc` bars the
+        # halving child
+        asked = []
+        completion = synth._odd_completion
+
+        def counted(a, b, *rest):
+            asked.append((a, b))
+            return completion(a, b, *rest)
+
+        monkeypatch.setattr(synth, "_odd_completion", counted)
+        add_cost, hlv_cost = CostModel().op_cost(ADD, 16), CostModel().op_cost(HLV, 16)
+        for a, b in _one_even_pairs(3, 40, 16):
+            even_a = a % 2 == 0
+            added = (a + b, b) if even_a else (a, a + b)  # both odd
+            halved = (a >> 1, b) if even_a else (a, b >> 1)
+            cap = 4 * max(a, b)
+            asked.clear()
+            _leaf(a, b, -1, (), cap, add_cost, hlv_cost, {})
+            assert asked and added not in asked, (a, b, asked)
+            asked.clear()
+            _leaf(a, b, -1, (halved,), cap, add_cost, hlv_cost, {})
+            assert added in asked, (a, b, asked)
+
+    def test_inner_add_onto_even_can_be_cheaper(self):
+        # one level above the leaves the identity does not hold: from
+        # (4034, 3763) under the default 12-bit prices the ADD child onto
+        # the even value, followed by its best leaf, costs less than the
+        # halving child followed by its best leaf; so only leaves may skip it
+        a, b, cap = 4034, 3763, 4 * 4034
+        add_cost, hlv_cost = CostModel().op_cost(ADD, 12), CostModel().op_cost(HLV, 12)
+        assert (add_cost, hlv_cost) == (36, 38)
+        add_best = _reference_best_sequence(a + b, b, Move.ADD_A, 1, cap, add_cost, hlv_cost, {})
+        halve_best = _reference_best_sequence(a >> 1, b, None, 1, cap, add_cost, hlv_cost, {})
+        assert (add_cost + add_best[0], hlv_cost + halve_best[0]) == (1010, 1044)
+        undo = synth._UNDO_OF[Move.ADD_A]
+        assert add_cost + _leaf(a + b, b, undo, (), cap, add_cost, hlv_cost, {}) == 1010
+        assert hlv_cost + _leaf(a >> 1, b, -1, (), cap, add_cost, hlv_cost, {}) == 1044
 
 
 def _lookahead_rounds(circuits) -> int:
