@@ -77,11 +77,8 @@ def _cmd_optimal(args) -> int:
         raise ValueError("provide --multiplier or --all")
     if args.all and (args.multiplier is not None or args.output):
         raise ValueError("--all prints every cost to stdout; it takes no --multiplier or -o")
-    if not args.all:  # a multiplier that is not a unit is refused before the search
-        Modulus(args.modulus)  # odd and >= 3, or ValueError
-        c = args.multiplier % args.modulus
-        if gcd(c, args.modulus) != 1:
-            raise NotCoprime(f"gcd({c}, {args.modulus}) != 1")
+    if not args.all and gcd(args.multiplier, args.modulus) != 1:  # before the search
+        raise NotCoprime(f"gcd({args.multiplier}, {args.modulus}) != 1")
     cost, _, _ = _models(args.cost_model)
     search = OptimalSearch(args.modulus, cost)
     if args.all:
