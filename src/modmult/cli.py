@@ -140,10 +140,13 @@ def _cmd_modexp(args) -> int:
 
 
 def parse_bits(spec: str) -> tuple[int, ...]:
-    """Bit-width spec: "7..10" (inclusive range) or "7,9,12"."""
+    """Bit-width spec: "7..10" (inclusive range) or "7,9,12". An empty
+    range ("9..7") is a `ValueError`."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        if not (widths := tuple(range(int(lo), int(hi) + 1))):
+            raise ValueError(f"empty range {spec}")
+        return widths
     return tuple(int(tok) for tok in spec.split(","))
 
 

@@ -14,10 +14,11 @@ The lookahead scores a sequence by its moves' prices plus the cost of
 finishing with the binary GCD (Stein, 1967). That completion is priced
 from odd pair to odd pair: after each subtraction the binary GCD halves
 the even difference once per trailing zero. A leaf skips the ADD onto an
-even value while that value's halving is legal: it scores the halving plus
-two ADD prices (see `_leaf`). A round commits the first move under which
-the least score lies, ties going to the least `Move`. Only a round within
-reach of a cycle checks for revisits (see `_CYCLE_MAX`).
+even value: it scores that value's halving plus two ADD prices (see
+`_leaf`). A round commits the first move under which the least score lies,
+ties going to the least `Move`. A sequence may pass a pair twice:
+`scripts/revisit_certificate.py` checks exhaustively that such a sequence
+never decides a round, at any prices and cap.
 """
 
 from __future__ import annotations
@@ -76,12 +77,7 @@ _HALVE_A, _HALVE_B, _SUB_A, _SUB_B, _ADD_A, _ADD_B = _MOVES
 # (ADD and SUB on the same side undo each other; -1: none)
 _UNDO_OF = (-1, -1, _ADD_A, _ADD_B, _SUB_A, _SUB_B)
 
-# The deepest lookahead, and a bound on both values of every pair on a cycle
-# of at most that many legal moves; cycles of 6 moves reach 32. A round of k
-# moves revisits a pair only on such a cycle, and a move at most halves the
-# larger value, so a round from above _CYCLE_MAX << k revisits none.
-_MAX_DEPTH = 5
-_CYCLE_MAX = 16
+_MAX_DEPTH = 5  # the deepest lookahead, and the deepest the revisit certificate covers
 
 
 @dataclass(frozen=True)
@@ -181,7 +177,7 @@ def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) ->
     or at the first later pair `memo` holds. `memo` holds odd pairs only;
     every pair walked is stored with its own cost.
     """
-    path: list[tuple[tuple[int, int], int]] = []
+    steps: list[tuple[tuple[int, int], int]] = []
     pair = (a, b)
     while a != b:  # (1, 1), the only equal coprime pair
         if a < b:
@@ -192,34 +188,32 @@ def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) ->
             d = a - b
             z = (d & -d).bit_length() - 1
             a = d >> z
-        path.append((pair, add_cost + z * hlv_cost))
+        steps.append((pair, add_cost + z * hlv_cost))
         pair = (a, b)
         if (tail := memo.get(pair)) is not None:
             break
     else:
         tail = memo[pair] = 0
-    for pair, cost in reversed(path):
+    for pair, cost in reversed(steps):
         tail += cost
         memo[pair] = tail
     return tail
 
 
 def _leaf(
-    a: int, b: int, undo: int, anc: tuple, cap: int, add_cost: int, hlv_cost: int, memo: dict
+    a: int, b: int, undo: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
 ) -> int | None:
     """Least score over the children of (a, b), all leaves: 0 at (1, 1), None
-    when no child is legal. `undo` is the move (a, b)'s own move forbids; no
-    child may revisit a pair of `anc`, the path above (a, b) (empty: none).
+    when no child is legal. `undo` is the move (a, b)'s own move forbids.
 
     A child scores its move's price, one HLV price per zero stripped from its
     pair, and the completion cost of its pair's odd parts (for the halving
     child those of (a, b): halving is the binary-GCD step).
 
-    While the halving child is legal, the ADD child onto the even value is
-    not scored: its pair is odd, and its completion subtracts back to
-    (a, b) and halves, so it scores the halving child plus two ADD prices,
-    never less. Only at a leaf: one level up, the ADD child's subtree can
-    be the cheaper one."""
+    The ADD child onto an even value is not scored: its pair is odd, and its
+    completion subtracts back to (a, b) and halves, so it scores the halving
+    child plus two ADD prices, never less. Only at a leaf: one level up, the
+    ADD child's subtree can be the cheaper one."""
     if a == b:  # (1, 1), the only equal coprime pair
         return 0
     # odd values skip the shift: a new int object per call costs about 10%;
@@ -235,16 +229,15 @@ def _leaf(
         zb = (b & -b).bit_length() - 1
         ob = b >> zb
     least = None
-    halve = za and not (anc and (a >> 1, b) in anc) or zb and not (anc and (a, b >> 1) in anc)
-    if halve:
+    if za or zb:
         tail = memo.get((oa, ob)) or _odd_completion(oa, ob, add_cost, hlv_cost, memo)
         least = hlv_cost * (za + zb) + tail
     if a > b:
         d = a - b
-        sub = undo != 2 and not (anc and (d, b) in anc)
+        sub = undo != 2
     else:
         d = b - a
-        sub = undo != 3 and not (anc and (a, d) in anc)
+        sub = undo != 3
     if sub:
         if d & 1:
             zd, od = 0, d
@@ -263,12 +256,12 @@ def _leaf(
         else:
             zs = (s & -s).bit_length() - 1
             osum = s >> zs
-        if undo != 4 and not (halve and za) and not (anc and (s, b) in anc):
+        if undo != 4 and not za:
             tail = memo.get((osum, ob)) or _odd_completion(osum, ob, add_cost, hlv_cost, memo)
             score = add_cost + hlv_cost * (zs + zb) + tail
             if least is None or score < least:
                 least = score
-        if undo != 5 and not (halve and zb) and not (anc and (a, s) in anc):
+        if undo != 5 and not zb:
             tail = memo.get((oa, osum)) or _odd_completion(oa, osum, add_cost, hlv_cost, memo)
             score = add_cost + hlv_cost * (za + zs) + tail
             if least is None or score < least:
@@ -277,14 +270,12 @@ def _leaf(
 
 
 def _least(
-    a: int, b: int, undo: int, r: int, anc: tuple,
-    cap: int, add_cost: int, hlv_cost: int, memo: dict,
+    a: int, b: int, undo: int, r: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
 ) -> tuple[int | None, int]:
     """Least score over the move sequences of length <= r >= 1 from (a, b),
     shorter only where they reach (1, 1), and the first move of the least,
     ties going to the least `Move`: (0, -1) at (1, 1), (None, -1) when
-    there is none. `undo` and `anc` are as for `_leaf`; a root passes
-    itself as `anc` to check for revisits.
+    there is none. `undo` is as for `_leaf`.
 
     The children are built in `Move` order: halving the even value, the
     smaller value subtracted from the larger, both additions under `cap`."""
@@ -301,9 +292,8 @@ def _least(
     if s < cap:
         children += ((4, s, b, add_cost, 2), (5, a, s, add_cost, 3))
     least, first = None, -1
-    path = anc and anc + ((a, b),)
     for mv, na, nb, price, child_undo in children:
-        if mv == undo or anc and (na, nb) in anc:
+        if mv == undo:
             continue
         if r == 1:  # the child is a leaf: its completion cost
             za, zb = (na & -na).bit_length() - 1, (nb & -nb).bit_length() - 1
@@ -312,9 +302,9 @@ def _least(
                 memo.get((x, y)) or _odd_completion(x, y, add_cost, hlv_cost, memo)
             )
         elif r == 2:
-            tail = _leaf(na, nb, child_undo, path, cap, add_cost, hlv_cost, memo)
+            tail = _leaf(na, nb, child_undo, cap, add_cost, hlv_cost, memo)
         else:
-            tail = _least(na, nb, child_undo, r - 1, path, cap, add_cost, hlv_cost, memo)[0]
+            tail = _least(na, nb, child_undo, r - 1, cap, add_cost, hlv_cost, memo)[0]
         if tail is not None and (least is None or price + tail < least):
             least, first = price + tail, mv
     return least, first
@@ -325,10 +315,10 @@ def _round(
 ) -> tuple[int, Move] | None:
     """One lookahead round from (a, b) != (1, 1) after a move that forbids
     `undo`: the least (score, first move) over the move sequences of length
-    <= k, so ties go to the least `Move`; None when no move is legal. Only
-    a root within reach of a cycle checks for revisits (see `_CYCLE_MAX`)."""
-    anc = ((a, b),) if max(a, b) <= _CYCLE_MAX << k else ()
-    least, first = _least(a, b, undo, k, anc, cap, add_cost, hlv_cost, memo)
+    <= k, so ties go to the least `Move`; None when no move is legal.
+    Sequences that pass a pair twice are scored too: none of them ever
+    decides a round (`scripts/revisit_certificate.py`)."""
+    least, first = _least(a, b, undo, k, cap, add_cost, hlv_cost, memo)
     return None if least is None else (least, _MOVES[first])
 
 

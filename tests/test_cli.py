@@ -410,7 +410,7 @@ def test_synth_modulus_below_3_refused(capsys, method, modulus):
         (["bench", "--bits", "13", "--methods", "optimal", "--out", "unused.csv"], "bit cap"),
         (["bench", "--methods", "heuristic,heuristic", "--out", "unused.csv"], "duplicate methods"),
         (["bench", "--bits", "7,7", "--out", "unused.csv"], "duplicate moduli"),
-        (["bench", "--bits", "9..7", "--out", "unused.csv"], "no moduli"),
+        (["bench", "--bits", "9..7", "--out", "unused.csv"], "empty range 9..7"),
         (["bench", "--moduli", os.devnull, "--out", "unused.csv"], "no moduli"),
         (["bench", "--multiplier-cap", "0", "--out", "unused.csv"], "multiplier cap"),
         (["bench", "--bits", "5", "--out", "unused.csv"], "[6, 20]"),

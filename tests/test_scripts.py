@@ -1,12 +1,17 @@
 """Smoke tests: each script under scripts/ runs at small sizes and prints
-one line per width."""
+one line per width or depth."""
 
+import importlib.util
 import os
+import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
+
+from modmult.synth import _round
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,6 +57,55 @@ def test_modexp_resources_width_range():
     ]
 
 
+def test_revisit_certificate():
+    # every (root, undo) case at depths 1-3; depths 4 and 5 take about
+    # 10 s and 1.5 min (and 0.5 GB), so they run by hand
+    lines = run_script("revisit_certificate.py", "--depths", "1..3")
+    assert lines == [
+        "k=1 cases=  3230 revisiting=      0 harmful=0",
+        "k=2 cases= 12590 revisiting=      0 harmful=0",
+        "k=3 cases= 50210 revisiting=     54 harmful=0",
+    ]
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_revisit_certificate_enumerates_the_lookahead():
+    # the certificate's sequences are the ones a round scores: the least
+    # (score, first move) over those legal under the cap and not starting
+    # with `undo` is `_round`'s, on seeded roots where revisits are in reach,
+    # with free prices among the models
+    cert = _load_script("revisit_certificate.py")
+    rng = random.Random(7)
+    prices = [(36, 38), (3, 1), (3, 3), (0, 5), (5, 0), (0, 0)]
+    checked = 0
+    while checked < 400:
+        k = rng.randint(1, 4)
+        a, b = rng.randint(1, cert.CYCLE_MAX << k), rng.randint(1, cert.CYCLE_MAX << k)
+        if gcd(a, b) != 1 or a == b:
+            continue
+        found = cert.sequences(a, b, k, {})
+        undo = rng.choice(cert.UNDOS)
+        add_cost, hlv_cost = rng.choice(prices)
+        cap = rng.choice([max(a, b) + 1, a + b + 1, 4 * max(a, b)])
+        scored = [
+            (add_cost * adds + hlv_cost * halvings, first)
+            for first, groups in found.items()
+            if first != undo
+            for group in groups
+            for adds, halvings, top in group
+            if top < cap
+        ]
+        got = _round(a, b, undo, k, cap, add_cost, hlv_cost, {})
+        assert got == min(scored, default=None), (a, b, undo, k, cap, add_cost, hlv_cost)
+        checked += 1
+
+
 @pytest.mark.parametrize(
     "name, args, message",
     [
@@ -60,8 +114,15 @@ def test_modexp_resources_width_range():
         ("compare_optimal.py", ("--bits", "six"), "invalid literal for int()"),
         ("modexp_resources.py", ("--widths", "2"), "need bits >= 3 and rank >= 1"),
         ("modexp_resources.py", ("--widths", "8,2"), "need bits >= 3 and rank >= 1"),
+        ("compare_optimal.py", ("--bits", "9..7"), "empty range 9..7"),
+        ("modexp_resources.py", ("--widths", "9..7"), "empty range 9..7"),
+        ("revisit_certificate.py", ("--depths", "6"), "depth 6 outside [1, 5]"),
+        ("revisit_certificate.py", ("--depths", "3..1"), "empty range 3..1"),
     ],
-    ids=["compare-5", "compare-6,5", "compare-six", "modexp-2", "modexp-8,2"],
+    ids=[
+        "compare-5", "compare-6,5", "compare-six", "modexp-2", "modexp-8,2",
+        "compare-9..7", "modexp-9..7", "certificate-6", "certificate-3..1",
+    ],
 )
 def test_bad_width_exits_2(name, args, message):
     # one line on stderr, no traceback and no partial table, as modmult does

@@ -590,6 +590,11 @@ def _seeded_pairs(k, count=8, bits=12):
     return pairs
 
 
+# a bound on both values of every pair on a cycle of at most _MAX_DEPTH
+# legal moves (cycles of 6 moves reach 32)
+_CYCLE_MAX = 16
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("cap", [2, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -639,9 +644,11 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_round_matches_reference_at_revisit_guard(self, k):
-        # roots whose larger value is _CYCLE_MAX << k check revisits, and
-        # roots one above skip the check; both must round as the reference
-        for big in (synth._CYCLE_MAX << k, (synth._CYCLE_MAX << k) + 1):
+        # roots whose larger value is _CYCLE_MAX << k, where a round can
+        # still reach a revisit, and roots one above, where none can; the
+        # reference bars revisits and `_round` does not, so both must round
+        # as the reference
+        for big in (_CYCLE_MAX << k, (_CYCLE_MAX << k) + 1):
             smalls = (1, 3, 5, 7, 9, 11, 13, 15, 17, big - 1, big - 3)
             for small in (s for s in smalls if gcd(s, big) == 1):
                 for m, c in ((big, small), (small, big)):
@@ -659,20 +666,31 @@ class TestReferenceEquivalence:
         ),
         st.sampled_from(_PRICES),
     )
-    @example([(3 << 40, 1), (1, 5 << 44), ((1 << 130) - 1, 7 << 40), (1 << 40, 1)], _PRICES[0])
+    @example(
+        [(3 << 40, 1), (1, 5 << 44), ((1 << 130) - 1, 7 << 40), (1 << 40, 1), (3 << 41, 1)],
+        _PRICES[0],
+    )
     @settings(max_examples=80, deadline=None)
     def test_completion_cost_is_binary_trace_cost(self, pairs, model):
         # finishing (a, b) halves both values to their odd parts, then steps
-        # odd pair to odd pair; one memo across the calls, so later calls
-        # also take memo hits; the memo holds odd pairs only, each with its
-        # own binary-GCD cost
+        # odd pair to odd pair; one memo across the pairs, looked up before
+        # each `_odd_completion` call as every caller in synth does, so a
+        # repeated odd pair is served from the memo; the memo holds odd
+        # pairs only, each with its own binary-GCD cost
         n = 16
         add_cost, hlv_cost = model.op_cost(ADD, n), model.op_cost(HLV, n)
         memo: dict = {}
         reference_memo: dict = {}
+        seen = set()
         for a, b in pairs:
             za, zb = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
-            got = hlv_cost * (za + zb) + _odd_completion(a >> za, b >> zb, add_cost, hlv_cost, memo)
+            key = (a >> za, b >> zb)
+            tail = memo.get(key)
+            assert tail is not None or key not in seen, key
+            if tail is None:
+                tail = _odd_completion(*key, add_cost, hlv_cost, memo)
+            seen.add(key)
+            got = hlv_cost * (za + zb) + tail
             assert got == _trace_cost(binary_gcd_trace(a, b), n, model)
             assert got == _reference_completion_cost(a, b, add_cost, hlv_cost, reference_memo)
         assert all(a & 1 and b & 1 for a, b in memo)
@@ -739,7 +757,9 @@ class TestCycleBound:
         # is fixed by its matrix, so it is the primitive positive pair on
         # the matrix's fixed line (no word is the identity, which would fix
         # every pair); every pair on such a legal cycle is <= _CYCLE_MAX,
-        # so a round from above _CYCLE_MAX << k never revisits a pair
+        # and a move at most halves the larger value, so a round from above
+        # _CYCLE_MAX << k never revisits a pair; the revisit certificate
+        # (scripts/revisit_certificate.py) covers every root below
         identity = ((1, 0), (0, 1))
         words = [((), identity)]
         cycles = []
@@ -767,7 +787,7 @@ class TestCycleBound:
                     cycles.append((word, visited))
             words = longer
         assert cycles  # the bound is met, not empty
-        over = [(word, pairs) for word, pairs in cycles if max(map(max, pairs)) > synth._CYCLE_MAX]
+        over = [(word, pairs) for word, pairs in cycles if max(map(max, pairs)) > _CYCLE_MAX]
         assert not over
         SynthesisConfig(lookahead_depth=synth._MAX_DEPTH)
         with pytest.raises(ValueError, match="lookahead depth"):
@@ -778,7 +798,7 @@ class TestCycleBound:
 _FREE_PRICES = [_priced((0, 0), (3, 2)), _priced((3, 0), (0, 0)), _priced((0, 0), (0, 0))]
 
 
-def _brute_leaf(a, b, undo, anc, cap, add_cost, hlv_cost, memo):
+def _brute_leaf(a, b, undo, cap, add_cost, hlv_cost, memo):
     """`_leaf` by brute force: the least over every legal child of (a, b),
     each scored by its price plus its pair's reference completion cost."""
     if (a, b) == (1, 1):
@@ -786,7 +806,7 @@ def _brute_leaf(a, b, undo, anc, cap, add_cost, hlv_cost, memo):
     scores = []
     for mv in Move:
         child = _legal_step(mv, a, b)
-        if mv == undo or child is None or max(child) >= cap or child in anc:
+        if mv == undo or child is None or max(child) >= cap:
             continue
         price = hlv_cost if mv <= Move.HALVE_B else add_cost
         scores.append(price + _reference_completion_cost(*child, add_cost, hlv_cost, memo))
@@ -806,43 +826,37 @@ def _one_even_pairs(seed, count, bits):
 
 
 class TestLeafPruning:
-    """`_leaf` skips the ADD child onto the even value while the halving
-    child is legal: that child's completion subtracts back to (a, b) and
-    halves, so it scores the halving child plus two ADD prices."""
+    """`_leaf` skips the ADD child onto the even value: that child's
+    completion subtracts back to (a, b) and halves, so it scores the halving
+    child plus two ADD prices."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_leaf_matches_brute_force(self, seed):
-        # small pairs with every single child barred by `anc` (the halving
-        # child too), with all barred and with none; seeded 10-bit pairs;
-        # every undo; caps that bar both ADD children and that bar neither
+        # small pairs and seeded 10-bit pairs; every undo; caps that bar
+        # both ADD children and that bar neither
         small = [(a, b) for a in range(1, 14) for b in range(1, 14) if gcd(a, b) == 1]
         for a, b in _seeded_pairs(seed, count=6, bits=10) + small:
-            children = [c for mv in Move if (c := _legal_step(mv, a, b)) is not None]
             for model in _PRICES + _FREE_PRICES:
                 add_cost, hlv_cost = model.op_cost(ADD, 10), model.op_cost(HLV, 10)
                 memo, reference_memo = {}, {}
                 for undo in (-1, 2, 3, 4, 5):
                     for cap in (max(a, b) + 1, a + b + 1, 4 * max(a, b)):
-                        for anc in [(), tuple(children), *((c,) for c in children)]:
-                            args = (a, b, undo, anc, cap, add_cost, hlv_cost)
-                            got = _leaf(*args, memo)
-                            assert got == _brute_leaf(*args, reference_memo), (args, got)
+                        args = (a, b, undo, cap, add_cost, hlv_cost)
+                        got = _leaf(*args, memo)
+                        assert got == _brute_leaf(*args, reference_memo), (args, got)
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_leaf_matches_brute_force_wide(self, bits):
-        # wide pairs, long zero runs included, with the halving child legal
-        # and barred
+        # wide pairs, long zero runs included
         pairs = _wide_pairs(1, bits) + _one_even_pairs(bits, 6, bits)
         for a, b in pairs:
-            halving = [c for mv in (Move.HALVE_A, Move.HALVE_B) if (c := _legal_step(mv, a, b))]
             for model in _PRICES + _FREE_PRICES:
                 add_cost, hlv_cost = model.op_cost(ADD, bits), model.op_cost(HLV, bits)
                 memo, reference_memo = {}, {}
                 for undo in (-1, 2, 3, 4, 5):
-                    for anc in ((), tuple(halving)):
-                        args = (a, b, undo, anc, 4 * max(a, b), add_cost, hlv_cost)
-                        got = _leaf(*args, memo)
-                        assert got == _brute_leaf(*args, reference_memo), (args, got)
+                    args = (a, b, undo, 4 * max(a, b), add_cost, hlv_cost)
+                    got = _leaf(*args, memo)
+                    assert got == _brute_leaf(*args, reference_memo), (args, got)
 
     @pytest.mark.parametrize("bits", [10, 64, 128])
     def test_add_onto_even_scores_halving_plus_two_adds(self, bits):
@@ -860,9 +874,9 @@ class TestLeafPruning:
                 assert add_child == halving_child + 2 * add_cost, (a, b, model)
 
     def test_leaf_skips_add_onto_even_while_halving_is_legal(self, monkeypatch):
-        # with an empty memo every child's completion is asked for; the ADD
-        # child onto the even value is asked for only when `anc` bars the
-        # halving child
+        # with an empty memo every scored child's completion is asked for;
+        # the ADD child onto the even value never is (halving is legal
+        # whenever a value is even)
         asked = []
         completion = synth._odd_completion
 
@@ -873,16 +887,10 @@ class TestLeafPruning:
         monkeypatch.setattr(synth, "_odd_completion", counted)
         add_cost, hlv_cost = CostModel().op_cost(ADD, 16), CostModel().op_cost(HLV, 16)
         for a, b in _one_even_pairs(3, 40, 16):
-            even_a = a % 2 == 0
-            added = (a + b, b) if even_a else (a, a + b)  # both odd
-            halved = (a >> 1, b) if even_a else (a, b >> 1)
-            cap = 4 * max(a, b)
+            added = (a + b, b) if a % 2 == 0 else (a, a + b)  # both odd
             asked.clear()
-            _leaf(a, b, -1, (), cap, add_cost, hlv_cost, {})
+            _leaf(a, b, -1, 4 * max(a, b), add_cost, hlv_cost, {})
             assert asked and added not in asked, (a, b, asked)
-            asked.clear()
-            _leaf(a, b, -1, (halved,), cap, add_cost, hlv_cost, {})
-            assert added in asked, (a, b, asked)
 
     def test_inner_add_onto_even_can_be_cheaper(self):
         # one level above the leaves the identity does not hold: from
@@ -896,8 +904,8 @@ class TestLeafPruning:
         halve_best = _reference_best_sequence(a >> 1, b, None, 1, cap, add_cost, hlv_cost, {})
         assert (add_cost + add_best[0], hlv_cost + halve_best[0]) == (1010, 1044)
         undo = synth._UNDO_OF[Move.ADD_A]
-        assert add_cost + _leaf(a + b, b, undo, (), cap, add_cost, hlv_cost, {}) == 1010
-        assert hlv_cost + _leaf(a >> 1, b, -1, (), cap, add_cost, hlv_cost, {}) == 1044
+        assert add_cost + _leaf(a + b, b, undo, cap, add_cost, hlv_cost, {}) == 1010
+        assert hlv_cost + _leaf(a >> 1, b, -1, cap, add_cost, hlv_cost, {}) == 1044
 
 
 def _lookahead_rounds(circuits) -> int:
