@@ -178,10 +178,11 @@ def harmless(summary: tuple[int, int, int], ties: list, beats: list) -> bool:
     )
 
 
-def certify(k: int, memo: dict) -> tuple[int, int, list]:
+def certify(k: int) -> tuple[int, int, list]:
     """(cases, revisiting summaries checked, harmful (root, undo, first,
     summary) tuples) at depth k."""
     top = CYCLE_MAX << k
+    memo: dict = {}
     cases = checked = 0
     harmful = []
     for a in range(1, top + 1):
@@ -219,8 +220,7 @@ def main() -> int:
         return 2
     failed = False
     for k in depths:
-        memo: dict = {}
-        cases, checked, harmful = certify(k, memo)
+        cases, checked, harmful = certify(k)
         print(f"k={k} cases={cases:>6} revisiting={checked:>7} harmful={len(harmful)}", flush=True)
         for root, undo, first, (adds, halvings, top) in harmful[:5]:
             print(f"  root={root} undo={undo} first={first} adds={adds} halvings={halvings} top={top}")

@@ -68,19 +68,14 @@ def test_revisit_certificate():
     ]
 
 
-def _load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_revisit_certificate_enumerates_the_lookahead():
     # the certificate's sequences are the ones a round scores: the least
-    # (score, first move) over those legal under the cap and not starting
-    # with `undo` is `_round`'s, on seeded roots where revisits are in reach,
-    # with free prices among the models
-    cert = _load_script("revisit_certificate.py")
+    # (score, first move) over all of them, revisiting or not, that are
+    # legal under the cap and do not start with `undo` is `_round`'s, on
+    # seeded roots where revisits are in reach, free prices included
+    spec = importlib.util.spec_from_file_location("cert", ROOT / "scripts" / "revisit_certificate.py")
+    cert = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cert)
     rng = random.Random(7)
     prices = [(36, 38), (3, 1), (3, 3), (0, 5), (5, 0), (0, 0)]
     checked = 0
