@@ -7,18 +7,20 @@ subtractions, and halvings become doublings. A trace (`GcdTrace`) is its
 start pair and its moves. Three strategies pick the moves, each as the step
 of one loop (`_reduce`): plain subtractive Euclid, the binary GCD, and a
 cost-scored k-step lookahead over the generalized move set. The classical
-binary-expansion baseline and shortcut circuits for power-of-two
-multipliers are also provided.
+binary-expansion baseline and shortcut circuits for multipliers +-2^+-k mod
+M, looked up in one table per modulus, are also provided.
 
 The lookahead scores a sequence by its moves' prices plus the cost of
 finishing with the binary GCD (Stein, 1967). That completion is priced
 from odd pair to odd pair: after each subtraction the binary GCD halves
 the even difference once per trailing zero. A leaf skips the ADD onto an
 even value: it scores that value's halving plus two ADD prices (see
-`_leaf`). A round commits the first move under which the least score lies,
-ties going to the least `Move`. A sequence may pass a pair twice:
-`scripts/revisit_certificate.py` checks exhaustively that such a sequence
-never decides a round, at any prices and cap.
+`_leaf`). Above the leaves, `_least` writes a node's children out in `Move`
+order and scores each with one step, and trailing zeros are read off a
+table of the low byte (`_TZ`). A round commits the first move under which
+the least score lies, ties going to the least `Move`. A sequence may pass
+a pair twice: `scripts/revisit_certificate.py` checks exhaustively that
+such a sequence never decides a round, at any prices and cap.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, count
 from math import gcd
 
@@ -110,6 +113,9 @@ class SynthesisConfig:
 # the lookahead keeps every value below _VALUE_CAP times the larger
 # starting value
 _VALUE_CAP = 4
+# _TZ[v]: the trailing zeros of the byte v != 0; _TZ[0] = 0, so a caller
+# falls back to `(d & -d).bit_length() - 1` for an even d whose low byte is 0
+_TZ = (0, *((v & -v).bit_length() - 1 for v in range(1, 256)))
 
 
 def _apply_move(mv: Move, a: int, b: int) -> tuple[int, int]:
@@ -182,11 +188,11 @@ def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) ->
     while a != b:  # (1, 1), the only equal coprime pair
         if a < b:
             d = b - a
-            z = (d & -d).bit_length() - 1
+            z = _TZ[d & 255] or (d & -d).bit_length() - 1
             b = d >> z
         else:
             d = a - b
-            z = (d & -d).bit_length() - 1
+            z = _TZ[d & 255] or (d & -d).bit_length() - 1
             a = d >> z
         steps.append((pair, add_cost + z * hlv_cost))
         pair = (a, b)
@@ -216,17 +222,17 @@ def _leaf(
     ADD child's subtree can be the cheaper one."""
     if a == b:  # (1, 1), the only equal coprime pair
         return 0
-    # odd values skip the shift: a new int object per call costs about 10%;
-    # with one value even, the difference and the sum are odd
+    # odd values skip the table and the shift; with one value even, the
+    # difference and the sum are odd
     if a & 1:
         za, oa = 0, a
     else:
-        za = (a & -a).bit_length() - 1
+        za = _TZ[a & 255] or (a & -a).bit_length() - 1
         oa = a >> za
     if b & 1:
         zb, ob = 0, b
     else:
-        zb = (b & -b).bit_length() - 1
+        zb = _TZ[b & 255] or (b & -b).bit_length() - 1
         ob = b >> zb
     least = None
     if za or zb:
@@ -242,7 +248,7 @@ def _leaf(
         if d & 1:
             zd, od = 0, d
         else:
-            zd = (d & -d).bit_length() - 1
+            zd = _TZ[d & 255] or (d & -d).bit_length() - 1
             od = d >> zd
         x, y, z = (od, ob, zd + zb) if a > b else (oa, od, za + zd)
         tail = memo.get((x, y)) or _odd_completion(x, y, add_cost, hlv_cost, memo)
@@ -254,7 +260,7 @@ def _leaf(
         if s & 1:
             zs, osum = 0, s
         else:
-            zs = (s & -s).bit_length() - 1
+            zs = _TZ[s & 255] or (s & -s).bit_length() - 1
             osum = s >> zs
         if undo != 4 and not za:
             tail = memo.get((osum, ob)) or _odd_completion(osum, ob, add_cost, hlv_cost, memo)
@@ -269,6 +275,20 @@ def _leaf(
     return least
 
 
+def _completion(
+    a: int, b: int, undo: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
+) -> int:
+    """The score of (a, b) as a sequence's last pair: one HLV price per zero
+    stripped from it, plus its odd parts' completion cost. It takes `_leaf`'s
+    arguments, `undo` and `cap` unused, so `_least` scores a child alike at
+    every depth."""
+    za = 0 if a & 1 else _TZ[a & 255] or (a & -a).bit_length() - 1
+    zb = 0 if b & 1 else _TZ[b & 255] or (b & -b).bit_length() - 1
+    x, y = a >> za, b >> zb
+    tail = memo.get((x, y)) or _odd_completion(x, y, add_cost, hlv_cost, memo)
+    return hlv_cost * (za + zb) + tail
+
+
 def _least(
     a: int, b: int, undo: int, r: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
 ) -> tuple[int | None, int]:
@@ -277,36 +297,47 @@ def _least(
     ties going to the least `Move`: (0, -1) at (1, 1), (None, -1) when
     there is none. `undo` is as for `_leaf`.
 
-    The children are built in `Move` order: halving the even value, the
-    smaller value subtracted from the larger, both additions under `cap`."""
+    The children are scored in `Move` order: halving the even value, the
+    smaller value subtracted from the larger, both additions under `cap`.
+    A child scores its move's price plus one scoring step: `_completion` at
+    r = 1, `_leaf` at r = 2, and its own `_least` above that. A halving or
+    SUB child can always play a SUB next, so only an ADD child can score
+    None."""
     if a == b:  # (1, 1), the only equal coprime pair
         return 0, -1
-    sub = (2, a - b, b, add_cost, 4) if a > b else (3, a, b - a, add_cost, 5)
-    s = a + b
-    if not a & 1:
-        children = ((0, a >> 1, b, hlv_cost, -1), sub)
-    elif not b & 1:
-        children = ((1, a, b >> 1, hlv_cost, -1), sub)
+    if r == 1:
+        score = _completion
+    elif r == 2:
+        score = _leaf
     else:
-        children = (sub,)
-    if s < cap:
-        children += ((4, s, b, add_cost, 2), (5, a, s, add_cost, 3))
+
+        def score(a: int, b: int, undo: int, *rest) -> int | None:
+            return _least(a, b, undo, r - 1, *rest)[0]
+
     least, first = None, -1
-    for mv, na, nb, price, child_undo in children:
-        if mv == undo:
-            continue
-        if r == 1:  # the child is a leaf: its completion cost
-            za, zb = (na & -na).bit_length() - 1, (nb & -nb).bit_length() - 1
-            x, y = na >> za, nb >> zb
-            tail = hlv_cost * (za + zb) + (
-                memo.get((x, y)) or _odd_completion(x, y, add_cost, hlv_cost, memo)
-            )
-        elif r == 2:
-            tail = _leaf(na, nb, child_undo, cap, add_cost, hlv_cost, memo)
-        else:
-            tail = _least(na, nb, child_undo, r - 1, cap, add_cost, hlv_cost, memo)[0]
-        if tail is not None and (least is None or price + tail < least):
-            least, first = price + tail, mv
+    if not a & 1:
+        least, first = hlv_cost + score(a >> 1, b, -1, cap, add_cost, hlv_cost, memo), 0
+    elif not b & 1:
+        least, first = hlv_cost + score(a, b >> 1, -1, cap, add_cost, hlv_cost, memo), 1
+    if a > b:
+        if undo != 2:
+            t = add_cost + score(a - b, b, 4, cap, add_cost, hlv_cost, memo)
+            if least is None or t < least:
+                least, first = t, 2
+    elif undo != 3:
+        t = add_cost + score(a, b - a, 5, cap, add_cost, hlv_cost, memo)
+        if least is None or t < least:
+            least, first = t, 3
+    s = a + b
+    if s < cap:
+        if undo != 4 and (t := score(s, b, 2, cap, add_cost, hlv_cost, memo)) is not None:
+            t += add_cost
+            if least is None or t < least:
+                least, first = t, 4
+        if undo != 5 and (t := score(a, s, 3, cap, add_cost, hlv_cost, memo)) is not None:
+            t += add_cost
+            if least is None or t < least:
+                least, first = t, 5
     return least, first
 
 
@@ -442,39 +473,46 @@ def baseline_synthesize(c: int, m: int) -> BlockCircuit:
     return BlockCircuit(m, c, tuple(ops), R1)
 
 
+@lru_cache(maxsize=1)
+def _special_forms(m: int) -> dict[int, tuple[int, str, bool]]:
+    """Every +-2^k and +-2^-k mod M, k < 2n, mapped to its first form
+    (k, DBL or HLV, negated): for each k (ascending) the forms 2^k, 2^-k,
+    -2^k and -2^-k in that order, the first hit kept. Built once per
+    modulus: a modexp plan asks for every multiplier of one modulus."""
+    inv2 = (m + 1) // 2  # 2^-1 mod M for odd M; BlockCircuit refuses an even M
+    forms: dict[int, tuple[int, str, bool]] = {}
+    p = 1  # 2^k mod M
+    ip = 1  # 2^-k mod M
+    for k in range(2 * m.bit_length()):
+        forms.setdefault(p, (k, DBL, False))
+        forms.setdefault(ip, (k, HLV, False))
+        forms.setdefault(m - p, (k, DBL, True))
+        forms.setdefault(m - ip, (k, HLV, True))
+        p = (p * 2) % m
+        ip = (ip * inv2) % m
+    return forms
+
+
 def special_synthesize(c: int, m: int) -> BlockCircuit | None:
     """Single-register shortcut for C mod M = +-2^k or +-2^-k, k < 2n:
     k doublings (or halvings) of R1, plus one negation for -C. No FANOUT
     is needed.
 
-    For each k (ascending) the forms 2^k, 2^-k, -2^k and -2^-k are checked
-    in that order; the first hit wins. Returns None when no form matches
-    below the cap -- such multipliers fall through to GCD-trace synthesis.
+    C is looked up among the modulus's forms (`_special_forms`): the least
+    k wins, then 2^k, 2^-k, -2^k and -2^-k in that order. Returns None when
+    no form matches below the cap -- such multipliers fall through to
+    GCD-trace synthesis.
     """
     c %= m
     _check_coprime(c, m)
-    n = m.bit_length()
-    inv2 = (m + 1) // 2  # 2^-1 mod M for odd M; BlockCircuit refuses an even M
-    p = 1  # 2^k mod M
-    ip = 1  # 2^-k mod M
-    for k in range(2 * n):
-        if c == p:
-            shift, negate = DBL, False
-        elif c == ip:
-            shift, negate = HLV, False
-        elif c == m - p:
-            shift, negate = DBL, True
-        elif c == m - ip:
-            shift, negate = HLV, True
-        else:
-            p = (p * 2) % m
-            ip = (ip * inv2) % m
-            continue
-        ops = [BlockOp(shift, R1)] * k
-        if negate:
-            ops.append(BlockOp(NEG, R1))
-        return BlockCircuit(m, c, tuple(ops), R1)
-    return None
+    form = _special_forms(m).get(c)
+    if form is None:
+        return None
+    k, shift, negate = form
+    ops = [BlockOp(shift, R1)] * k
+    if negate:
+        ops.append(BlockOp(NEG, R1))
+    return BlockCircuit(m, c, tuple(ops), R1)
 
 
 def synthesize(

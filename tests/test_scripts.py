@@ -57,6 +57,14 @@ def test_modexp_resources_width_range():
     ]
 
 
+def test_time_synth():
+    # a header, then one line per width: its multipliers, mean moves per
+    # trace (fixed by the modulus), CPU seconds per synthesis and peak RSS
+    lines = run_script("time_synth.py", "--widths", "16,32")
+    assert lines[0].split() == ["n", "mults", "moves", "cpu_s", "maxrss_mb"]
+    assert [line.split()[:3] for line in lines[1:]] == [["16", "8", "26"], ["32", "8", "53"]]
+
+
 def test_revisit_certificate():
     # every (root, undo) case at depths 1-3; depths 4 and 5 take about
     # 10 s and 1.5 min (and 0.5 GB), so they run by hand
@@ -113,10 +121,14 @@ def test_revisit_certificate_enumerates_the_lookahead():
         ("modexp_resources.py", ("--widths", "9..7"), "empty range 9..7"),
         ("revisit_certificate.py", ("--depths", "6"), "depth 6 outside [1, 5]"),
         ("revisit_certificate.py", ("--depths", "3..1"), "empty range 3..1"),
+        ("time_synth.py", ("--widths", "16,5"), "width 5 is below 6"),
+        ("time_synth.py", ("--widths", "9..7"), "empty range 9..7"),
+        ("time_synth.py", ("--count", "0"), "count 0 is below 1"),
     ],
     ids=[
         "compare-5", "compare-6,5", "compare-six", "modexp-2", "modexp-8,2",
         "compare-9..7", "modexp-9..7", "certificate-6", "certificate-3..1",
+        "time-16,5", "time-9..7", "time-count-0",
     ],
 )
 def test_bad_width_exits_2(name, args, message):

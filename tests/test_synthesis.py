@@ -25,8 +25,8 @@ from modmult.circuit import (
     circuit_cost,
     serialize,
 )
-from modmult.modexp import modexp_plan
-from modmult.numtheory import NotCoprime
+from modmult.modexp import build_modexp, modexp_plan
+from modmult.numtheory import NotCoprime, nth_largest_prime
 from modmult.simulate import verify
 from modmult.synth import (
     GcdTrace,
@@ -390,6 +390,32 @@ def reference_special_synthesize(f: SpecialForm, m: int) -> BlockCircuit:
     return BlockCircuit(m, f.multiplier(m), tuple(ops), R1)
 
 
+# 128-bit moduli: the largest prime, and the golden anchors' semiprime
+_M128_PRIME = (1 << 128) - 159
+_M128 = ((1 << 64) - 59) * ((1 << 64) - 83)
+
+
+def _powers_of_two(m):
+    """2^k, 2^-k, -2^k and -2^-k mod M for every k < 2n, in that order."""
+    forms = []
+    for k in range(2 * m.bit_length()):
+        p, ip = pow(2, k, m), pow(2, -k, m)
+        forms += [p, ip, m - p, m - ip]
+    return forms
+
+
+def _assert_special_matches(c, m) -> bool:
+    """`special_synthesize` gives the reference's circuit, or None as it
+    does; True for a special C."""
+    form = detect_special(c, m)
+    circ = special_synthesize(c, m)
+    if form is None:
+        assert circ is None, (m, c)
+        return False
+    assert circ == reference_special_synthesize(form, m), (m, c)
+    return True
+
+
 class TestSpecialReference:
     def test_matches_two_step_reference(self):
         # every coprime C of every odd M < 600: the same circuit text, or
@@ -408,6 +434,34 @@ class TestSpecialReference:
                     expect = serialize(reference_special_synthesize(form, m))
                     assert circ is not None and serialize(circ) == expect, (m, c)
         assert special > 0
+
+    @pytest.mark.parametrize("m", [_M128_PRIME, _M128], ids=["prime", "semiprime"])
+    def test_modexp_multipliers_at_width(self, m):
+        # every multiplier of both plans, and every +-2^+-k for k < 2n
+        special = sum(
+            _assert_special_matches(c, m)
+            for c in {*modexp_plan(m, 2), *modexp_plan(m, 3), *_powers_of_two(m)}
+        )
+        assert special == len(set(_powers_of_two(m)))
+
+    @pytest.mark.parametrize("k", [63, 64, 127, 128])
+    def test_forms_meet_mod_two_to_the_k_plus_minus_one(self, k):
+        # modulo 2^k + 1, 2^k = -1, and modulo 2^k - 1, 2^k = 1: distinct
+        # forms name one multiplier, so the first hit in k and form order
+        # decides which circuit it gets
+        for m in ((1 << k) + 1, (1 << k) - 1):
+            forms = _powers_of_two(m)
+            assert len(set(forms)) < len(forms)
+            assert sum(_assert_special_matches(c, m) for c in set(forms)) == len(set(forms))
+
+    def test_modexp_builds_the_table_once(self, monkeypatch):
+        # a 128-bit plan's 256 multipliers share one table of its forms; a
+        # binary-GCD trace stands in for the lookahead, which other tests pin
+        monkeypatch.setattr(synth, "lookahead_trace", lambda m, c, *rest: binary_gcd_trace(m, c))
+        synth._special_forms.cache_clear()
+        circ = build_modexp(_M128)
+        info = synth._special_forms.cache_info()
+        assert (info.misses, info.hits) == (1, circ.distinct_blocks - 1)
 
 
 class TestSynthesize:
@@ -465,6 +519,12 @@ class TestGoldenAnchors:
         m = ((1 << 64) - 59) * ((1 << 64) - 83)
         circuits = (synthesize(c, m) for c in modexp_plan(m, 2)[:32])
         assert _running_digest(circuits).startswith("04a1135b3a281e2c")
+
+    def test_modexp_multipliers_512_bit(self):
+        # the wide path end to end: base 3, so no multiplier is special
+        m = nth_largest_prime(256, 1) * nth_largest_prime(256, 2)
+        circuits = (synthesize(c, m) for c in modexp_plan(m, 3)[:8])
+        assert _running_digest(circuits).startswith("5e13ef98b634e741")
 
     @pytest.mark.parametrize(
         "price, digest",
@@ -579,6 +639,24 @@ def _wide_pairs(k, bits):
     return pairs
 
 
+def _zero_byte_pairs(bits):
+    """Seeded coprime pairs, about `bits` wide, one of whose values, their
+    difference or their sum ends in 8 to 12 zeros: a zero low byte, which
+    `synth._TZ` does not cover, in reach of every round's leaves."""
+    rng = random.Random(bits)
+    pairs = []
+    for z in range(8, 13):
+        odd = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        t = rng.randrange(1, 1 << 8) | 1
+        if gcd(odd, t) != 1:
+            t = 1
+        top = ((odd >> z) + 1) | 1  # top << z > odd
+        for small, big in ((odd, t << z), (odd, odd + (t << z)), ((top << z) - odd, odd)):
+            assert gcd(small, big) == 1
+            pairs.append((small, big) if z % 2 else (big, small))
+    return pairs
+
+
 def _seeded_pairs(k, count=8, bits=12):
     rng = random.Random(k)
     pairs = []
@@ -657,6 +735,40 @@ class TestReferenceEquivalence:
                         for last in (None, *Move):
                             for cap in (big + 1, 4 * big):
                                 _assert_round_matches(m, c, last, k, cap, add_cost, hlv_cost)
+
+    @pytest.mark.parametrize("bits", [12, 64, 128])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_round_matches_reference_past_a_zero_low_byte(self, k, bits):
+        # a value, the difference or the sum of each root ends in 8 to 12
+        # zeros, so trailing zeros come from the fallback, not from the
+        # low-byte table, at the root's leaves and on their completions
+        for a, b in _zero_byte_pairs(bits):
+            assert not (a & 255 and b & 255 and (a - b) & 255 and (a + b) & 255)
+            for model in _PRICES:
+                add_cost, hlv_cost = model.op_cost(ADD, bits), model.op_cost(HLV, bits)
+                for last in (None, *Move):
+                    for cap in (max(a, b) + 1, 4 * max(a, b)):
+                        _assert_round_matches(a, b, last, k, cap, add_cost, hlv_cost)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (1, 257),
+            (1 + (1 << 12), 1),
+            (1, 1 + (1 << 8) + (1 << 17)),  # zero low bytes twice in a row
+            (3, 3 + (5 << 9)),
+            ((1 << 130) - 1, (1 << 130) - 1 - (7 << 20)),
+            ((1 << 129) + 1, (1 << 129) + 1 + (1 << 40)),
+        ],
+    )
+    def test_odd_completion_past_a_zero_low_byte(self, pair):
+        # odd pairs whose differences are multiples of 2^8: the step strips
+        # their zeros past the low-byte table
+        for model in _PRICES:
+            add_cost, hlv_cost = model.op_cost(ADD, 130), model.op_cost(HLV, 130)
+            got = _odd_completion(*pair, add_cost, hlv_cost, {})
+            assert got == _trace_cost(binary_gcd_trace(*pair), 130, model), (pair, model)
+            assert got == _reference_completion_cost(*pair, add_cost, hlv_cost, {})
 
     @given(
         st.lists(
