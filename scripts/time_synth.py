@@ -3,8 +3,8 @@
 
 For each width n (6 or more), takes one fixed semiprime p*q: p the largest
 prime of n//2 bits, q the second largest of n - n//2 bits (at 128 bits,
-(2^64 - 59)(2^64 - 83)). It synthesizes the last --count multipliers of
-that modulus's modexp plan for --base with the default settings, and prints
+(2^64 - 59)(2^64 - 83)). It synthesizes the last 8 multipliers of that
+modulus's modexp plan for base 3 with the default settings, and prints
 the mean moves per trace, the mean CPU seconds per synthesis, and the
 process's peak RSS so far (ru_maxrss). The last multipliers are full-width
 residues, as nearly every position of a plan is; the first few of a small
@@ -12,7 +12,7 @@ base are small values, whose traces cost more per move.
 
 Example:
     python scripts/time_synth.py --widths 128,512,1024,2048
-    python scripts/time_synth.py --widths 16..20 --count 4
+    python scripts/time_synth.py --widths 16..20
 """
 
 import argparse
@@ -31,27 +31,23 @@ def main() -> int:
     """Exit 2 with a one-line message on invalid input, as modmult does."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--widths", default="128,512,1024")
-    ap.add_argument("--count", type=int, default=8)
-    ap.add_argument("--base", type=int, default=3)
     args = ap.parse_args()
     try:
-        table(args.widths, args.count, args.base)
+        table(args.widths)
     except ValueError as exc:
         print(f"time_synth.py: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
-def table(widths: str, count: int, base: int) -> None:
-    if count < 1:
-        raise ValueError(f"count {count} is below 1")
+def table(widths: str) -> None:
     # every modulus and plan first, so a bad width prints no partial table
     plans = []
     for n in parse_bits(widths):
         if n < 6:  # p and q need 3 bits each
             raise ValueError(f"width {n} is below 6")
         m = nth_largest_prime(n // 2, 1) * nth_largest_prime(n - n // 2, 2)
-        plans.append((n, m, modexp_plan(m, base)[-count:]))
+        plans.append((n, m, modexp_plan(m, 3)[-8:]))
     print(f"{'n':>5} {'mults':>5} {'moves':>7} {'cpu_s':>9} {'maxrss_mb':>9}")
     for n, m, mults in plans:
         moves = 0

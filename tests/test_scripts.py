@@ -123,12 +123,11 @@ def test_revisit_certificate_enumerates_the_lookahead():
         ("revisit_certificate.py", ("--depths", "3..1"), "empty range 3..1"),
         ("time_synth.py", ("--widths", "16,5"), "width 5 is below 6"),
         ("time_synth.py", ("--widths", "9..7"), "empty range 9..7"),
-        ("time_synth.py", ("--count", "0"), "count 0 is below 1"),
     ],
     ids=[
         "compare-5", "compare-6,5", "compare-six", "modexp-2", "modexp-8,2",
         "compare-9..7", "modexp-9..7", "certificate-6", "certificate-3..1",
-        "time-16,5", "time-9..7", "time-count-0",
+        "time-16,5", "time-9..7",
     ],
 )
 def test_bad_width_exits_2(name, args, message):
