@@ -255,8 +255,9 @@ def _record(
 
 def _sweep_modulus(m: int, cfg: SweepConfig, shared: dict) -> list[BenchRecord]:
     cs = _multipliers(m, cfg)
-    # the lookahead decisions of every heuristic record of m (one dict per
-    # modulus: a dict per sweep would grow with every modulus swept)
+    # the lookahead decisions of every heuristic record of m, and at most
+    # 12 bits their completion memo (one dict per modulus: a dict per sweep
+    # would grow with every modulus swept)
     decisions: dict = {}
     opt = None  # built on the first optimal record the cache misses
     shard = cache_read(cfg.cache_dir, m, cfg.config_hash)

@@ -131,7 +131,9 @@ class OptimalSearch:
 
         State indices are int32 while M^2 fits it (M <= 46,340), which also
         holds every product `apply_block` forms (HLV's t * inv2 < M^2 / 2),
-        and int64 past that.
+        and int64 past that. A bucket's states are read with `take`,
+        filtered with `compress` and written with `put`: half the time of
+        boolean-mask indexing, for the same distances.
 
         A folded row searches representatives only, at `_state`'s indices.
         The map (a,b) -> (a,-b) fixes (1,0), maps ADD onto SUB of the same
@@ -161,13 +163,13 @@ class OptimalSearch:
                         f"reaches the search's limit of {unreached}"
                     )
                 u = np.concatenate(buckets.pop(du))
-                u = u[row[u] == du]  # drop entries lowered since queued
+                u = u.compress(row.take(u) == du)  # drop entries lowered since queued
                 a, b = np.divmod(u, self._width)
                 for op, w in row_edges:
                     v = self._state(*apply_block(op, a, b, m, self._inv2))
-                    v = v[row[v] > du + w]
+                    v = v.compress(row.take(v) > du + w)
                     if v.size:
-                        row[v] = du + w
+                        row.put(v, du + w)
                         buckets.setdefault(du + w, []).append(v)
         return dist
 

@@ -82,6 +82,15 @@ _UNDO_OF = (-1, -1, _ADD_A, _ADD_B, _SUB_A, _SUB_B)
 
 _MAX_DEPTH = 5  # the deepest lookahead, and the deepest the revisit certificate covers
 
+# The widest trace whose completion memo `decisions` carries (see
+# `lookahead_trace`). Heuristic CPU, one memo per modulus against one per
+# trace (median of 5): 10 bits (`sweep_n10`'s inputs, seeds 1-3) 0.165 ->
+# 0.136 s; 12 bits (M = 4087, all 3,959 C) 0.546 -> 0.486 s, a memo of
+# 145,753 entries; 14 bits (M = 16379, 4,000 C) 0.705 -> 0.729 s. A bench
+# modulus above 12 bits takes up to 5,000 multipliers, and its memo would
+# grow past a million entries for no gain.
+_SHARED_MEMO_BITS = 12
+
 
 @dataclass(frozen=True)
 class GcdTrace:
@@ -181,7 +190,9 @@ def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) ->
     difference down to its odd part: one ADD price plus one HLV price per
     trailing zero, landing on the next odd pair. The walk stops at (1, 1)
     or at the first later pair `memo` holds. `memo` holds odd pairs only;
-    every pair walked is stored with its own cost.
+    every pair walked is stored with its own cost. A cost depends on the
+    pair and the two prices only, so one memo may serve every trace at
+    those prices, of any modulus and cap (see `lookahead_trace`).
     """
     steps: list[tuple[tuple[int, int], int]] = []
     pair = (a, b)
@@ -372,7 +383,10 @@ def lookahead_trace(
     `decisions`, rounds are read from and stored to the table
     decisions[(k, cap, ADD price, HLV price)], keyed by (a, b, undo); the
     trace is the same either way, and one dict may serve any moduli and
-    configs.
+    configs. A completion cost depends only on its odd pair and the two
+    prices, so a trace of at most `_SHARED_MEMO_BITS` bits also keeps its
+    memo in `decisions`, as decisions[(ADD price, HLV price)], for every
+    later trace at those prices; a wider trace's memo is its own.
     """
     cfg = cfg or SynthesisConfig()
     k = cfg.lookahead_depth
@@ -382,7 +396,11 @@ def lookahead_trace(
     hlv_cost = model.op_cost(HLV, n)
     cap = _VALUE_CAP * max(a, b)
     memo: dict[tuple[int, int], int] = {}
-    decided = None if decisions is None else decisions.setdefault((k, cap, add_cost, hlv_cost), {})
+    decided = None
+    if decisions is not None:
+        decided = decisions.setdefault((k, cap, add_cost, hlv_cost), {})
+        if n <= _SHARED_MEMO_BITS:
+            memo = decisions.setdefault((add_cost, hlv_cost), memo)
     rounds = count()
     max_rounds = 16 * (a.bit_length() + b.bit_length()) + 64
 

@@ -354,8 +354,21 @@ class TestSearch:
         with pytest.raises(optimal.DistanceOverflow):
             OptimalSearch(21, CostModel({**CostModel().coeffs, **dear}))
 
+    @pytest.mark.parametrize(
+        "m, digest",
+        [
+            (979, "cc8aaf7a77037cd857442f159ae48cacf913fd3dbeb232226fb8297744664ff2"),
+            (1007, "36f41e7e73010a65e9130c9c728ac3711e53868496c1e34a4545f83403d78b6e"),
+        ],
+    )
+    def test_distances_pinned_at_bench_sizes(self, m, digest):
+        # the heapq reference stops at M = 221; the sweeps search 10-bit moduli
+        dist = OptimalSearch(m)._dist
+        assert hashlib.sha256(dist.tobytes()).hexdigest() == digest
+
     def test_twelve_bit_cap_fits(self):
-        # folded int16 rows trace about 38.1 MB at the cap; full int16 rows
+        # folded int16 rows trace about 38.1 MB at the cap, 38.8 MB with the
+        # int64 indices the relaxation compresses through; full int16 rows
         # traced 55.5 MB, and full int32 rows 111 MB
         m, c = 4087, 1234  # 61 * 67, the 12-bit cap
         tracemalloc.start()
@@ -366,6 +379,9 @@ class TestSearch:
             tracemalloc.stop()
         assert search._dist.dtype == np.int16
         assert peak <= 40 << 20, f"{peak / 2**20:.1f} MB"
+        assert hashlib.sha256(search._dist.tobytes()).hexdigest() == (
+            "9008fbb3cdc144a216e173b8e09bc40b76327a2dd3904110653863489e59f55b"
+        )
         circ = search.circuit(c)
         assert circuit_cost(circ, search.model)[0] == search.cost(c)
         assert verify(circ).passed

@@ -65,6 +65,20 @@ def test_time_synth():
     assert [line.split()[:3] for line in lines[1:]] == [["16", "8", "26"], ["32", "8", "53"]]
 
 
+def test_time_sweep():
+    # a header, then one line per width: the largest semiprime, the median
+    # CPU seconds of each layer, the rest, the pass total and peak RSS
+    lines = run_script("time_sweep.py", "--bits", "7")
+    assert lines[0].split() == [
+        "n", "modulus", "lookahead", "baseline", "euclid", "build", "reconstruct",
+        "verify", "cost_depth", "rest", "total", "maxrss_mb",
+    ]
+    [line] = lines[1:]
+    n, m, *seconds, total, rss = line.split()
+    assert (n, m) == ("7", "119")  # 7 * 17
+    assert all(float(s) >= 0 for s in seconds) and float(total) > 0
+
+
 def test_revisit_certificate():
     # every (root, undo) case at depths 1-3; depths 4 and 5 take about
     # 10 s and 1.5 min (and 0.5 GB), so they run by hand
@@ -123,11 +137,13 @@ def test_revisit_certificate_enumerates_the_lookahead():
         ("revisit_certificate.py", ("--depths", "3..1"), "empty range 3..1"),
         ("time_synth.py", ("--widths", "16,5"), "width 5 is below 6"),
         ("time_synth.py", ("--widths", "9..7"), "empty range 9..7"),
+        ("time_sweep.py", ("--bits", "5"), "bit-width 5 outside practical range [6, 20]"),
+        ("time_sweep.py", ("--bits", "10,13"), "width 13 is above the exact search's cap of 12"),
     ],
     ids=[
         "compare-5", "compare-6,5", "compare-six", "modexp-2", "modexp-8,2",
         "compare-9..7", "modexp-9..7", "certificate-6", "certificate-3..1",
-        "time-16,5", "time-9..7",
+        "time-16,5", "time-9..7", "sweep-5", "sweep-10,13",
     ],
 )
 def test_bad_width_exits_2(name, args, message):

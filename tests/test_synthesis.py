@@ -1027,6 +1027,12 @@ def _lookahead_rounds(circuits) -> int:
     return sum(len(circ.ops) - 1 for circ in traced)
 
 
+def _decision_tables(decisions: dict) -> list[dict]:
+    """The decision tables in `decisions`, keyed (k, cap, ADD price, HLV
+    price); the completion memos it also holds are keyed by the two prices."""
+    return [table for key, table in decisions.items() if len(key) == 4]
+
+
 class TestDecisionCache:
     def test_counts_mod_1007(self):
         # every lookahead multiplier of 1007 shares one table: 13,631 rounds,
@@ -1035,7 +1041,7 @@ class TestDecisionCache:
         circuits = [
             synthesize(c, 1007, None, decisions) for c in range(2, 1007) if gcd(c, 1007) == 1
         ]
-        (table,) = decisions.values()
+        (table,) = _decision_tables(decisions)
         assert len(table) == 5419
         assert _running_digest(circuits).startswith("483dfbf3053f0d1e")
         assert _lookahead_rounds(circuits) == 13631
@@ -1079,10 +1085,55 @@ class TestDecisionCache:
         decisions: dict = {}
         got = [lookahead_trace(m, c, cfg, decisions) for m, c, cfg in cases]
         # one table per (modulus cap, depth, price), six traces each
-        assert len(decisions) == len(cases) // 6
+        tables = _decision_tables(decisions)
+        assert len(tables) == len(cases) // 6
         rounds = sum(len(t.moves) for t in got)
-        assert sum(map(len, decisions.values())) < rounds  # the tables served rounds
+        assert sum(map(len, tables)) < rounds  # the tables served rounds
         monkeypatch.setattr(synth, "_round", _reference_round)
         want = [lookahead_trace(m, c, cfg) for m, c, cfg in cases]
         assert got == want
         assert all(type(mv) is Move for t in got for mv in t.moves)
+
+
+class TestSharedMemo:
+    """`decisions` carries one completion memo per price pair for traces of
+    at most 12 bits, keyed (ADD price, HLV price)."""
+
+    def test_mod_1007_matches_traces_alone(self):
+        cs = [c for c in range(2, 1007) if gcd(c, 1007) == 1]
+        decisions: dict = {}
+        shared = [synthesize(c, 1007, None, decisions) for c in cs]
+        assert shared == [synthesize(c, 1007) for c in cs]
+        assert _running_digest(shared).startswith("483dfbf3053f0d1e")
+        model = CostModel()
+        add_cost, hlv_cost = model.op_cost(ADD, 10), model.op_cost(HLV, 10)
+        memo = decisions[add_cost, hlv_cost]
+        # every entry is an odd coprime pair priced as the reference prices it
+        reference: dict = {}
+        for (a, b), cost in memo.items():
+            assert a & b & 1 and gcd(a, b) == 1, (a, b)
+            assert cost == _reference_completion_cost(a, b, add_cost, hlv_cost, reference)
+
+    def test_twelve_bit_matches_traces_alone(self):
+        m = 4087  # 61 * 67
+        cs = random.Random(12).sample([c for c in range(2, m) if gcd(c, m) == 1], 200)
+        decisions: dict = {}
+        shared = [synthesize(c, m, None, decisions) for c in cs]
+        assert shared == [synthesize(c, m) for c in cs]
+        assert (CostModel().op_cost(ADD, 12), CostModel().op_cost(HLV, 12)) in decisions
+
+    def test_thirteen_bit_trace_keeps_its_memo(self):
+        decisions: dict = {}
+        m = 8191  # 13 bits
+        lookahead_trace(m, 1234, None, decisions)
+        assert decisions and all(len(key) == 4 for key in decisions)
+
+    def test_one_memo_per_price_pair(self):
+        decisions: dict = {}
+        for model in (_PRICES[0], _PRICES[2]):
+            cfg = SynthesisConfig(cost_model=model)
+            for c in (2, 345, 700):
+                lookahead_trace(1007, c, cfg, decisions)
+        memos = [key for key in decisions if len(key) == 2]
+        assert memos == [(30, 32), (30, 10)]
+        assert all(decisions[key] for key in memos)
