@@ -237,11 +237,6 @@ class CostModel:
             raise InvariantViolation(f"negative cost for {opcode} at n={n}")
         return cost
 
-    @cached_property
-    def _tables(self) -> dict[int, dict[Opcode, int]]:
-        """Width -> price table, filled by `_total`."""
-        return {}
-
 
 DEFAULT_COST_MODEL = CostModel()
 
@@ -313,11 +308,6 @@ class DepthModel:
             raise InvariantViolation(f"negative depth for {opcode} at n={n}")
         return depth
 
-    @cached_property
-    def _tables(self) -> dict[int, dict[Opcode, int]]:
-        """Width -> price table, filled by `_total`."""
-        return {}
-
     def ancillae_per_adder(self, n: int) -> int:
         """Ancillae one adder block needs (cleared before the next block)."""
         if self.adder_regime == RIPPLE:
@@ -336,43 +326,24 @@ class DepthModel:
         return base - 1 + self.ancillae_per_adder(n)
 
 
-def _total(c: BlockCircuit, model: CostModel | DepthModel, price, x: int) -> int:
-    """Sum over c's opcodes of count times price at c's width n, where an
-    opcode prices at slope * x + intercept. The prices come from the model's
-    table for n, built on first use, which holds each opcode priced >= 0; an
-    opcode it lacks goes to `price(opcode, n)` (`op_cost` or `op_depth`),
-    which raises what the first such op would raise op by op."""
-    n = c.width
-    table = model._tables.get(n)
-    if table is None:
-        table = model._tables[n] = {
-            code: p for code, (slope, intercept) in model.coeffs.items()
-            if (p := slope * x + intercept) >= 0
-        }
-    total = 0
-    for code, count in c.opcode_counts.items():  # a loop: a generator costs a frame
-        total += (table[code] if code in table else price(code, n)) * count
-    return total
-
-
 def circuit_cost(
     c: BlockCircuit, model: CostModel = DEFAULT_COST_MODEL
 ) -> tuple[int, int]:
     """(toffoli, cnot) totals, additive over the op sequence: each opcode
-    is priced once, from the model's table at the circuit's width, and
-    weighted by its count. CNOTs are bookkeeping: FANOUT copies n bits and a
-    CSWAP_LAYER spends 2n on control fan-out and clear; arithmetic blocks
-    count none."""
-    counts, n = c.opcode_counts, c.width
-    cnot = n * (counts[FANOUT] + 2 * counts[CSWAP_LAYER])
-    return _total(c, model, model.op_cost, n), cnot
+    is priced once and weighted by its count. CNOTs are bookkeeping: FANOUT
+    copies n bits and a CSWAP_LAYER spends 2n on control fan-out and clear;
+    arithmetic blocks count none."""
+    counts = c.opcode_counts
+    toffoli = sum(model.op_cost(code, c.width) * count for code, count in counts.items())
+    cnot = c.width * (counts[FANOUT] + 2 * counts[CSWAP_LAYER])
+    return toffoli, cnot
 
 
 def circuit_depth(c: BlockCircuit, model: DepthModel) -> int:
     """Total depth: blocks share both registers, so the schedule is the
-    sequential chain and depth is the sum of per-op depths, priced as in
-    `circuit_cost`."""
-    return _total(c, model, model.op_depth, model._x(c.width))
+    sequential chain and depth is the sum of per-op depths."""
+    counts = c.opcode_counts
+    return sum(model.op_depth(code, c.width) * count for code, count in counts.items())
 
 
 def serialize(c: BlockCircuit) -> str:

@@ -187,41 +187,6 @@ class TestOpcodeCounts:
             assert _outcome(circuit_depth, c, model) == _outcome(per_op_depth, model)
 
 
-class TestPriceTables:
-    """Circuit totals read one price table per (model, width)."""
-
-    def test_negative_price_refused_only_where_used(self):
-        # NEG at n = 5 costs -5 + 3 < 0; at n = 2 (M = 3) it costs 1
-        model = CostModel({**DEFAULT_COST_MODEL.coeffs, NEG: (-1, 3)})
-        assert circuit_cost(_circuit([BlockOp(FANOUT), BlockOp(ADD, R1, R2)]), model) == (15, 5)
-        with pytest.raises(InvariantViolation, match="negative cost for NEG at n=5"):
-            circuit_cost(_circuit([BlockOp(ADD, R1, R2), BlockOp(NEG, R1)]), model)
-        assert circuit_cost(BlockCircuit(3, 2, (BlockOp(NEG, R1),)), model) == (1, 0)
-
-    def test_missing_opcode_refused_only_where_used(self):
-        coeffs = {code: p for code, p in DEFAULT_COST_MODEL.coeffs.items() if code != CSWAP_LAYER}
-        depth_coeffs = {code: (1, 0) for code in coeffs}
-        model, depth = CostModel(coeffs), DepthModel(RIPPLE, depth_coeffs)
-        plain = _circuit([BlockOp(DBL, R1), BlockOp(NEG, R1)])
-        assert circuit_cost(plain, model) == (22, 0)
-        assert circuit_depth(plain, depth) == 10
-        swapped = _circuit([BlockOp(DBL, R1), BlockOp(CSWAP_LAYER)])
-        with pytest.raises(UnknownOpcode, match="CSWAP_LAYER"):
-            circuit_cost(swapped, model)
-        with pytest.raises(UnknownOpcode, match="CSWAP_LAYER"):
-            circuit_depth(swapped, depth)
-
-    def test_one_model_prices_widths_apart(self):
-        ops = (BlockOp(ADD, R1, R2), BlockOp(DBL, R1))
-        narrow, wide = BlockCircuit(21, 13, ops), BlockCircuit(40771, 3, ops)
-        cost, depth = CostModel(), DepthModel.lookahead()
-        for _ in range(2):  # the second round reads the tables the first built
-            assert circuit_cost(narrow, cost) == (15 + 17, 0)
-            assert circuit_cost(wide, cost) == (48 + 50, 0)
-            assert circuit_depth(narrow, depth) == (4 * 3 + 3) + (6 * 3 + 12)
-            assert circuit_depth(wide, depth) == 19 + 36
-
-
 class TestSerialization:
     def test_golden_circuit_text(self):
         # hand-built with the printed labeling (result side = R1)
