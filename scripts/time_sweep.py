@@ -71,7 +71,9 @@ def _cold_pass(m: int) -> dict[str, float]:
     """CPU seconds per column of one cold sweep of m."""
     cfg = bench.SweepConfig(moduli=(m,), multiplier_cap=MULTIPLIERS, methods=bench.METHODS)
     spent = dict.fromkeys(COLUMNS, 0.0)
-    saved = [(owner, name, getattr(owner, name)) for pairs in LAYERS.values() for owner, name in pairs]
+    saved = [
+        (owner, name, getattr(owner, name)) for pairs in LAYERS.values() for owner, name in pairs
+    ]
     for column, pairs in LAYERS.items():
         for owner, name in pairs:
             setattr(owner, name, _timed(getattr(owner, name), spent, column))
@@ -93,7 +95,8 @@ def table(bits: str) -> None:
         if n > (cap := bench.SweepConfig.optimal_bit_cap):
             raise ValueError(f"width {n} is above the exact search's cap of {cap}")
         moduli.append((n, enumerate_semiprimes(n)[-1].value))
-    print(f"{'n':>3} {'modulus':>7} " + " ".join(f"{c:>11}" for c in COLUMNS) + f" {'maxrss_mb':>9}")
+    header = " ".join(f"{column:>11}" for column in COLUMNS)
+    print(f"{'n':>3} {'modulus':>7} {header} {'maxrss_mb':>9}")
     for n, m in moduli:
         passes = [_cold_pass(m) for _ in range(PASSES)]
         cells = " ".join(f"{statistics.median(p[c] for p in passes):>11.4f}" for c in COLUMNS)

@@ -367,9 +367,9 @@ class TestSearch:
         assert hashlib.sha256(dist.tobytes()).hexdigest() == digest
 
     def test_twelve_bit_cap_fits(self):
-        # folded int16 rows trace about 38.1 MB at the cap, 38.8 MB with the
-        # int64 indices the relaxation compresses through; full int16 rows
-        # traced 55.5 MB, and full int32 rows 111 MB
+        # folded int16 rows trace about 38.8 MB at the cap (38.1 MB before
+        # `compress`, which makes int64 indices, filtered the relaxation);
+        # full int16 rows traced 55.5 MB, and full int32 rows 111 MB
         m, c = 4087, 1234  # 61 * 67, the 12-bit cap
         tracemalloc.start()
         try:
