@@ -2,14 +2,15 @@
 """CPU seconds per layer of a cold four-method sweep, across bit-widths.
 
 For each width n (6 to 12, the exact search's cap), takes the largest
-n-bit semiprime and its first 400 coprime multipliers from 2 up, and runs
-`bench_sweep` over it with all four methods and no cache, three times, each
-pass cold (a new config, so new decision tables, memos and searches). Each
-layer is timed by wrapping the function `bench` calls, with no profiler:
-the heuristic's synthesis (lookahead), the baseline, Euclid (trace and
-circuit), the exact-search build, its circuit reconstruction, `verify`,
-and `circuit_cost` plus `circuit_depth`; "rest" is the rest of the pass's
-CPU. It prints the median of the three passes per column, then the
+n-bit semiprime and runs `bench_sweep` over it as `modmult bench` does: with
+every coprime multiplier from 2 up (the default selection at these widths),
+here with all four methods and no cache, three times, each pass cold (a new
+config, so new decision tables, memos and searches). Each layer is timed by
+wrapping the function `bench` calls, with no profiler: the heuristic's
+synthesis (lookahead), the baseline, Euclid (trace and circuit), the
+exact-search build, its batched circuit reconstruction
+(`OptimalSearch.circuits`), `verify`, and `circuit_cost` plus
+`circuit_depth`; "rest" is the rest of the pass's CPU. It prints the median of the three passes per column, then the
 process's peak RSS so far (ru_maxrss).
 
 Example:
@@ -28,7 +29,6 @@ from modmult.cli import parse_bits
 from modmult.numtheory import enumerate_semiprimes
 from modmult.optimal import OptimalSearch
 
-MULTIPLIERS = 400
 PASSES = 3
 # column -> the functions it times: (owner, attribute) pairs
 LAYERS = {
@@ -36,7 +36,7 @@ LAYERS = {
     "baseline": ((bench, "baseline_synthesize"),),
     "euclid": ((bench, "euclid_trace"), (bench, "trace_to_circuit")),
     "build": ((bench, "OptimalSearch"),),
-    "reconstruct": ((OptimalSearch, "circuit"),),
+    "reconstruct": ((OptimalSearch, "circuits"),),
     "verify": ((bench, "verify"),),
     "cost_depth": ((bench, "circuit_cost"), (bench, "circuit_depth")),
 }
@@ -69,7 +69,7 @@ def _timed(fn, spent: dict, column: str):
 
 def _cold_pass(m: int) -> dict[str, float]:
     """CPU seconds per column of one cold sweep of m."""
-    cfg = bench.SweepConfig(moduli=(m,), multiplier_cap=MULTIPLIERS, methods=bench.METHODS)
+    cfg = bench.SweepConfig(moduli=(m,), methods=bench.METHODS)
     spent = dict.fromkeys(COLUMNS, 0.0)
     saved = [
         (owner, name, getattr(owner, name)) for pairs in LAYERS.values() for owner, name in pairs

@@ -17,9 +17,14 @@ a cache schema version (4), so files of an older layout are ignored.
 Records that carry an error are never stored.
 
 A sweep builds a modulus's OptimalSearch only when one of its optimal
-records misses, so a warm sweep builds no search. Every read verifies the
-whole shard; a re-read of an unchanged shard shares the records of the last
-read instead of building new ones.
+records misses, so a warm sweep builds no search, and then reconstructs the
+optimal circuits of every missed multiplier in one batched walk
+(`OptimalSearch.circuits`) before it makes any record. That walk is
+per-modulus work, like the build: under `timing`, an optimal record's
+`wall_seconds` covers its pricing and verification, not its
+reconstruction, and a walk that fails fails the sweep, as a refused search
+does. Every read verifies the whole shard; a re-read of an unchanged shard
+shares the records of the last read instead of building new ones.
 
 Output ordering is deterministic (modulus, multiplier, method); with
 timing disabled (the default) two identical sweeps produce byte-identical
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from statistics import mean
-from typing import IO, ClassVar, Iterable
+from typing import IO, ClassVar, Iterable, Mapping
 
 from .circuit import BlockCircuit, CostModel, DepthModel, circuit_cost, circuit_depth
 from .numtheory import Modulus
@@ -198,12 +203,13 @@ def method_circuit(
     c: int,
     m: int,
     cfg: SynthesisConfig,
-    opt: OptimalSearch | None = None,
+    opt: Mapping[int, BlockCircuit] | None = None,
     decisions: dict | None = None,
 ) -> BlockCircuit:
     """The circuit that `method`, one of METHODS, builds for C mod M. The
     heuristic shares `decisions` (see `synthesize`); the optimal method
-    reads `opt`, a search of M that the caller builds."""
+    reads opt[C mod M], from a mapping of optimal circuits of M that the
+    caller reconstructs (`OptimalSearch.circuits`)."""
     c %= m
     if method == "heuristic":
         return synthesize(c, m, cfg, decisions)
@@ -212,7 +218,7 @@ def method_circuit(
     if method == "euclid":
         return trace_to_circuit(euclid_trace(m, c), m)
     assert opt is not None
-    return opt.circuit(c)
+    return opt[c]
 
 
 def _shared_record(shared: dict, *values) -> BenchRecord:
@@ -227,7 +233,7 @@ def _record(
     c: int,
     m: int,
     cfg: SweepConfig,
-    opt: OptimalSearch | None,
+    opt: Mapping[int, BlockCircuit],
     decisions: dict,
     shared: dict,
 ) -> BenchRecord:
@@ -259,18 +265,22 @@ def _sweep_modulus(m: int, cfg: SweepConfig, shared: dict) -> list[BenchRecord]:
     # 12 bits their completion memo (one dict per modulus: a dict per sweep
     # would grow with every modulus swept)
     decisions: dict = {}
-    opt = None  # built on the first optimal record the cache misses
     shard = cache_read(cfg.cache_dir, m, cfg.config_hash)
+    # the optimal circuits of the multipliers the shard misses, from one
+    # search and one batched reconstruction, outside _record, so a search
+    # refused at construction fails the sweep rather than each record
+    opt: dict[int, BlockCircuit] = {}
+    if "optimal" in cfg.methods:
+        missed = [c for c in cs if c not in shard.get("optimal", {})]
+        if missed:
+            search = OptimalSearch(m, cfg.cost_model, bit_cap=cfg.optimal_bit_cap)
+            opt = dict(zip(missed, search.circuits(missed)))
     records = []
     fresh = False
     for c in cs:
         for method in cfg.methods:
             rec = cache_lookup(shard, c, method)
             if rec is None:
-                if method == "optimal" and opt is None:
-                    # outside _record, so a search refused at construction
-                    # fails the sweep rather than each record
-                    opt = OptimalSearch(m, cfg.cost_model, bit_cap=cfg.optimal_bit_cap)
                 rec = _record(method, c, m, cfg, opt, decisions, shared)
                 if not rec.error:  # a failure is retried, never served
                     shard.setdefault(method, {})[c] = rec

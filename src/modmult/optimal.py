@@ -30,6 +30,7 @@ keeps one entry per state.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import gcd
 
 import numpy as np
@@ -82,6 +83,7 @@ _EDGE_OPS = (
     BlockOp(NEG, R1),
     BlockOp(NEG, R2),
 )
+_FANOUT = BlockOp(FANOUT)  # every FANOUT circuit's first op
 
 
 class OptimalSearch:
@@ -215,29 +217,54 @@ class OptimalSearch:
         return {c: min(d, f + self._fanout) for c, d, f in zip(units, bare, fanout)}
 
     def circuit(self, c: int) -> BlockCircuit:
-        """Reconstruct one least-cost circuit for c; deterministic via the
-        fixed candidate order, then edge order, then state index.
+        """One least-cost circuit for c: `circuits((c,))[0]`."""
+        return self.circuits((c,))[0]
 
-        The walk steps back from c's end of its row to (1,0). A bare
-        circuit is the walk's edges, last first. A FANOUT circuit is the
-        inverses of the walk's edges in the walk's order: scaled by c*y,
-        they run from (y, y) to (c*y, 0)."""
-        c %= self.m
-        m, width = self.m, self._width
-        # `_state` inlined: b past `half` stands for m - b in a folded row
-        half = m // 2 if self._fold else m
-        _, row, (a, b), result, fanout = self._best(c)
-        dist = self._dist[row]
-        ops: list[BlockOp] = []
-        d = dist.item(self._state(a, b))
-        while d > 0:
-            for edge, inv, w in self._rows[row]:
-                pa, pb = apply_block(inv, a, b, m, self._inv2)
-                if dist.item(pa * width + (pb if pb <= half else m - pb)) + w == d:
-                    ops.append(inv if fanout else edge)
-                    a, b, d = pa, pb, d - w
-                    break
-            else:  # pragma: no cover - distances guarantee a predecessor
-                raise RuntimeError("no predecessor found during reconstruction")
-        ops = [BlockOp(FANOUT), *ops] if fanout else ops[::-1]
-        return BlockCircuit(m, c, tuple(ops), result)
+    def circuits(self, cs: Iterable[int]) -> list[BlockCircuit]:
+        """One least-cost circuit for each c in cs, in order; deterministic
+        via the fixed candidate order, then edge order. Every c is checked
+        before any walk, so a non-unit raises `NotCoprime` first.
+
+        Each c's walk steps back from its end of its row to (1,0), and the
+        walks of one row step in lockstep, on arrays: at each step every
+        unfinished walk tries the row's edges in order, and the first edge
+        whose predecessor's distance plus its weight equals the walk's
+        distance wins. A bare circuit is the walk's edges, last first. A
+        FANOUT circuit is the inverses of the walk's edges in the walk's
+        order: scaled by c*y, they run from (y, y) to (c*y, 0)."""
+        m = self.m
+        cs = [c % m for c in cs]
+        best = [self._best(c) for c in cs]
+        walked: list[list[int]] = [[] for _ in cs]  # edge indices, in walk order
+        for row, (dist, edges) in enumerate(zip(self._dist, self._rows)):
+            # _best names the last row -1
+            walk = [i for i, found in enumerate(best) if found[1] % len(self._rows) == row]
+            a, b = np.array([best[i][2] for i in walk], dtype=np.int64).reshape(-1, 2).T
+            d = dist.take(self._state(a, b)).astype(np.int64)
+            walk = np.array(walk, dtype=np.int64)
+            while (live := d > 0).any():
+                walk, a, b, d = walk[live], a[live], b[live], d[live]
+                chosen = np.empty_like(walk)
+                todo = np.arange(walk.size)  # the walks no edge has matched yet
+                for e, (_, inv, w) in enumerate(edges):
+                    pa, pb = apply_block(inv, a[todo], b[todo], m, self._inv2)
+                    hit = dist.take(self._state(pa, pb)) == d[todo] - w
+                    won = todo[hit]
+                    chosen[won] = e
+                    a[won], b[won], d[won] = pa[hit], pb[hit], d[won] - w
+                    todo = todo[~hit]
+                    if not todo.size:
+                        break
+                else:  # pragma: no cover - distances guarantee a predecessor
+                    raise RuntimeError("no predecessor found during reconstruction")
+                for i, e in zip(walk.tolist(), chosen.tolist()):
+                    walked[i].append(e)
+        out = []
+        for c, (_, row, _, result, fanout), steps in zip(cs, best, walked):
+            edges = self._rows[row]
+            if fanout:
+                ops = (_FANOUT, *(edges[e][1] for e in steps))
+            else:
+                ops = tuple(edges[e][0] for e in reversed(steps))
+            out.append(BlockCircuit(m, c, ops, result))
+        return out

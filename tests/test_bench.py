@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -205,9 +206,10 @@ class TestSweep:
         # the one map from a method name to a circuit; C, C + M and C - M
         # give one circuit under every method
         cfg = SynthesisConfig()
-        opt = OptimalSearch(21)
+        cs = (2, 5, 13, 20)
+        opt = dict(zip(cs, OptimalSearch(21).circuits(cs)))
         for method in bench.METHODS:
-            for c in (2, 5, 13, 20):
+            for c in cs:
                 texts = {
                     serialize(bench.method_circuit(method, x, 21, cfg, opt)) for x in (c, c + 21, c - 21)
                 }
@@ -243,21 +245,38 @@ def builds(monkeypatch):
     return built
 
 
-class TestLazySearch:
-    """A sweep builds a modulus's OptimalSearch on its first optimal miss."""
+@pytest.fixture
+def walks(monkeypatch):
+    """The multipliers of every batched reconstruction, one list per call."""
+    walked = []
+    real = OptimalSearch.circuits
 
-    def test_cold_sweep_builds_one_per_modulus(self, tmp_path, builds):
+    def counted(self, cs):
+        walked.append(list(cs))
+        return real(self, cs)
+
+    monkeypatch.setattr(OptimalSearch, "circuits", counted)
+    return walked
+
+
+class TestLazySearch:
+    """A sweep builds a modulus's OptimalSearch when an optimal record
+    misses, and reconstructs every missed multiplier in one call."""
+
+    def test_cold_sweep_builds_one_per_modulus(self, tmp_path, builds, walks):
         bench_sweep(small_sweep(moduli=(35, 21), methods=bench.METHODS, cache_dir=str(tmp_path)))
         assert builds == [21, 35]
+        assert walks == [[c for c in range(2, m) if gcd(c, m) == 1] for m in (21, 35)]
 
-    def test_cached_sweep_builds_none(self, tmp_path, builds):
+    def test_cached_sweep_builds_none(self, tmp_path, builds, walks):
         cfg = small_sweep(moduli=(35, 21), methods=bench.METHODS, cache_dir=str(tmp_path))
         cold = bench_sweep(cfg)
         builds.clear()
+        walks.clear()
         assert bench_sweep(cfg) == cold
-        assert builds == []
+        assert builds == [] and walks == []
 
-    def test_some_optimal_misses_build_one(self, tmp_path, builds):
+    def test_some_optimal_misses_build_one(self, tmp_path, builds, walks):
         cfg = small_sweep(moduli=(35,), methods=bench.METHODS, cache_dir=str(tmp_path))
         cold = bench_sweep(cfg)
         optimal = [r for r in cold if r.method == "optimal"]
@@ -265,8 +284,10 @@ class TestLazySearch:
         assert 1 < len(dropped) < len(optimal)
         cache_store(str(tmp_path), 35, cfg.config_hash, [r for r in cold if r not in dropped])
         builds.clear()
+        walks.clear()
         assert bench_sweep(cfg) == cold
         assert builds == [35]
+        assert walks == [[r.multiplier for r in dropped]]
 
     def test_sweep_without_optimal_builds_none(self, builds):
         bench_sweep(small_sweep(moduli=(35, 21), methods=("heuristic", "baseline", "euclid")))

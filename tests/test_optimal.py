@@ -104,6 +104,31 @@ class TestReconstruction:
                 texts = {serialize(search.circuit(x)) for x in (c, c + m, c - m)}
                 assert len(texts) == 1, (m, c)
 
+    @pytest.mark.parametrize(
+        "m, prices",
+        [(221, {}), (1007, {}), (221, {HLV: (5, 1)}), (221, {ADD: (1000, 0), SUB: (1000, 0)})],
+        ids=["221", "1007", "221-hlv-dearer", "221-int32"],
+    )
+    def test_batched_walks_match_single_walks(self, m, prices):
+        # every unit in shuffled order, one twice, and 1 + m (C = 1: no ops);
+        # dearer HLV searches two rows, dear ADD and SUB int32 rows
+        search = OptimalSearch(m, CostModel({**CostModel().coeffs, **prices}))
+        assert len(search._rows) == (2 if HLV in prices else 1)
+        assert search._dist.dtype == (np.int32 if ADD in prices else np.int16)
+        cs = [c for c in range(1, m) if gcd(c, m) == 1]
+        random.Random(m).shuffle(cs)
+        cs += [cs[0], 1 + m]
+        batched = search.circuits(cs)
+        assert batched == [search.circuits((c,))[0] for c in cs]
+        assert batched[-1].ops == () and batched[-1].multiplier == 1
+        assert search.circuits(()) == []
+
+    def test_batched_walk_refuses_non_unit_first(self):
+        search = OptimalSearch(21)
+        with mock.patch.object(optimal, "apply_block", side_effect=AssertionError("walked")):
+            with pytest.raises(NotCoprime):
+                search.circuits([2, 5, 7, 13])
+
     def test_single_register_special_skips_fanout(self):
         circ = OptimalSearch(35).circuit(2)
         assert [op.opcode for op in circ.ops] == [DBL]

@@ -1033,6 +1033,23 @@ def _decision_tables(decisions: dict) -> list[dict]:
     return [table for key, table in decisions.items() if len(key) == 4]
 
 
+# the decision table of every unit of 1007 at depth k, a digest of its
+# sorted (a, b, undo, move) items, taken with every round the table did not
+# hold computed
+_TABLES_1007 = [
+    (1, "990c77e315dd399c"),
+    (2, "96b480e8144d86a8"),
+    (3, "dbc56ae867a0bb3b"),
+    (4, "cc8391af103b9f2b"),
+    (5, "c4d3878f92eda500"),
+]
+
+
+def _mirror(code):
+    """A move or undo code with A and B swapped; -1 stays -1."""
+    return -1 if code < 0 else code ^ 1
+
+
 class TestDecisionCache:
     def test_counts_mod_1007(self):
         # every lookahead multiplier of 1007 shares one table: 13,631 rounds,
@@ -1093,6 +1110,120 @@ class TestDecisionCache:
         want = [lookahead_trace(m, c, cfg) for m, c, cfg in cases]
         assert got == want
         assert all(type(mv) is Move for t in got for mv in t.moves)
+
+
+    def test_rounds_computed_mod_1007(self, monkeypatch):
+        # TestDecisionCache::test_counts_mod_1007's sweep: 5,419 entries, of
+        # which 3,616 rounds are computed, the rest read off held rounds
+        computed = []
+
+        def counted(*args):
+            computed.append(args[:3])
+            return real(*args)
+
+        real = synth._round
+        monkeypatch.setattr(synth, "_round", counted)
+        decisions: dict = {}
+        circuits = [
+            synthesize(c, 1007, None, decisions) for c in range(2, 1007) if gcd(c, 1007) == 1
+        ]
+        (table,) = _decision_tables(decisions)
+        assert len(table) == 5419
+        assert len(computed) == len(set(computed)) == 3616
+        assert set(computed) < set(table)
+        assert _running_digest(circuits).startswith("483dfbf3053f0d1e")
+
+    @pytest.mark.parametrize("k, digest", _TABLES_1007)
+    def test_shared_table_mod_1007(self, k, digest):
+        cfg = SynthesisConfig(lookahead_depth=k)
+        units = [c for c in range(2, 1007) if gcd(c, 1007) == 1]
+        decisions: dict = {}
+        shared = [lookahead_trace(1007, c, cfg, decisions) for c in units]
+        assert shared == [lookahead_trace(1007, c, cfg) for c in units]
+        (table,) = _decision_tables(decisions)
+        items = sorted((a, b, int(undo), int(mv)) for (a, b, undo), mv in table.items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest().startswith(digest)
+        assert all(type(mv) is Move for mv in table.values())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rules_agree_with_the_round(self, k):
+        # every round of small coprime pairs, after every undo and at two
+        # caps: whatever a rule reads off a table of true moves is the move
+        model = CostModel()
+        add_cost, hlv_cost = model.op_cost(ADD, 6), model.op_cost(HLV, 6)
+        read = 0
+        for cap in (64, 160):
+            pairs = [(a, b) for a in range(1, 40) for b in range(1, 40) if gcd(a, b) == 1]
+            truth = {
+                (a, b, undo): best[1]
+                for a, b in pairs
+                if a != b
+                for undo in (-1, 2, 3, 4, 5)
+                if (best := _round(a, b, undo, k, cap, add_cost, hlv_cost, {})) is not None
+            }
+            for a, b in pairs:
+                for undo in (-1, 2, 3, 4, 5) if a != b else ():
+                    held = {
+                        key: truth[key]
+                        for key in ((b, a, _mirror(undo)), (a, b, -1), (b, a, -1))
+                        if key in truth
+                    }
+                    for key in held:
+                        if key != (a, b, undo):
+                            mv = synth._table_move({key: held[key]}, a, b, undo)
+                            if mv is not None:
+                                assert mv == truth[a, b, undo], (a, b, undo, key, cap)
+                                assert type(mv) is Move
+                                read += 1
+        assert read > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_mirrored_add_a_decides_nothing(self, k):
+        # 10-bit default prices, cap 4 * 1007: (39, 101) and (101, 39) both
+        # decide ADD_A, so each ADD child ties its mirror (ADD_A <= ADD_B in
+        # each round), and mirroring the first round's move would give ADD_B
+        model = CostModel()
+        prices = (4 * 1007, model.op_cost(ADD, 10), model.op_cost(HLV, 10), {})
+        assert _round(39, 101, -1, k, *prices)[1] == Move.ADD_A
+        for undo in (-1, 2, 3, 4, 5):  # neither rule mirrors it
+            assert synth._table_move({(39, 101, -1): Move.ADD_A}, 101, 39, undo) is None
+        got = _round(101, 39, -1, k, *prices)
+        assert got == _reference_round(101, 39, -1, k, *prices)
+        assert got[1] == Move.ADD_A
+
+    def test_mirrored_add_a_in_a_trace(self):
+        # at k = 1 the trace of 453 mod 1007 opens with ADD_A from (1007, 453),
+        # and the mirrored round (453, 1007) decides ADD_A too
+        cfg = SynthesisConfig(lookahead_depth=1)
+        model = cfg.cost_model
+        key = (1, 4 * 1007, model.op_cost(ADD, 10), model.op_cost(HLV, 10))
+        decisions = {key: {(453, 1007, -1): Move.ADD_A}}
+        trace = lookahead_trace(1007, 453, cfg, decisions)
+        assert trace == lookahead_trace(1007, 453, cfg)
+        assert trace.moves[0] == Move.ADD_A == decisions[key][1007, 453, -1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_undo_free_never_serves_the_forbidden_move(self, k):
+        # held: (a, b, -1) -> m, or its mirror; asked: (a, b) after a move
+        # that forbids m. The table decides nothing, and the round, computed,
+        # plays another move
+        model = CostModel()
+        prices = (4 * 1007, model.op_cost(ADD, 10), model.op_cost(HLV, 10))
+        rng = random.Random(k)
+        asked = 0
+        while asked < 40:
+            a, b = rng.randrange(1, 1007), rng.randrange(1, 1007)
+            if gcd(a, b) != 1 or a == b:
+                continue
+            mv = _round(a, b, -1, k, *prices, {})[1]
+            if mv < Move.SUB_A:  # a halving is never forbidden
+                continue
+            assert synth._table_move({(a, b, -1): mv}, a, b, mv) is None
+            assert synth._table_move({(b, a, -1): Move(mv ^ 1)}, a, b, mv) is None
+            got = _round(a, b, mv, k, *prices, {})
+            assert got == _reference_round(a, b, mv, k, *prices, {})
+            assert got is None or got[1] != mv
+            asked += 1
 
 
 class TestSharedMemo:
