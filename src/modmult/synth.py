@@ -364,33 +364,20 @@ def _round(
     return None if least is None else (least, _MOVES[first])
 
 
-def _table_move(decided: dict, a: int, b: int, undo: int) -> Move | None:
+def _mirrored_move(decided: dict, a: int, b: int, undo: int) -> Move | None:
     """The move of the round (a, b) after a move that forbids `undo`, read
-    off another round that `decided` holds; None when no held round decides
-    it. Moves and undo codes mirror by `^ 1` (A and B swapped).
+    off its mirror in `decided`, the round (b, a) after the mirrored undo;
+    None when `decided` does not hold it or it decided ADD_A. Moves and
+    undo codes mirror by `^ 1` (A and B swapped).
 
-    Mirror: the round (b, a) after the mirrored undo scores each child as
-    this round scores the child's mirror (the moves, the cap, the undo rule,
-    `_leaf`'s skip and the completion are all symmetric). Children are
-    scored halving, SUB, ADD_A, ADD_B, ties to the first, with at most one
-    halving and one SUB child, so only ADD_A against ADD_B can break the
-    other way: a mirrored ADD_A, which ADD_B may tie, decides nothing.
-
-    Undo-free: `undo` drops one child of the root and no child's subtree
-    depends on it, so the round after no forbidden move (-1), held or
-    mirrored, decides this one unless its move is `undo`."""
+    The mirror scores each child as this round scores the child's mirror:
+    the moves, the cap, the undo rule, `_leaf`'s skip and the completion
+    are all symmetric. Children are scored halving, SUB, ADD_A, ADD_B, ties
+    to the first, with at most one halving and one SUB child, so only ADD_A
+    against ADD_B can break the other way: a mirrored ADD_A, which ADD_B may
+    tie, decides nothing."""
     mv = decided.get((b, a, undo ^ 1 if undo >= 0 else -1))
-    if mv is not None and mv != _ADD_A:
-        return _MOVES[mv ^ 1]
-    if undo < 0:
-        return None
-    mv = decided.get((a, b, -1))
-    if mv is None:
-        mv = decided.get((b, a, -1))
-        if mv is None or mv == _ADD_A:
-            return None
-        mv = _MOVES[mv ^ 1]
-    return None if mv == undo else mv
+    return None if mv is None or mv == _ADD_A else _MOVES[mv ^ 1]
 
 
 def lookahead_trace(
@@ -412,11 +399,11 @@ def lookahead_trace(
     `decisions`, rounds are read from and stored to the table
     decisions[(k, cap, ADD price, HLV price)], keyed by (a, b, undo); the
     trace is the same either way, and one dict may serve any moduli and
-    configs. A round the table does not hold may still be read off it
-    (`_table_move`): off its mirror (b, a) unless that decided ADD_A, or off
-    the same pair after no forbidden move unless that decided `undo`; it
-    is stored under its own key all the same, so the table holds the same
-    keys and moves as one that computes every round it does not hold.
+    configs. A round the table does not hold is read off its mirror (b, a)
+    when the table holds that and it did not decide ADD_A
+    (`_mirrored_move`), and stored under its own key all the same, so the
+    table holds the same keys and moves as one that computes every round it
+    does not hold.
 
     A completion cost depends only on its odd pair and the two prices, so a
     trace of at most `_SHARED_MEMO_BITS` bits also keeps its memo in
@@ -445,7 +432,7 @@ def lookahead_trace(
         if decided is not None:
             if (mv := decided.get((a, b, undo))) is not None:
                 return mv
-            if (mv := _table_move(decided, a, b, undo)) is not None:
+            if (mv := _mirrored_move(decided, a, b, undo)) is not None:
                 decided[a, b, undo] = mv
                 return mv
         best = _round(a, b, undo, k, cap, add_cost, hlv_cost, memo)

@@ -1111,10 +1111,9 @@ class TestDecisionCache:
         assert got == want
         assert all(type(mv) is Move for t in got for mv in t.moves)
 
-
     def test_rounds_computed_mod_1007(self, monkeypatch):
-        # TestDecisionCache::test_counts_mod_1007's sweep: 5,419 entries, of
-        # which 3,616 rounds are computed, the rest read off held rounds
+        # test_counts_mod_1007's sweep: 5,419 entries, of which 3,847 rounds
+        # are computed and the rest read off their mirrors
         computed = []
 
         def counted(*args):
@@ -1129,7 +1128,7 @@ class TestDecisionCache:
         ]
         (table,) = _decision_tables(decisions)
         assert len(table) == 5419
-        assert len(computed) == len(set(computed)) == 3616
+        assert len(computed) == len(set(computed)) == 3847
         assert set(computed) < set(table)
         assert _running_digest(circuits).startswith("483dfbf3053f0d1e")
 
@@ -1146,35 +1145,28 @@ class TestDecisionCache:
         assert all(type(mv) is Move for mv in table.values())
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_rules_agree_with_the_round(self, k):
+    def test_mirror_agrees_with_the_round(self, k):
         # every round of small coprime pairs, after every undo and at two
-        # caps: whatever a rule reads off a table of true moves is the move
+        # caps: a move read off the mirrored round's true move is the move
         model = CostModel()
         add_cost, hlv_cost = model.op_cost(ADD, 6), model.op_cost(HLV, 6)
         read = 0
         for cap in (64, 160):
-            pairs = [(a, b) for a in range(1, 40) for b in range(1, 40) if gcd(a, b) == 1]
             truth = {
                 (a, b, undo): best[1]
-                for a, b in pairs
-                if a != b
+                for a in range(1, 40)
+                for b in range(1, 40)
+                if a != b and gcd(a, b) == 1
                 for undo in (-1, 2, 3, 4, 5)
                 if (best := _round(a, b, undo, k, cap, add_cost, hlv_cost, {})) is not None
             }
-            for a, b in pairs:
-                for undo in (-1, 2, 3, 4, 5) if a != b else ():
-                    held = {
-                        key: truth[key]
-                        for key in ((b, a, _mirror(undo)), (a, b, -1), (b, a, -1))
-                        if key in truth
-                    }
-                    for key in held:
-                        if key != (a, b, undo):
-                            mv = synth._table_move({key: held[key]}, a, b, undo)
-                            if mv is not None:
-                                assert mv == truth[a, b, undo], (a, b, undo, key, cap)
-                                assert type(mv) is Move
-                                read += 1
+            for a, b, undo in truth:
+                mirror = (b, a, _mirror(undo))
+                mv = synth._mirrored_move({mirror: truth[mirror]}, a, b, undo)
+                assert (mv is None) == (truth[mirror] == Move.ADD_A)
+                if mv is not None:
+                    assert mv == truth[a, b, undo] and type(mv) is Move, (a, b, undo, cap)
+                    read += 1
         assert read > 0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -1185,8 +1177,7 @@ class TestDecisionCache:
         model = CostModel()
         prices = (4 * 1007, model.op_cost(ADD, 10), model.op_cost(HLV, 10), {})
         assert _round(39, 101, -1, k, *prices)[1] == Move.ADD_A
-        for undo in (-1, 2, 3, 4, 5):  # neither rule mirrors it
-            assert synth._table_move({(39, 101, -1): Move.ADD_A}, 101, 39, undo) is None
+        assert synth._mirrored_move({(39, 101, -1): Move.ADD_A}, 101, 39, -1) is None
         got = _round(101, 39, -1, k, *prices)
         assert got == _reference_round(101, 39, -1, k, *prices)
         assert got[1] == Move.ADD_A
@@ -1201,29 +1192,6 @@ class TestDecisionCache:
         trace = lookahead_trace(1007, 453, cfg, decisions)
         assert trace == lookahead_trace(1007, 453, cfg)
         assert trace.moves[0] == Move.ADD_A == decisions[key][1007, 453, -1]
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_undo_free_never_serves_the_forbidden_move(self, k):
-        # held: (a, b, -1) -> m, or its mirror; asked: (a, b) after a move
-        # that forbids m. The table decides nothing, and the round, computed,
-        # plays another move
-        model = CostModel()
-        prices = (4 * 1007, model.op_cost(ADD, 10), model.op_cost(HLV, 10))
-        rng = random.Random(k)
-        asked = 0
-        while asked < 40:
-            a, b = rng.randrange(1, 1007), rng.randrange(1, 1007)
-            if gcd(a, b) != 1 or a == b:
-                continue
-            mv = _round(a, b, -1, k, *prices, {})[1]
-            if mv < Move.SUB_A:  # a halving is never forbidden
-                continue
-            assert synth._table_move({(a, b, -1): mv}, a, b, mv) is None
-            assert synth._table_move({(b, a, -1): Move(mv ^ 1)}, a, b, mv) is None
-            got = _round(a, b, mv, k, *prices, {})
-            assert got == _reference_round(a, b, mv, k, *prices, {})
-            assert got is None or got[1] != mv
-            asked += 1
 
 
 class TestSharedMemo:
