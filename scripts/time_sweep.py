@@ -2,7 +2,7 @@
 """CPU seconds per layer of a cold four-method sweep, across bit-widths.
 
 For each width n (6 to 12, the exact search's cap), takes the largest
-n-bit semiprime and runs `bench_sweep` over it as `modmult bench` does: with
+n-bit semiprime and runs `bench_sweep` over it as `modmult bench` does, with
 every coprime multiplier from 2 up (the default selection at these widths),
 here with all four methods and no cache, three times, each pass cold (a new
 config, so new decision tables, memos and searches). Each layer is timed by
@@ -10,8 +10,9 @@ wrapping the function `bench` calls, with no profiler: the heuristic's
 synthesis (lookahead), the baseline, Euclid (trace and circuit), the
 exact-search build, its batched circuit reconstruction
 (`OptimalSearch.circuits`), `verify`, and `circuit_cost` plus
-`circuit_depth`; "rest" is the rest of the pass's CPU. It prints the median of the three passes per column, then the
-process's peak RSS so far (ru_maxrss).
+`circuit_depth`; "rest" is the rest of the pass's CPU. It prints the median
+of the three passes per column, then the process's peak RSS so far
+(ru_maxrss).
 
 Example:
     python scripts/time_sweep.py
