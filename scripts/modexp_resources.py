@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Resource table for full modular exponentiation across bit-widths.
 
-For each width, picks the largest prime modulus and reports Toffoli count,
-depth, and qubit totals under both adder regimes.
+For each width, picks the largest prime modulus, synthesizes its
+exponentiation once, and reports Toffoli count, depth, and qubit totals under
+both adder regimes.
 
 Example:
     python scripts/modexp_resources.py --widths 16,32,64,128
@@ -14,7 +15,7 @@ import sys
 
 from modmult.circuit import DepthModel
 from modmult.cli import parse_bits
-from modmult.modexp import build_modexp
+from modmult.modexp import build_modexp, modexp_depth
 from modmult.numtheory import nth_largest_prime
 
 
@@ -38,10 +39,11 @@ def table(widths: str, base: int) -> None:
     header = f"{'n':>4} {'regime':<9} {'toffoli':>12} {'cnot':>12} {'depth':>12} {'ancillae':>9} {'qubits':>7}"
     print(header)
     for n, m in moduli:
+        r = build_modexp(m, base)
         for name, dm in (("ripple", DepthModel.ripple()), ("lookahead", DepthModel.lookahead())):
-            r = build_modexp(m, base, depth_model=dm)
-            print(f"{n:>4} {name:<9} {r.toffoli:>12} {r.cnot:>12} {r.depth:>12} "
-                  f"{r.ancilla_count:>9} {r.qubit_count:>7}")
+            depth, ancillae, qubits = modexp_depth(m, r.blocks, dm)
+            print(f"{n:>4} {name:<9} {r.toffoli:>12} {r.cnot:>12} {depth:>12} "
+                  f"{ancillae:>9} {qubits:>7}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .circuit import (
 from .numtheory import Modulus
 from .synth import SynthesisConfig, synthesize
 
-__all__ = ["BaseNotCoprime", "ModExpCircuit", "modexp_plan", "build_modexp"]
+__all__ = ["BaseNotCoprime", "ModExpCircuit", "modexp_plan", "modexp_depth", "build_modexp"]
 
 
 class BaseNotCoprime(ValueError):
@@ -57,54 +57,51 @@ def modexp_plan(m: int, b: int = 2) -> tuple[int, ...]:
     return tuple(mults)
 
 
+def modexp_depth(
+    m: int, blocks: tuple[tuple[BlockCircuit, bool], ...], depth_model: DepthModel
+) -> tuple[int, int, int]:
+    """Depth, ancillae and qubits of the exponentiation mod M whose
+    positions are `blocks` (`ModExpCircuit.blocks`) under `depth_model`:
+    each block's depth plus that of the two CSWAP layers around it."""
+    wrap = BlockCircuit(m, 1, (BlockOp(CSWAP_LAYER),) * 2)
+    depth = len(blocks) * circuit_depth(wrap, depth_model)
+    depth += sum(circuit_depth(block, depth_model) for block, _ in blocks)
+    n = m.bit_length()
+    ancillae = depth_model.modexp_ancillae(n)
+    # data register n + exponent register 2n, plus regime ancillae (which
+    # include the second multiplication register)
+    return depth, ancillae, 3 * n + ancillae
+
+
 def build_modexp(
     m: int,
     b: int = 2,
     cfg: SynthesisConfig | None = None,
     depth_model: DepthModel | None = None,
 ) -> ModExpCircuit:
-    """Synthesize the 2n conditional positions and total the resources.
+    """Synthesize the 2n conditional positions and total the resources,
+    depth, ancillae and qubits under `depth_model` (`modexp_depth`).
 
     Positions whose multiplier collapses to 1 keep their two CSWAP_LAYER
     wrappers but carry an empty block.
     """
     cfg = cfg or SynthesisConfig()
-    depth_model = depth_model or DepthModel.ripple()
     multipliers = modexp_plan(m, b)
-    n = m.bit_length()
     model: CostModel = cfg.cost_model
 
     # a position's two CSWAP layers, priced as the identity circuit they form
-    wrap = BlockCircuit(m, 1, (BlockOp(CSWAP_LAYER),) * 2)
-    wrap_toffoli, wrap_cnot = circuit_cost(wrap, model)
-    wrap_depth = circuit_depth(wrap, depth_model)
+    wrap_toffoli, wrap_cnot = circuit_cost(BlockCircuit(m, 1, (BlockOp(CSWAP_LAYER),) * 2), model)
 
     cache: dict[int, BlockCircuit] = {}  # distinct multipliers, synthesized once
-    toffoli = cnot = depth = 0
-    blocks: list[tuple[BlockCircuit, bool]] = []
     for c in multipliers:
         if c not in cache:
             cache[c] = synthesize(c, m, cfg)
-        block = cache[c]
+    blocks = tuple((cache[c], True) for c in multipliers)
+    toffoli, cnot = len(blocks) * wrap_toffoli, len(blocks) * wrap_cnot
+    for block, _ in blocks:
         t, k = circuit_cost(block, model)
         toffoli += t
         cnot += k
-        depth += circuit_depth(block, depth_model)
-        blocks.append((block, True))
-    positions = len(blocks)
-    toffoli += positions * wrap_toffoli
-    cnot += positions * wrap_cnot
-    depth += positions * wrap_depth
-    ancillae = depth_model.modexp_ancillae(n)
-    # data register n + exponent register 2n, plus regime ancillae (which
-    # include the second multiplication register)
-    qubits = 3 * n + ancillae
-    return ModExpCircuit(
-        blocks=tuple(blocks),
-        toffoli=toffoli,
-        cnot=cnot,
-        depth=depth,
-        ancilla_count=ancillae,
-        qubit_count=qubits,
-        distinct_blocks=len(cache),
-    )
+    # depth, ancillae and qubits, in ModExpCircuit's field order
+    depth_totals = modexp_depth(m, blocks, depth_model or DepthModel.ripple())
+    return ModExpCircuit(blocks, toffoli, cnot, *depth_totals, len(cache))

@@ -16,11 +16,12 @@ from odd pair to odd pair: after each subtraction the binary GCD halves
 the even difference once per trailing zero. A leaf skips the ADD onto an
 even value: it scores that value's halving plus two ADD prices (see
 `_leaf`). Above the leaves, `_least` writes a node's children out in `Move`
-order and scores each with one step, and trailing zeros are read off a
-table of the low byte (`_TZ`). A round commits the first move under which
-the least score lies, ties going to the least `Move`. A sequence may pass
-a pair twice: `scripts/revisit_certificate.py` checks exhaustively that
-such a sequence never decides a round, at any prices and cap.
+order and scores each with the scorer for its depth (`_SCORERS`); only a
+round's root returns its first move beside its score. Trailing zeros are
+read off a table of the low byte (`_TZ`). A round commits the first move
+under which the least score lies, ties going to the least `Move`. A
+sequence may pass a pair twice: `scripts/revisit_certificate.py` checks
+exhaustively that no such sequence decides a round, at any prices and cap.
 """
 
 from __future__ import annotations
@@ -218,10 +219,11 @@ def _odd_completion(a: int, b: int, add_cost: int, hlv_cost: int, memo: dict) ->
 
 
 def _leaf(
-    a: int, b: int, undo: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
+    a: int, b: int, undo: int, cap: int, add_cost: int, hlv_cost: int, memo: dict, r: int = 1
 ) -> int | None:
     """Least score over the children of (a, b), all leaves: 0 at (1, 1), None
-    when no child is legal. `undo` is the move (a, b)'s own move forbids.
+    when no child is legal. `undo` is the move (a, b)'s own move forbids. The
+    depth `r` (1: one move left) is unused; `_least` passes it to any scorer.
 
     A child scores its move's price, one HLV price per zero stripped from its
     pair, and the completion cost of its pair's odd parts (for the halving
@@ -287,12 +289,12 @@ def _leaf(
 
 
 def _completion(
-    a: int, b: int, undo: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
+    a: int, b: int, undo: int, cap: int, add_cost: int, hlv_cost: int, memo: dict, r: int = 0
 ) -> int:
     """The score of (a, b) as a sequence's last pair: one HLV price per zero
     stripped from it, plus its odd parts' completion cost. It takes `_leaf`'s
-    arguments, `undo` and `cap` unused, so `_least` scores a child alike at
-    every depth."""
+    arguments, `undo`, `cap` and `r` unused, so `_least` scores a child alike
+    at every depth."""
     za = 0 if a & 1 else _TZ[a & 255] or (a & -a).bit_length() - 1
     zb = 0 if b & 1 else _TZ[b & 255] or (b & -b).bit_length() - 1
     x, y = a >> za, b >> zb
@@ -301,66 +303,64 @@ def _completion(
 
 
 def _least(
-    a: int, b: int, undo: int, r: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
-) -> tuple[int | None, int]:
+    a: int, b: int, undo: int, cap: int, add_cost: int, hlv_cost: int, memo: dict, r: int,
+    root: bool = False,
+) -> int | None | tuple[int | None, int]:
     """Least score over the move sequences of length <= r >= 1 from (a, b),
-    shorter only where they reach (1, 1), and the first move of the least,
-    ties going to the least `Move`: (0, -1) at (1, 1), (None, -1) when
-    there is none. `undo` is as for `_leaf`.
+    shorter only where they reach (1, 1): 0 at (1, 1), None when there is
+    none. `undo` is as for `_leaf`. Only a round's `root`, never (1, 1),
+    returns (least, first move of the least), ties going to the least `Move`.
 
     The children are scored in `Move` order: halving the even value, the
     smaller value subtracted from the larger, both additions under `cap`.
-    A child scores its move's price plus one scoring step: `_completion` at
-    r = 1, `_leaf` at r = 2, and its own `_least` above that. A halving or
-    SUB child can always play a SUB next, so only an ADD child can score
-    None."""
+    A child scores its move's price plus the score at depth r - 1 of the
+    scorer `_SCORERS[r]`: `_completion` at r = 1, `_leaf` at r = 2, and
+    `_least` above that. A halving or SUB child can always play a SUB next,
+    so only an ADD child can score None."""
     if a == b:  # (1, 1), the only equal coprime pair
-        return 0, -1
-    if r == 1:
-        score = _completion
-    elif r == 2:
-        score = _leaf
-    else:
-
-        def score(a: int, b: int, undo: int, *rest) -> int | None:
-            return _least(a, b, undo, r - 1, *rest)[0]
-
+        return 0
+    score, r = _SCORERS[r], r - 1
     least, first = None, -1
     if not a & 1:
-        least, first = hlv_cost + score(a >> 1, b, -1, cap, add_cost, hlv_cost, memo), 0
+        least, first = hlv_cost + score(a >> 1, b, -1, cap, add_cost, hlv_cost, memo, r), 0
     elif not b & 1:
-        least, first = hlv_cost + score(a, b >> 1, -1, cap, add_cost, hlv_cost, memo), 1
+        least, first = hlv_cost + score(a, b >> 1, -1, cap, add_cost, hlv_cost, memo, r), 1
     if a > b:
         if undo != 2:
-            t = add_cost + score(a - b, b, 4, cap, add_cost, hlv_cost, memo)
+            t = add_cost + score(a - b, b, 4, cap, add_cost, hlv_cost, memo, r)
             if least is None or t < least:
                 least, first = t, 2
     elif undo != 3:
-        t = add_cost + score(a, b - a, 5, cap, add_cost, hlv_cost, memo)
+        t = add_cost + score(a, b - a, 5, cap, add_cost, hlv_cost, memo, r)
         if least is None or t < least:
             least, first = t, 3
     s = a + b
     if s < cap:
-        if undo != 4 and (t := score(s, b, 2, cap, add_cost, hlv_cost, memo)) is not None:
+        if undo != 4 and (t := score(s, b, 2, cap, add_cost, hlv_cost, memo, r)) is not None:
             t += add_cost
             if least is None or t < least:
                 least, first = t, 4
-        if undo != 5 and (t := score(a, s, 3, cap, add_cost, hlv_cost, memo)) is not None:
+        if undo != 5 and (t := score(a, s, 3, cap, add_cost, hlv_cost, memo, r)) is not None:
             t += add_cost
             if least is None or t < least:
                 least, first = t, 5
-    return least, first
+    return (least, first) if root else least
+
+
+# _SCORERS[r]: the scorer of a depth-r node's children (index 0 unused)
+_SCORERS = (None, _completion, _leaf) + (_least,) * (_MAX_DEPTH - 2)
 
 
 def _round(
     a: int, b: int, undo: int, k: int, cap: int, add_cost: int, hlv_cost: int, memo: dict
 ) -> tuple[int, Move] | None:
     """One lookahead round from (a, b) != (1, 1) after a move that forbids
-    `undo`: the least (score, first move) over the move sequences of length
-    <= k, so ties go to the least `Move`; None when no move is legal.
-    Sequences that pass a pair twice are scored too: none of them ever
-    decides a round (`scripts/revisit_certificate.py`)."""
-    least, first = _least(a, b, undo, k, cap, add_cost, hlv_cost, memo)
+    `undo`: the least score over the move sequences of length <= k and the
+    first move of the least, ties to the least `Move`, which only this root
+    asks `_least` for; None when no move is legal. Sequences that pass a
+    pair twice are scored too: none ever decides a round
+    (`scripts/revisit_certificate.py`)."""
+    least, first = _least(a, b, undo, cap, add_cost, hlv_cost, memo, k, True)
     return None if least is None else (least, _MOVES[first])
 
 

@@ -9,7 +9,7 @@ from modmult.circuit import (
     circuit_cost,
     circuit_depth,
 )
-from modmult.modexp import BaseNotCoprime, ModExpCircuit, build_modexp, modexp_plan
+from modmult.modexp import BaseNotCoprime, ModExpCircuit, build_modexp, modexp_depth, modexp_plan
 from modmult.synth import SynthesisConfig, synthesize
 
 from blocks import fold
@@ -83,6 +83,18 @@ class TestBuild:
         ri = build_modexp(1011113, 2, depth_model=DepthModel.ripple())
         assert la.depth < ri.depth
         assert isinstance(la, ModExpCircuit)
+
+    def test_one_build_priced_under_every_depth_model(self):
+        # a build's blocks, priced under another depth model, give that
+        # model's build totals; Toffoli and CNOT totals do not depend on it
+        m = 1011113
+        ripple = build_modexp(m, 2)
+        for dm in (DepthModel.ripple(), DepthModel.lookahead()):
+            own = build_modexp(m, 2, depth_model=dm)
+            assert modexp_depth(m, ripple.blocks, dm) == (
+                own.depth, own.ancilla_count, own.qubit_count
+            )
+            assert (own.toffoli, own.cnot) == (ripple.toffoli, ripple.cnot)
 
     def test_custom_synthesis_config(self):
         cfg = SynthesisConfig(lookahead_depth=1)

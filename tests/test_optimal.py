@@ -189,11 +189,14 @@ class TestFloorProperty:
             assert without[c] >= cost
 
 
+def _units(m: int) -> list[int]:
+    return [c for c in range(2, m) if gcd(c, m) == 1]
+
+
 def _running_digest(search: OptimalSearch) -> str:
     h = hashlib.sha256()
-    for c in range(2, search.m):
-        if gcd(c, search.m) == 1:
-            h.update(serialize(search.circuit(c)).encode())
+    for circ in search.circuits(_units(search.m)):
+        h.update(serialize(circ).encode())
     return h.hexdigest()
 
 
@@ -202,17 +205,16 @@ def _measures_digest(search: OptimalSearch) -> str:
     coprime c: what a bench record keeps of each circuit, not its text."""
     ripple, lookahead = DepthModel.ripple(), DepthModel.lookahead()
     h = hashlib.sha256()
-    for c in range(2, search.m):
-        if gcd(c, search.m) == 1:
-            circ = search.circuit(c)
-            row = (
-                c,
-                circuit_cost(circ, search.model)[0],
-                circuit_depth(circ, ripple),
-                circuit_depth(circ, lookahead),
-                len(circ.ops),
-            )
-            h.update(repr(row).encode())
+    units = _units(search.m)
+    for c, circ in zip(units, search.circuits(units)):
+        row = (
+            c,
+            circuit_cost(circ, search.model)[0],
+            circuit_depth(circ, ripple),
+            circuit_depth(circ, lookahead),
+            len(circ.ops),
+        )
+        h.update(repr(row).encode())
     return h.hexdigest()
 
 

@@ -42,11 +42,15 @@ def test_compare_optimal():
 
 
 def test_modexp_resources():
-    # a header, then one line per width and adder regime
+    # a header, then one line per width and adder regime; the text is that of
+    # the script when it built each width once per regime
     lines = run_script("modexp_resources.py", "--widths", "8,16")
-    assert lines[0].split()[:2] == ["n", "regime"]
-    assert [line.split()[:2] for line in lines[1:]] == [
-        ["8", "ripple"], ["8", "lookahead"], ["16", "ripple"], ["16", "lookahead"],
+    assert lines == [
+        "   n regime         toffoli         cnot        depth  ancillae  qubits",
+        "   8 ripple            2756          512         3216        42      66",
+        "   8 lookahead         2756          512         3117        52      76",
+        "  16 ripple           27998         2320        26566        82     130",
+        "  16 lookahead        27998         2320        16385       107     155",
     ]
 
 

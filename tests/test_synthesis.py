@@ -709,7 +709,7 @@ class TestReferenceEquivalence:
                         _assert_round_matches(m, c, last, k, cap, add_cost, hlv_cost)
 
     @pytest.mark.parametrize("bits", [64, 128])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_best_sequence_matches_reference_wide(self, k, bits):
         # the same rounds on wide values; the smallest cap puts both ADD
         # children on it
